@@ -151,54 +151,39 @@ class APFamily:
         return f"({one(self.k_form)}, {one(self.l_form)}, {one(self.m_form)}), t>={self.t_min}"
 
 
-def _trinomial_remainder(A: int, B: int, offsets: tuple[int, int, int]) -> list:
-    """Remainder of X^a1 - 2*X^a2 + X^a3 modulo X^2 - A*X - B.
-
-    Plain synthetic long division on the dense coefficient vector.
-    """
-    a1, a2, a3 = offsets
-    deg = max(offsets)
-    coeffs = [0] * (deg + 1)
-    coeffs[a1] += 1
-    coeffs[a2] -= 2
-    coeffs[a3] += 1
-    for i in range(deg, 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = 0
-            coeffs[i - 1] += A * c
-            coeffs[i - 2] += B * c
-    return coeffs[:2]
-
-
 def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]:
     """All unit-step families with offsets in [0, e_max].
 
     A shift pattern (a1 + t, a2 + t, a3 + t) with the doubled term at a2 is
     valid for every t exactly when the companion polynomial divides
-    X^a1 - 2*X^a2 + X^a3.  Divisibility is decided by polynomial remainder
-    and cross-checked on the first two instances of s_t.
+    X^a1 - 2*X^a2 + X^a3.  With U the first-kind sequence,
+    X^n = U_n*X + B*U_{n-1} modulo X^2 - A*X - B, so divisibility reads
+    r_a1 + r_a3 = 2*r_a2 on the remainders r_n = (B*U_{n-1}, U_n), with
+    r_0 = (1, 0).  n -> r_n is injective because the pair is
+    non-degenerate, so a dict from r_n back to n finds a3 in one lookup.
+    One offset must be 0 and a3 > a1 >= 0, hence a1 = 0 or a2 = 0: one
+    pass over the other offset for each case, O(e_max) lookups in all.
+    Every hit is cross-checked on the first two instances of s_t.
     """
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
+    rem = [(1, 0)]
+    for _ in range(e_max):
+        c0, c1 = rem[-1]
+        rem.append((params.B * c1, params.A * c1 + c0))
+    index_of = {r: n for n, r in enumerate(rem)}
     ts = terms(params, kind, e_max + 3)
     out = []
-    for a2 in range(e_max + 1):
-        for a1 in range(e_max + 1):
-            if a1 == a2:
-                continue
-            for a3 in range(a1 + 1, e_max + 1):
-                if a3 == a2:
-                    continue
-                offsets = (a1, a2, a3)
-                if min(offsets) != 0:
-                    continue
-                if _trinomial_remainder(params.A, params.B, offsets) != [0, 0]:
-                    continue
-                s0 = ts[a1] - 2 * ts[a2] + ts[a3]
-                s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
-                assert s0 == 0 and s1 == 0, "divisibility and identity disagree"
-                out.append(APFamily((a1, 1), (a2, 1), (a3, 1), 0))
+    offsets = range(1, e_max + 1)
+    for a1, a2 in [(a, 0) for a in offsets] + [(0, a) for a in offsets]:
+        (p0, p1), (q0, q1) = rem[a1], rem[a2]
+        a3 = index_of.get((2 * q0 - p0, 2 * q1 - p1))
+        if a3 is None or a3 <= a1 or a3 == a2:
+            continue
+        s0 = ts[a1] - 2 * ts[a2] + ts[a3]
+        s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
+        assert s0 == 0 and s1 == 0, "divisibility and identity disagree"
+        out.append(APFamily((a1, 1), (a2, 1), (a3, 1), 0))
     out.sort(key=lambda f: (f.l_form, f.k_form, f.m_form))
     return out
 

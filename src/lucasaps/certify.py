@@ -149,10 +149,6 @@ def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
-def _abs_pow(base_abs: Surd, n: int) -> Surd:
-    return base_abs ** n
-
-
 def _fixed_cell(pattern: GapPattern, params: SeqParams, cfg: EngineConfig) -> PatternAnalysis:
     gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
@@ -256,11 +252,11 @@ def pattern_bound(
         t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
         if t_gamma.is_zero():
             return _decoupled_cell(pattern, params)
-        margin = abs(t_gamma) * _abs_pow(ag, b) - one.times_int(abs(c3))
+        margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
     else:
         margin = (
-            _abs_pow(ag, a + b).times_int(abs(c1))
-            - _abs_pow(ag, b).times_int(abs(c2))
+            (ag ** (a + b)).times_int(abs(c1))
+            - (ag ** b).times_int(abs(c2))
             - one.times_int(abs(c3))
         )
 
@@ -269,7 +265,7 @@ def pattern_bound(
 
     eta = ad if surd_cmp_abs(ad, one) > 0 else one
     lhs = margin
-    rhs = _abs_pow(ag, a + b).times_int(4)
+    rhs = (ag ** (a + b)).times_int(4)
     top = -1
     for n1 in range(cfg.search_cap):
         if (rhs - lhs).sign() < 0:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from multiprocessing import get_context
 
@@ -53,6 +54,21 @@ def _kind_arg(value: str) -> Kind:
         return Kind(value)
     except ValueError:
         raise argparse.ArgumentTypeError("kind must be 'first' or 'second'")
+
+
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return n
+
+
+def _worker_count(jobs: int) -> int:
+    """Requested scan workers, clamped to the CPU count."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _range_arg(value: str):
@@ -108,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--kind", type=_kind_arg, required=True)
-    p.add_argument("--gap-cap", type=int, default=12)
+    p.add_argument("--gap-cap", type=_positive_int, default=12)
 
     p = sub.add_parser("families", help="unit-step families by companion divisibility")
     p.add_argument("--A", type=int, required=True)
@@ -133,7 +149,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-index", type=int, default=30)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("factor-trinomial", help="monic quadratic factors of a gap trinomial")
     p.add_argument("--shape", choices=[s.value for s in TrinomialShape], required=True)
@@ -304,8 +320,9 @@ def _cmd_scan(args) -> int:
         for B in range(args.b_range[0], args.b_range[1] + 1)
         for kind in kinds
     ]
-    if args.jobs > 1:
-        with get_context("fork").Pool(args.jobs) as pool:
+    workers = _worker_count(args.jobs)
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             rows = pool.map(_scan_pair, jobs)
     else:
         rows = [_scan_pair(job) for job in jobs]

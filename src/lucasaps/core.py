@@ -20,7 +20,6 @@ No floating point appears in any correctness-critical path.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -280,34 +279,28 @@ def dominant_root(params: SeqParams) -> tuple[Surd, Surd]:
 class _TermCache:
     """Append-only memo of sequence terms for one (params, kind) context."""
 
-    __slots__ = ("a", "b", "values", "lock")
+    __slots__ = ("a", "b", "values")
 
     def __init__(self, A: int, B: int, kind: Kind):
         self.a = A
         self.b = B
         self.values = list(kind.initial_values(A))
-        self.lock = threading.Lock()
 
     def upto(self, n: int) -> list:
-        if len(self.values) <= n:
-            with self.lock:
-                while len(self.values) <= n:
-                    self.values.append(
-                        self.a * self.values[-1] + self.b * self.values[-2]
-                    )
-        return self.values
+        values = self.values
+        while len(values) <= n:
+            values.append(self.a * values[-1] + self.b * values[-2])
+        return values
 
 
 _caches: dict = {}
-_caches_lock = threading.Lock()
 
 
 def _cache_for(params: SeqParams, kind: Kind) -> _TermCache:
     key = (params.A, params.B, kind)
     cache = _caches.get(key)
     if cache is None:
-        with _caches_lock:
-            cache = _caches.setdefault(key, _TermCache(params.A, params.B, kind))
+        cache = _caches[key] = _TermCache(params.A, params.B, kind)
     return cache
 
 

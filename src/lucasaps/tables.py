@@ -20,6 +20,7 @@ back as a certified empty enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
@@ -54,14 +55,12 @@ class TableEntry:
         return self.triples + tuple(t for t, _ in self.completions)
 
 
-def _load_raw() -> dict:
+@functools.cache
+def _table_entries() -> tuple:
+    """The catalog rows, parsed from tables.json once per process."""
     path = importlib_resources.files("lucasaps.resources").joinpath("tables.json")
-    return json.loads(path.read_text())
-
-
-def load_table_entries() -> list:
+    raw = json.loads(path.read_text())
     out = []
-    raw = _load_raw()
     for key, kind in (("first", Kind.FIRST), ("second", Kind.SECOND)):
         for row in raw[key]:
             fams = tuple(
@@ -82,11 +81,15 @@ def load_table_entries() -> list:
                     completions,
                 )
             )
-    return out
+    return tuple(out)
+
+
+def load_table_entries() -> list:
+    return list(_table_entries())
 
 
 def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
-    for entry in load_table_entries():
+    for entry in _table_entries():
         if entry.kind is not kind or entry.a != A:
             continue
         if entry.is_b_row and B >= entry.b_min:
@@ -194,7 +197,7 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
         raise ValueError("b_cap must be at least 10")
     report = TablesReport(b_cap, window, off_grid)
 
-    for entry in load_table_entries():
+    for entry in _table_entries():
         if entry.is_b_row:
             for B in range(entry.b_min, b_cap + 1):
                 if degeneracy_order(entry.a, B) is not None:
@@ -241,7 +244,7 @@ def family_for_pair(A: int, B: int, kind: Kind, e_max: int = 12):
     fams = detect_families(params, kind, e_max)
     if fams:
         return fams[0]
-    for entry in load_table_entries():
+    for entry in _table_entries():
         if entry.kind is kind and not entry.is_b_row and (entry.a, entry.b) == (A, B):
             if entry.families:
                 return entry.families[0]

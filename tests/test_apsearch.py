@@ -117,23 +117,69 @@ class TestDetectFamilies:
     def test_divisibility_iff_identity(self):
         # remainder test against two consecutive identity instances,
         # exhaustively over a small coefficient box
-        from lucasaps.apsearch import _trinomial_remainder
-
         for A in range(-8, 9):
             for B in range(-8, 9):
                 if not A or not B or degeneracy_order(A, B) is not None:
                     continue
                 p = new_params(A, B)
                 ts = terms(p, Kind.FIRST, 15)
-                for a1 in range(13):
-                    for a2 in range(13):
-                        for a3 in range(a1 + 1, 13):
-                            if len({a1, a2, a3}) != 3 or min(a1, a2, a3) != 0:
-                                continue
-                            divides = _trinomial_remainder(A, B, (a1, a2, a3)) == [0, 0]
-                            s0 = ts[a1] - 2 * ts[a2] + ts[a3]
-                            s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
-                            assert divides == (s0 == 0 and s1 == 0), (A, B, a1, a2, a3)
+                for a1, a2, a3 in _zero_min_offsets(12):
+                    divides = _trinomial_remainder(A, B, (a1, a2, a3)) == [0, 0]
+                    s0 = ts[a1] - 2 * ts[a2] + ts[a3]
+                    s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
+                    assert divides == (s0 == 0 and s1 == 0), (A, B, a1, a2, a3)
+
+    def test_matches_long_division_walk(self):
+        # the remainder lookup finds exactly the families the dense
+        # division finds over every offset triple, for every e_max <= 20
+        for A in range(-10, 11):
+            for B in range(-10, 11):
+                if not A or not B or degeneracy_order(A, B) is not None:
+                    continue
+                p = new_params(A, B)
+                found = [
+                    (a1, a2, a3)
+                    for a1, a2, a3 in _zero_min_offsets(20)
+                    if _trinomial_remainder(A, B, (a1, a2, a3)) == [0, 0]
+                ]
+                for e_max in range(3, 21):
+                    expected = sorted(
+                        (APFamily((a1, 1), (a2, 1), (a3, 1), 0)
+                         for a1, a2, a3 in found if a3 <= e_max and a2 <= e_max),
+                        key=lambda f: (f.l_form, f.k_form, f.m_form),
+                    )
+                    for kind in Kind:
+                        assert detect_families(p, kind, e_max) == expected, (A, B, kind, e_max)
+
+
+def _trinomial_remainder(A, B, offsets):
+    """Remainder of X^a1 - 2*X^a2 + X^a3 modulo X^2 - A*X - B, as [c0, c1].
+
+    Plain synthetic long division on the dense coefficient vector.
+    """
+    a1, a2, a3 = offsets
+    coeffs = [0] * (max(offsets) + 1)
+    coeffs[a1] += 1
+    coeffs[a2] -= 2
+    coeffs[a3] += 1
+    for i in range(len(coeffs) - 1, 1, -1):
+        c = coeffs[i]
+        if c:
+            coeffs[i] = 0
+            coeffs[i - 1] += A * c
+            coeffs[i - 2] += B * c
+    return coeffs[:2]
+
+
+def _zero_min_offsets(e_max):
+    """Every (a1, a2, a3) in [0, e_max]^3, pairwise distinct, a1 < a3, min 0."""
+    return [
+        (a1, a2, a3)
+        for a1 in range(e_max + 1)
+        for a2 in range(e_max + 1)
+        for a3 in range(a1 + 1, e_max + 1)
+        if a2 not in (a1, a3) and min(a1, a2, a3) == 0
+    ]
 
 
 class TestVerifyFamily:

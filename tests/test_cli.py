@@ -5,6 +5,7 @@ from importlib import resources as importlib_resources
 
 import jsonschema
 
+from lucasaps import cli
 from lucasaps.cli import main
 
 SCHEMA = json.loads(
@@ -99,6 +100,16 @@ class TestCertify:
         assert code == 2
         assert json.loads(out)["status"] == "inconclusive"
 
+    def test_nonpositive_gap_cap_is_usage_error(self, capsys):
+        for cap in ("0", "-3"):
+            code, out, err = run(
+                capsys, "certify", "--A", "2", "--B", "1", "--kind", "first",
+                "--gap-cap", cap,
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("usage: lucasaps certify")
+
 
 class TestFamilies:
     def test_complex_pair(self, capsys):
@@ -110,6 +121,16 @@ class TestFamilies:
         doc = json.loads(out)
         jsonschema.validate(doc, schema_for("families"))
         assert doc["families"][0]["pattern"] == "(t+1, t, t+3), t>=0"
+
+    def test_large_exponent(self, capsys):
+        code, out, _ = run(
+            capsys, "families", "--A", "-1", "--B", "-2", "--kind", "first",
+            "--max-exponent", "400",
+        )
+        assert code == 0
+        assert [f["pattern"] for f in json.loads(out)["families"]] == [
+            "(t+1, t, t+3), t>=0"
+        ]
 
 
 class TestSmallcases:
@@ -178,6 +199,23 @@ class TestScan:
         certified = {(r["A"], r["B"]): r["certified"] for r in doc["rows"]}
         assert certified[(2, 1)] == "true"
         assert certified[(1, 1)] == "false"  # families, no finite certificate
+
+    def test_jobs_below_one_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        for jobs in ("0", "-2"):
+            code, _, err = run(
+                capsys, "scan", "--a-range", "1..2", "--b-range", "1..2",
+                "--out", str(out), "--jobs", jobs,
+            )
+            assert code == 1
+            assert err.startswith("usage: lucasaps scan")
+        assert not out.exists()
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert [cli._worker_count(j) for j in (1, 3, 4, 5, 1000)] == [1, 3, 4, 4, 4]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(8) == 1
 
 
 class TestFactorTrinomial:

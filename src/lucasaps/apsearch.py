@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import Kind, SeqParams, term, terms
+from .core import Kind, SeqParams, linear_terms, term, terms
 
 
 class CertificateFailureError(AssertionError):
@@ -50,6 +50,9 @@ class APTriple:
     @property
     def max_index(self) -> int:
         return max(self.k, self.l, self.m)
+
+    def to_json_dict(self) -> dict:
+        return {"k": self.k, "l": self.l, "m": self.m, "values": [str(v) for v in self.values]}
 
 
 def is_ap(x, y, z) -> bool:
@@ -167,10 +170,8 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
     """
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
-    rem = [(1, 0)]
-    for _ in range(e_max):
-        c0, c1 = rem[-1]
-        rem.append((params.B * c1, params.A * c1 + c0))
+    u = linear_terms(params.A, params.B, 0, 1, e_max + 1)
+    rem = [(1, 0)] + [(params.B * u[n - 1], u[n]) for n in range(1, e_max + 1)]
     index_of = {r: n for n, r in enumerate(rem)}
     ts = terms(params, kind, e_max + 3)
     out = []

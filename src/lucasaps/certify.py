@@ -352,10 +352,7 @@ class CompletenessCertificate:
             "method": self.method,
             "n0": self.n0,
             "patterns": [p.to_json_dict() for p in self.patterns],
-            "aps": [
-                {"k": t.k, "l": t.l, "m": t.m, "values": [str(v) for v in t.values]}
-                for t in self.aps
-            ],
+            "aps": [t.to_json_dict() for t in self.aps],
             "toolVersion": self.tool_version,
             "note": self.note,
         }

@@ -38,6 +38,10 @@ EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 
+# detect_families keeps O(e) integers of O(e) bits, so memory grows as e^2:
+# about 60 MB at this cap, gigabytes near 10^5.
+MAX_EXPONENT = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -79,10 +83,6 @@ def _range_arg(value: str):
     if lo > hi:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
-
-
-def _triple_doc(t) -> dict:
-    return {"k": t.k, "l": t.l, "m": t.m, "values": [str(v) for v in t.values]}
 
 
 def _family_doc(f) -> dict:
@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", type=_kind_arg, required=True)
     p.add_argument("--max-index", type=int, default=6)
     p.add_argument("--no-dominant-filter", action="store_true")
-    p.add_argument("--grid-check", type=int, metavar="N",
+    p.add_argument("--grid-check", type=_positive_int, metavar="N",
                    help="cross-check against brute enumeration on the |A|,|B| <= N grid")
 
     p = sub.add_parser("verify-tables", help="cross-verify the progression catalog")
@@ -185,7 +185,7 @@ def _cmd_enumerate(args) -> int:
                 "B": params.B,
                 "kind": args.kind.value,
                 "maxIndex": args.max_index,
-                "aps": [_triple_doc(t) for t in aps],
+                "aps": [t.to_json_dict() for t in aps],
             }
         )
     elif args.format == "csv":
@@ -208,7 +208,7 @@ def _cmd_certify(args) -> int:
         "B": params.B,
         "kind": args.kind.value,
         "status": result.status,
-        "aps": [_triple_doc(t) for t in result.aps],
+        "aps": [t.to_json_dict() for t in result.aps],
         "families": [_family_doc(f) for f in result.families],
         "certificate": None,
     }
@@ -225,8 +225,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    if args.max_exponent < 3:
-        raise _UsageError("--max-exponent must be at least 3")
+    if not 3 <= args.max_exponent <= MAX_EXPONENT:
+        raise _UsageError(f"--max-exponent must be between 3 and {MAX_EXPONENT}")
     params = new_params(args.A, args.B)
     fams = detect_families(params, args.kind, args.max_exponent)
     _emit(

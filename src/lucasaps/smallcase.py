@@ -117,22 +117,6 @@ def divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def integer_roots(f) -> list:
-    """All integer roots; f must not be the zero polynomial."""
-    if not f:
-        raise ValueError("zero polynomial has every root")
-    shift = 0
-    while f[shift] == 0:
-        shift += 1
-    roots = {0} if shift else set()
-    body = f[shift:]
-    for d in divisors(body[0]):
-        for a in (d, -d):
-            if p_eval(body, a) == 0:
-                roots.add(a)
-    return sorted(roots)
-
-
 def cauchy_positive_cut(f) -> int:
     """N >= 0 with f(x) > 0 for every integer x > N (requires lc > 0).
 
@@ -231,27 +215,8 @@ def resultant(f, g) -> int:
     return int(det)
 
 
-def p_str(f, var="A") -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+def p_str(f) -> str:
+    return str(BivarPoly({(i, 0): c for i, c in enumerate(f)}))
 
 
 # ---------------------------------------------------------------------------
@@ -892,16 +857,24 @@ def _bisect_int_roots(f, lo, hi):
     return roots
 
 
-def _int_roots_small_degree(coeffs):
-    """Exact integer roots for degree <= 3 without factoring the constant.
+def integer_roots(coeffs):
+    """Exact integer roots of a nonzero polynomial of degree at most 3.
 
     Coefficients may be astronomically large (they come from evaluating the
     case polynomials at big A), so divisor enumeration is avoided: roots are
     isolated between the critical points and found by integer bisection.
+    Degree 3 is the ceiling the solver needs: every polynomial in A it
+    factors has degree at most 2 and every fixed-A solve for B has degree
+    at most 3 for the equations case_equations produces.  The zero
+    polynomial and degrees above 3 raise ValueError.
     """
     f = _trim(list(coeffs))
     d = p_deg(f)
-    if d <= 0:
+    if d < 0:
+        raise ValueError("zero polynomial has every root")
+    if d > 3:
+        raise ValueError(f"degree {d} exceeds the supported degree 3")
+    if d == 0:
         return []
     if d == 1:
         c0, c1 = f[0], f[1]
@@ -917,7 +890,6 @@ def _int_roots_small_degree(coeffs):
             if (-c1 + pm) % (2 * c2) == 0:
                 out.add((-c1 + pm) // (2 * c2))
         return sorted(out)
-    assert d == 3, "only degrees up to 3 are needed for B-solves"
     bound = 1 + max(abs(c) for c in f[:-1]) // abs(f[-1]) + 1
     # critical points: roots of f' = 3*c3*x^2 + 2*c2*x + c1
     c1, c2, c3 = f[1], f[2], f[3]
@@ -948,10 +920,8 @@ def _solve_b_univariate(a, bcs, filt, triple, source, report):
         b_min, excl = filt.b_condition(a)
         report.branches.append({"a": a, "outcome": "B free (equation vanishes)"})
         return [], [BFamilySolution(a, b_min, excl, triple, source)]
-    if len(coeffs) == 1:
-        return [], []
     sporadics = []
-    for B in _int_roots_small_degree(coeffs):
+    for B in integer_roots(coeffs):
         if filt.admits(a, B):
             sporadics.append(SporadicSolution(a, B, triple, source))
             report.branches.append({"a": a, "B": B, "outcome": "admitted"})
@@ -1015,35 +985,17 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None, widen: int = 
 
     if deg_b == 1:
         report.strategy = "linear_in_b"
-        e1, e0 = bcs[1], bcs[0]
-        if not e0:
-            # E = e1(A) * B: B = 0 is filtered out; roots of e1 free B.
-            report.notes.append("constant coefficient vanishes; only B = 0 off the roots")
-            for a in integer_roots(e1):
-                if a != 0:
-                    b_min, excl = filt.b_condition(a)
-                    b_families.append(BFamilySolution(a, b_min, excl, triple, source))
-                    report.branches.append({"a": a, "outcome": "B free"})
-            return CaseSolution(sporadics, b_families, curves, report)
-        s, f, c, cands = _linear_branch(e1, p_scale(e0, -1), filt, triple, source, report)
+        s, f, c, cands = _linear_branch(bcs[1], p_scale(bcs[0], -1), filt, triple, source, report)
         report.candidates = cands
         return CaseSolution(s, f, c, report)
 
     if deg_b == 2:
         report.strategy = "quadratic_in_b"
         e2, e1, e0 = bcs[2], bcs[1], bcs[0]
-        for a in integer_roots(e2):
-            e1a, e0a = p_eval(e1, a), p_eval(e0, a)
-            if e1a == 0 and e0a == 0:
-                if a != 0:
-                    b_min, excl = filt.b_condition(a)
-                    b_families.append(BFamilySolution(a, b_min, excl, triple, source))
-                    report.branches.append({"a": a, "outcome": "B free (all coefficients vanish)"})
-            elif e1a != 0 and e0a % e1a == 0:
-                B = -e0a // e1a
-                if filt.admits(a, B):
-                    sporadics.append(SporadicSolution(a, B, triple, source))
-                    report.branches.append({"a": a, "B": B, "outcome": "admitted (degenerate quadratic)"})
+        for a in integer_roots(e2):  # the equation drops to B-degree <= 1
+            s, f = _solve_b_univariate(a, bcs, filt, triple, source, report)
+            sporadics.extend(s)
+            b_families.extend(f)
         delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
         report.delta = tuple(delta)
         if not delta:
@@ -1101,12 +1053,7 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None, widen: int = 
                 hits.append(a)
                 if a in e2_roots:
                     continue
-                w = isqrt(da)
-                e2a, e1a, e0a = p_eval(e2, a), p_eval(e1, a), p_eval(e0, a)
-                for root_part in {w, -w}:
-                    if (-e1a + root_part) % (2 * e2a):
-                        continue
-                    B = (-e1a + root_part) // (2 * e2a)
+                for B in integer_roots([p_eval(e0, a), p_eval(e1, a), p_eval(e2, a)]):
                     if filt.admits(a, B):
                         sporadics.append(SporadicSolution(a, B, triple, source))
                         report.branches.append({"a": a, "B": B, "outcome": "admitted"})

@@ -4,8 +4,9 @@ The negative-discriminant analysis reduces infinite-family detection to
 finding quadratic factors of trinomials X^a - 2X^b + 1, X^a + X^b - 2 and
 2X^a - X^b - 1.  Every root of these has modulus at most 2 (otherwise the
 leading term dominates the other two), so a quadratic factor X^2 + p*X + q
-has |q| <= 4 and |p| <= 4 and the search space is a small box, checked by
-exact division.
+has |q| <= 4 and |p| <= 4 and the search space is a small box.  Each
+candidate is decided by the remainders of X^n modulo it, and every factor
+found is cross-checked by evaluating the trinomial at its roots exactly.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations: with A(k, s) <= 2^(35*b^3) * d^(6*b^2), b = max(k+1, s) and
@@ -21,10 +22,12 @@ from .core import (
     DegenerateError,
     Kind,
     SeqParams,
+    Surd,
     ZeroCoefficientError,
     alpha_beta,
     linear_terms,
     new_params,
+    roots_of,
     terms,
 )
 
@@ -68,47 +71,34 @@ class TrinomialSpec:
         return names[self.shape]
 
 
-def _divide_out_quadratic(coeffs: list, p: int, q: int):
-    """Quotient of coeffs by X^2 + p*X + q, or None when it does not divide."""
-    work = list(coeffs)
-    quot = [0] * max(len(work) - 2, 0)
-    for i in range(len(work) - 1, 1, -1):
-        c = work[i]
-        if c:
-            quot[i - 2] = c
-            work[i] = 0
-            work[i - 1] -= p * c
-            work[i - 2] -= q * c
-    if work[0] or work[1]:
-        return None
-    return quot
-
-
 def quad_factors(spec: TrinomialSpec, exponent_cap: int = 64) -> list:
     """All monic quadratic integer factors X^2 + p*X + q of the trinomial.
 
-    Each candidate in the |p|, |q| <= 4 box is verified by exact division,
-    and the quotient is multiplied back as an independent check.
+    With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
+    modulo X^2 + p*X + q for n >= 1 (the identity detect_families uses), so
+    a candidate in the |p|, |q| <= 4 box divides c_a*X^a + c_b*X^b + c_0
+    exactly when both coefficients of the combined remainder vanish.  Every
+    hit is cross-checked independently: the trinomial must vanish at both
+    roots of the candidate in exact surd arithmetic.
     """
     if spec.a > exponent_cap:
         raise ValueError(f"exponent {spec.a} exceeds cap {exponent_cap}")
+    a, b = spec.a, spec.b
     coeffs = spec.coefficients()
+    ca, cb, c0 = coeffs[a], coeffs[b], coeffs[0]
     found = []
     for p in range(-4, 5):
         for q in range(-4, 5):
             if q == 0:
                 continue  # a zero root is impossible: nonzero constant term
-            quot = _divide_out_quadratic(coeffs, p, q)
-            if quot is None:
+            u = linear_terms(-p, -q, 0, 1, a + 1)
+            if ca * u[a] + cb * u[b] or c0 - q * (ca * u[a - 1] + cb * u[b - 1]):
                 continue
-            product = [0] * len(coeffs)
-            for i, c in enumerate(quot):
-                product[i] += q * c
-                product[i + 1] += p * c
-                product[i + 2] += c
-            assert product == coeffs, "division check failed to multiply back"
+            for x in roots_of(-p, -q):
+                value = (x**a).times_int(ca) + (x**b).times_int(cb) + Surd.integer(c0, x.d)
+                assert value.is_zero(), "remainder and root evaluation disagree"
             found.append((p, q))
-    return sorted(found)
+    return found
 
 
 def companion_candidates_complex() -> list:

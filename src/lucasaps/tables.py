@@ -25,7 +25,14 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 
-from .apsearch import APFamily, detect_families, family_instances, is_ap, verify_family
+from .apsearch import (
+    APFamily,
+    canonical_indices,
+    detect_families,
+    family_instances,
+    is_ap,
+    verify_family,
+)
 from .certify import certified_enumerate
 from .core import Kind, degeneracy_order, new_params, term
 
@@ -99,16 +106,11 @@ def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
     return False
 
 
-def _canonical(trip) -> tuple:
-    k, l, m = trip
-    return (k, l, m) if k < m else (m, l, k)
-
-
 def _described_triples(params, kind, index_triples, families, window):
     """Canonical index triples asserted by a description, indices <= window."""
     out = set()
     for trip in index_triples:
-        canon = _canonical(trip)
+        canon = canonical_indices(*trip)
         if max(canon) <= window:
             vals = tuple(term(params, kind, i) for i in canon)
             if is_ap(*vals):

@@ -132,6 +132,17 @@ class TestFamilies:
             "(t+1, t, t+3), t>=0"
         ]
 
+    def test_exponent_cap_is_usage_error(self, capsys):
+        # memory grows as e^2, so exponents above the cap are refused
+        for e in (cli.MAX_EXPONENT + 1, 10**6, 2):
+            code, out, err = run(
+                capsys, "families", "--A", "3", "--B", "5", "--kind", "first",
+                "--max-exponent", str(e),
+            )
+            assert code == 1
+            assert out == ""
+            assert "--max-exponent must be between 3 and" in err
+
 
 class TestSmallcases:
     def test_json_and_grid_check(self, capsys):
@@ -150,6 +161,17 @@ class TestSmallcases:
         assert code == 0
         doc = json.loads(out)
         assert doc["equationCount"] == 168
+
+    def test_nonpositive_grid_check_is_usage_error(self, capsys):
+        # an empty box would pass vacuously
+        for n in ("0", "-3"):
+            code, out, err = run(
+                capsys, "smallcases", "--kind", "first", "--max-index", "4",
+                "--grid-check", n,
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("usage: lucasaps smallcases")
 
     def test_cap_seven_unfiltered_is_inconclusive(self, capsys):
         code, _, err = run(

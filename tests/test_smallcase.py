@@ -1,5 +1,7 @@
 """Symbolic case equations and the complete small-index solver."""
 
+from itertools import product
+
 import pytest
 
 from lucasaps.core import Kind, degeneracy_order, new_params, term
@@ -12,7 +14,9 @@ from lucasaps.smallcase import (
     _variant_poly,
     case_equations,
     divisibility_candidates,
+    integer_roots,
     p_eval,
+    p_mul,
     p_str,
     poly_term,
     solve_all,
@@ -202,6 +206,48 @@ class TestSolveAll:
                     if t.max_index <= 4:
                         brute.add((A, B, t.indices))
         assert sym == brute
+
+
+class TestIntegerRoots:
+    def test_small_coefficients_against_brute_force(self):
+        # every polynomial of degree 1..3 with coefficients in [-5, 5]:
+        # integer roots lie in the Cauchy interval |x| <= 1 + max|c_i|/|lc|
+        coeff_range = range(-5, 6)
+        count = 0
+        for degree in (1, 2, 3):
+            for lower in product(coeff_range, repeat=degree):
+                for lead in coeff_range:
+                    if not lead:
+                        continue
+                    f = list(lower) + [lead]
+                    bound = 1 + max(abs(c) for c in lower) // abs(lead)
+                    brute = [x for x in range(-bound, bound + 1) if p_eval(f, x) == 0]
+                    assert integer_roots(f) == brute, f
+                    count += 1
+        assert count == 14630
+
+    def test_planted_large_roots(self, rng):
+        # 40-bit roots, with repeats, a non-unit leading coefficient and an
+        # irreducible quadratic cofactor that contributes no integer root
+        for _ in range(200):
+            roots = [rng.randint(-(2**40), 2**40) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                roots[-1] = roots[0]
+            f = [rng.choice([-3, -1, 1, 2, 7])]
+            for r in roots:
+                f = p_mul(f, [-r, 1])
+            assert integer_roots(f) == sorted(set(roots)), roots
+            r = rng.randint(-(2**40), 2**40)
+            cofactor = [rng.randint(1, 2**40), rng.randint(-3, 3), 1]  # no real root
+            if cofactor[1] ** 2 < 4 * cofactor[0]:
+                assert integer_roots(p_mul([-r, 1], cofactor)) == [r]
+
+    def test_rejects_zero_and_high_degree(self):
+        for f in ([], [0, 0], [1, 0, 0, 0, 1]):
+            with pytest.raises(ValueError):
+                integer_roots(f)
+        assert integer_roots([7]) == []
+        assert integer_roots([0, 0, 0, 2]) == [0]
 
 
 class TestBivarPoly:

@@ -30,6 +30,15 @@ class TestQuadFactors:
         with pytest.raises(ValueError):
             quad_factors(TrinomialSpec(TrinomialShape.UNIT_CONSTANT, 80, 3))
 
+    def test_matches_division_oracle(self):
+        # the remainder identity finds exactly the factors long division
+        # finds, for every shape and exponent pair up to 30 and at the cap
+        for shape in TrinomialShape:
+            for a in list(range(2, 31)) + [64]:
+                for b in range(1, a):
+                    spec = TrinomialSpec(shape, a, b)
+                    assert quad_factors(spec) == _division_oracle(spec), spec
+
     def test_exhaustive_negative_discriminant_scan(self):
         # among all X^a + X^b - 2 with a <= 24, the only quadratic factor
         # with negative discriminant surviving pair validation is X^2+X+2
@@ -136,3 +145,40 @@ class TestSUnitConstant:
         assert bound.exponent10 == 2340
         assert bound.leading_digits == bound.decimal_string()[:3]
         assert bound.value < 645 * 10**2338  # stated 6.45e2340 ceiling
+
+
+def _divide_out_quadratic(coeffs: list, p: int, q: int):
+    """Quotient of coeffs by X^2 + p*X + q, or None when it does not divide."""
+    work = list(coeffs)
+    quot = [0] * max(len(work) - 2, 0)
+    for i in range(len(work) - 1, 1, -1):
+        c = work[i]
+        if c:
+            quot[i - 2] = c
+            work[i] = 0
+            work[i - 1] -= p * c
+            work[i - 2] -= q * c
+    if work[0] or work[1]:
+        return None
+    return quot
+
+
+def _division_oracle(spec):
+    """quad_factors by long division, each quotient multiplied back."""
+    coeffs = spec.coefficients()
+    found = []
+    for p in range(-4, 5):
+        for q in range(-4, 5):
+            if q == 0:
+                continue
+            quot = _divide_out_quadratic(coeffs, p, q)
+            if quot is None:
+                continue
+            product = [0] * len(coeffs)
+            for i, c in enumerate(quot):
+                product[i] += q * c
+                product[i + 1] += p * c
+                product[i + 2] += c
+            assert product == coeffs, "division check failed to multiply back"
+            found.append((p, q))
+    return found

@@ -36,7 +36,6 @@ def main():
     print("\n== ratio boundary witnesses at |A| = 1 ==")
     for b in (9, 10):
         ts = terms(new_params(1, b), Kind.FIRST, 9)
-        rel = "<" if 3 * abs(ts[8]) < 9 * abs(ts[7]) else ">"
         print(f"B = {b}: |x_8| = {abs(ts[8])} {'<' if abs(ts[8]) < 3*abs(ts[7]) else '>'} "
               f"3|x_7| = {3 * abs(ts[7])}")
 

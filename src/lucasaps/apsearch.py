@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import Kind, SeqParams, linear_terms, term, terms
+from .core import Kind, SeqParams, linear_terms, terms
 
 
 class CertificateFailureError(AssertionError):
@@ -63,12 +63,6 @@ def is_ap(x, y, z) -> bool:
 def canonical_indices(k: int, l: int, m: int) -> tuple[int, int, int]:
     """Collapse (k, l, m) and its reversal to the representative with k < m."""
     return (k, l, m) if k < m else (m, l, k)
-
-
-def make_triple(params: SeqParams, kind: Kind, k: int, l: int, m: int) -> APTriple:
-    k, l, m = canonical_indices(k, l, m)
-    vals = (term(params, kind, k), term(params, kind, l), term(params, kind, m))
-    return APTriple(k, l, m, vals)
 
 
 def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
@@ -214,15 +208,15 @@ def verify_family(
     """
     order = family.order()
     window = tuple(range(family.t_min, family.t_min + order))
+    t_last = max(window[-1], t_probe)
+    # each index is affine in t, so its extremes sit at the two ends
+    ends = family.instantiate(family.t_min) + family.instantiate(t_last)
+    if min(ends) < 0:
+        raise ValueError(f"negative index for t in [{family.t_min}, {t_last}]")
+    ts = terms(params, kind, max(ends) + 1)
     for t in window:
         k, l, m = family.instantiate(t)
-        if min(k, l, m) < 0:
-            raise ValueError(f"negative index at t={t}")
-        s = (
-            term(params, kind, k)
-            - 2 * term(params, kind, l)
-            + term(params, kind, m)
-        )
+        s = ts[k] - 2 * ts[l] + ts[m]
         if s != 0:
             raise CertificateFailureError(
                 f"certificate window broken at t={t}: s_t={s} for {family.describe()}"
@@ -231,10 +225,7 @@ def verify_family(
     ap_count = 0
     for t in range(family.t_min, max(t_probe, family.t_min) + 1):
         k, l, m = family.instantiate(t)
-        vk = term(params, kind, k)
-        vl = term(params, kind, l)
-        vm = term(params, kind, m)
-        if is_ap(vk, vl, vm):
+        if is_ap(ts[k], ts[l], ts[m]):
             ap_count += 1
         else:
             degenerate.append(t)
@@ -245,6 +236,7 @@ def family_instances(
     family: APFamily, params: SeqParams, kind: Kind, n_max: int
 ) -> list[APTriple]:
     """Non-degenerate instances with all indices <= n_max, canonicalized."""
+    ts = terms(params, kind, n_max + 1)
     out = []
     t = family.t_min
     while True:
@@ -252,12 +244,11 @@ def family_instances(
         if min(k, l, m) > n_max:
             break
         if max(k, l, m) <= n_max:
-            vk = term(params, kind, k)
-            vl = term(params, kind, l)
-            vm = term(params, kind, m)
-            if is_ap(vk, vl, vm):
+            if min(k, l, m) < 0:
+                raise ValueError(f"negative index at t={t}")
+            if is_ap(ts[k], ts[l], ts[m]):
                 ck, cl, cm = canonical_indices(k, l, m)
-                out.append(make_triple(params, kind, ck, cl, cm))
+                out.append(APTriple(ck, cl, cm, (ts[ck], ts[cl], ts[cm])))
         t += 1
         if t > family.t_min + 4 * n_max + 8:
             break

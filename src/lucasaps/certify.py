@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .apsearch import APFamily, APTriple, find_aps, is_ap, make_triple
+from .apsearch import APFamily, APTriple, detect_families, find_aps, is_ap
 from .core import (
     Classification,
     Kind,
@@ -487,13 +487,13 @@ def certified_enumerate(
             "inconclusive", diagnostics=tuple(engine.problems), evidence=evidence
         )
 
-    sporadic = []
-    seen = set()
-    for k, l, m in sorted(engine.solutions, key=lambda s: (max(s), s)):
-        vals = tuple(terms(params, kind, max(k, l, m) + 1)[i] for i in (k, l, m))
-        if is_ap(*vals) and (k, l, m) not in seen:
-            seen.add((k, l, m))
-            sporadic.append(make_triple(params, kind, k, l, m))
+    # engine solutions are canonical index triples (k < m), each listed once
+    ts = terms(params, kind, max(map(max, engine.solutions), default=-1) + 1)
+    sporadic = [
+        APTriple(k, l, m, (ts[k], ts[l], ts[m]))
+        for k, l, m in sorted(engine.solutions, key=lambda s: (max(s), s))
+        if is_ap(ts[k], ts[l], ts[m])
+    ]
 
     if engine.families:
         fams = sorted(
@@ -530,8 +530,6 @@ def check_certificate(
     certificate) and the brute window up to `probe` must reproduce exactly
     the certified list.
     """
-    from .apsearch import detect_families
-
     if probe is None:
         probe = max(4 * cert.n0, 100)
     if probe < cert.n0:

@@ -42,6 +42,11 @@ EXIT_MISMATCH = 3
 # about 60 MB at this cap, gigabytes near 10^5.
 MAX_EXPONENT = 10_000
 
+# find_aps makes n^2 dict probes, each hashing an O(n)-bit term, so time
+# grows as n^3: (10, -3) first kind takes about 4 s at n = 2000 and 30 s
+# at 4000.
+MAX_INDEX = 5000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -174,8 +179,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.max_index < 2:
-        raise _UsageError("--max-index must be at least 2")
+    if not 2 <= args.max_index <= MAX_INDEX:
+        raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
     params = new_params(args.A, args.B)
     aps = find_aps(params, args.kind, args.max_index)
     if args.format == "json":
@@ -242,6 +247,8 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_smallcases(args) -> int:
+    if args.max_index < 2:
+        raise _UsageError("--max-index must be at least 2")
     filt = DomainFilter(dominant=not args.no_dominant_filter)
     solset = solve_all(args.kind, args.max_index, filt)
     doc = solset.to_json_dict()
@@ -313,6 +320,8 @@ _SCAN_COLUMNS = [
 
 
 def _cmd_scan(args) -> int:
+    if not 2 <= args.max_index <= MAX_INDEX:
+        raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
     jobs = [
         (A, B, kind, args.max_index)

@@ -132,10 +132,6 @@ class Surd:
     def integer(cls, n: int, d: int) -> Surd:
         return cls(2 * n, 0, d)
 
-    @classmethod
-    def sqrt_disc(cls, d: int) -> Surd:
-        return cls(0, 2, d)
-
     def _check(self, other: Surd):
         if self.d != other.d:
             raise ValueError("mixed discriminants")
@@ -276,46 +272,18 @@ def dominant_root(params: SeqParams) -> tuple[Surd, Surd]:
     return (a, b) if params.A > 0 else (b, a)
 
 
-class _TermCache:
-    """Append-only memo of sequence terms for one (params, kind) context."""
-
-    __slots__ = ("a", "b", "values")
-
-    def __init__(self, A: int, B: int, kind: Kind):
-        self.a = A
-        self.b = B
-        self.values = list(kind.initial_values(A))
-
-    def upto(self, n: int) -> list:
-        values = self.values
-        while len(values) <= n:
-            values.append(self.a * values[-1] + self.b * values[-2])
-        return values
-
-
-_caches: dict = {}
-
-
-def _cache_for(params: SeqParams, kind: Kind) -> _TermCache:
-    key = (params.A, params.B, kind)
-    cache = _caches.get(key)
-    if cache is None:
-        cache = _caches[key] = _TermCache(params.A, params.B, kind)
-    return cache
-
-
 def term(params: SeqParams, kind: Kind, n: int) -> int:
-    """n-th term, exact; memoized per (params, kind)."""
+    """n-th term, exact."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    return _cache_for(params, kind).upto(n)[n]
+    return terms(params, kind, n + 1)[n]
 
 
 def terms(params: SeqParams, kind: Kind, count: int) -> list:
     """The first `count` terms as a fresh list."""
     if count <= 0:
         return []
-    return _cache_for(params, kind).upto(count - 1)[:count]
+    return linear_terms(params.A, params.B, *kind.initial_values(params.A), count)
 
 
 def linear_terms(A: int, B: int, x0: int, x1: int, count: int) -> list:
@@ -343,8 +311,7 @@ def closed_form_check(params: SeqParams, kind: Kind, n_max: int) -> ClosedFormRe
     diff = a - b
     pa = Surd.integer(1, params.D)
     pb = Surd.integer(1, params.D)
-    for n in range(n_max + 1):
-        t = term(params, kind, n)
+    for n, t in enumerate(terms(params, kind, n_max + 1)):
         if kind is Kind.FIRST:
             ok = (pa - pb) == diff.times_int(t)
         else:

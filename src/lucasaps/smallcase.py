@@ -291,12 +291,6 @@ class BivarPoly:
             out[j][i] += v
         return [_trim(row) for row in out]
 
-    def sign_normalized(self) -> "BivarPoly":
-        if not self._c:
-            return self
-        lead = max(self._c, key=lambda k: (k[1], k[0]))
-        return self if self._c[lead] > 0 else -self
-
     def __str__(self):
         if not self._c:
             return "0"
@@ -344,15 +338,13 @@ class CaseEquation:
     """One equation E(A, B) = 0 for a sorted index triple k < l < m.
 
     variant 1 doubles the middle term, variant 2 the smallest, variant 3 the
-    largest; aliases lists other (triple, variant) pairs whose polynomial
-    matched this one up to sign.
+    largest.
     """
 
     kind: Kind
     triple: tuple
     variant: int
     poly: BivarPoly
-    aliases: tuple = ()
 
     def ap_roles(self) -> tuple:
         """Canonical progression-index triple (outer, doubled, outer)."""
@@ -374,26 +366,15 @@ def _variant_poly(kind: Kind, k: int, l: int, m: int, variant: int) -> BivarPoly
 
 
 def case_equations(kind: Kind, m_cap: int) -> list:
-    """All equations for triples k < l < m <= m_cap, deduplicated up to sign."""
+    """All equations for triples k < l < m <= m_cap (for m_cap <= 7 no two
+    agree up to sign, so none is redundant)."""
     if m_cap > 7:
         raise ValueError("index cap is 7")
-    by_key = {}
-    order = []
-    for k, l, m in combinations(range(m_cap + 1), 3):
-        for variant in (1, 2, 3):
-            poly = _variant_poly(kind, k, l, m, variant)
-            key = poly.sign_normalized()
-            if key in by_key:
-                idx = by_key[key]
-                prior = order[idx]
-                order[idx] = CaseEquation(
-                    kind, prior.triple, prior.variant, prior.poly,
-                    prior.aliases + (((k, l, m), variant),),
-                )
-            else:
-                by_key[key] = len(order)
-                order.append(CaseEquation(kind, (k, l, m), variant, poly))
-    return order
+    return [
+        CaseEquation(kind, (k, l, m), variant, _variant_poly(kind, k, l, m, variant))
+        for k, l, m in combinations(range(m_cap + 1), 3)
+        for variant in (1, 2, 3)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +709,11 @@ def _substitute_side(poly, side):
     return _trim([c * (side ** i) for i, c in enumerate(poly)])
 
 
-def _squeeze_side(delta, side, widen, report):
+# Shifts j tried for the bounding squares (G+j)^2 < t^2*Delta < (G+j+1)^2.
+SQUEEZE_WIDEN = 6
+
+
+def _squeeze_side(delta, side, report):
     """Exhaustion cutoff for one sign side of A, or None.
 
     Beyond the cutoff, delta(side * x) is negative or strictly between the
@@ -760,7 +745,7 @@ def _squeeze_side(delta, side, widen, report):
     # t^2 * delta is squeezed between (G+j)^2 and (G+j+1)^2 once both
     # difference polynomials and G+j are positive; scaling by t^2 preserves
     # being a perfect square in both directions.
-    for j in range(-widen, widen + 1):
+    for j in range(-SQUEEZE_WIDEN, SQUEEZE_WIDEN + 1):
         low = p_sub(P, p_mul(p_add(G, [j]), p_add(G, [j])))
         high = p_sub(p_mul(p_add(G, [j + 1]), p_add(G, [j + 1])), P)
         if not low or not high or low[-1] <= 0 or high[-1] <= 0:
@@ -950,7 +935,7 @@ def _constant_trick(bcs, filt, triple, source, report):
     return sporadics, b_families
 
 
-def solve_case(eq: CaseEquation, filt: DomainFilter | None = None, widen: int = 6) -> CaseSolution:
+def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSolution:
     """Complete integer solutions of one case equation under the filter.
 
     Raises SqueezeUnresolvedError when no closure applies: never for any
@@ -1026,7 +1011,7 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None, widen: int = 
                 return CaseSolution(sporadics, b_families, curves, report)
         cuts = {}
         for side in (1, -1):
-            cut = _squeeze_side(delta, side, widen, report)
+            cut = _squeeze_side(delta, side, report)
             if cut is None and filt.dominant:
                 cut = _root_location_side(bcs, side, report)
             cuts[side] = cut

@@ -71,7 +71,11 @@ class TrinomialSpec:
         return names[self.shape]
 
 
-def quad_factors(spec: TrinomialSpec, exponent_cap: int = 64) -> list:
+# Largest trinomial exponent quad_factors accepts.
+EXPONENT_CAP = 64
+
+
+def quad_factors(spec: TrinomialSpec) -> list:
     """All monic quadratic integer factors X^2 + p*X + q of the trinomial.
 
     With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
@@ -81,8 +85,8 @@ def quad_factors(spec: TrinomialSpec, exponent_cap: int = 64) -> list:
     hit is cross-checked independently: the trinomial must vanish at both
     roots of the candidate in exact surd arithmetic.
     """
-    if spec.a > exponent_cap:
-        raise ValueError(f"exponent {spec.a} exceeds cap {exponent_cap}")
+    if spec.a > EXPONENT_CAP:
+        raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
     a, b = spec.a, spec.b
     coeffs = spec.coefficients()
     ca, cb, c0 = coeffs[a], coeffs[b], coeffs[0]

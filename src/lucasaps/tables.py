@@ -34,7 +34,7 @@ from .apsearch import (
     verify_family,
 )
 from .certify import certified_enumerate
-from .core import Kind, degeneracy_order, new_params, term
+from .core import Kind, degeneracy_order, new_params, terms
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,12 @@ def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
 
 def _described_triples(params, kind, index_triples, families, window):
     """Canonical index triples asserted by a description, indices <= window."""
+    ts = terms(params, kind, window + 1)
     out = set()
     for trip in index_triples:
-        canon = canonical_indices(*trip)
-        if max(canon) <= window:
-            vals = tuple(term(params, kind, i) for i in canon)
-            if is_ap(*vals):
-                out.add(canon)
+        k, l, m = canonical_indices(*trip)
+        if max(k, l, m) <= window and is_ap(ts[k], ts[l], ts[m]):
+            out.add((k, l, m))
     for f in families:
         out |= {t.indices for t in family_instances(f, params, kind, window)}
     return out
@@ -150,10 +149,10 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: i
     kind = entry.kind
     label = f"{kind.value} ({entry.a}, {B})"
 
-    for trip in entry.all_triples():
-        vals = tuple(term(params, kind, i) for i in trip)
-        if not is_ap(*vals):
-            report.mismatches.append(f"{label}: listed triple {trip} is not a progression")
+    ts = terms(params, kind, max(map(max, entry.all_triples()), default=-1) + 1)
+    for k, l, m in entry.all_triples():
+        if not is_ap(ts[k], ts[l], ts[m]):
+            report.mismatches.append(f"{label}: listed triple {(k, l, m)} is not a progression")
             return
     for fam in entry.families:
         verify_family(fam, params, kind, t_probe=40)

@@ -73,6 +73,17 @@ class TestEnumerate:
         )
         assert code == 1
 
+    def test_index_cap_is_usage_error(self, capsys):
+        # the probes hash O(n)-bit terms n^2 times, so time grows as n^3
+        for n in (cli.MAX_INDEX + 1, 10**9):
+            code, out, err = run(
+                capsys, "enumerate", "--A", "10", "--B", "-3", "--kind", "first",
+                "--max-index", str(n),
+            )
+            assert code == 1
+            assert out == ""
+            assert f"--max-index must be between 2 and {cli.MAX_INDEX}" in err
+
 
 class TestCertify:
     def test_worked_pair(self, capsys):
@@ -173,6 +184,14 @@ class TestSmallcases:
             assert out == ""
             assert err.startswith("usage: lucasaps smallcases")
 
+    def test_index_below_two_is_usage_error(self, capsys):
+        # no triple fits below index 2, so the result would be vacuous
+        for n in ("1", "0", "-1"):
+            code, out, err = run(capsys, "smallcases", "--kind", "first", "--max-index", n)
+            assert code == 1
+            assert out == ""
+            assert "--max-index must be at least 2" in err
+
     def test_cap_seven_unfiltered_is_inconclusive(self, capsys):
         code, _, err = run(
             capsys, "smallcases", "--kind", "first", "--max-index", "7",
@@ -231,6 +250,18 @@ class TestScan:
             )
             assert code == 1
             assert err.startswith("usage: lucasaps scan")
+        assert not out.exists()
+
+    def test_index_cap_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        for n in (str(cli.MAX_INDEX + 1), "1"):
+            code, stdout, err = run(
+                capsys, "scan", "--a-range", "1..2", "--b-range", "1..2",
+                "--max-index", n, "--out", str(out),
+            )
+            assert code == 1
+            assert stdout == ""
+            assert f"--max-index must be between 2 and {cli.MAX_INDEX}" in err
         assert not out.exists()
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):

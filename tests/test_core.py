@@ -1,9 +1,13 @@
 """Parameter validation, exact surd arithmetic, and term generation."""
 
+import gc
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lucasaps.apsearch import find_aps
 from lucasaps.core import (
     Classification,
     DegenerateError,
@@ -101,7 +105,7 @@ class TestTerms:
         p = new_params(-1, -2)
         assert term(p, Kind.FIRST, 6) == -5
 
-    def test_memo_is_o1_after_warmup(self):
+    def test_deep_index_satisfies_recurrence(self):
         p = new_params(3, 2)
         term(p, Kind.FIRST, 250)
         assert term(p, Kind.FIRST, 249) == 3 * term(p, Kind.FIRST, 248) + 2 * term(
@@ -110,6 +114,41 @@ class TestTerms:
 
     def test_custom_initials(self):
         assert linear_terms(1, -2, 1, 1, 5) == [1, 1, -1, -3, -1]
+
+    def test_terms_is_the_one_recurrence(self):
+        for a, b in valid_pairs(6):
+            p = new_params(a, b)
+            for kind in Kind:
+                ts = terms(p, kind, 30)
+                assert ts == linear_terms(a, b, *kind.initial_values(a), 30)
+                assert all(term(p, kind, n) == terms(p, kind, n + 1)[n] for n in range(30))
+        for count in (-3, 0):
+            assert terms(new_params(1, 1), Kind.FIRST, count) == []
+        assert terms(new_params(1, 1), Kind.SECOND, 1) == [2]
+        with pytest.raises(ValueError):
+            term(new_params(1, 1), Kind.FIRST, -1)
+
+    def test_returned_list_is_fresh(self):
+        p = new_params(2, 3)
+        ts = terms(p, Kind.FIRST, 10)
+        ts[3] = -1
+        ts.append(0)
+        del ts[:2]
+        assert terms(p, Kind.FIRST, 10) == [0, 1, 2, 7, 20, 61, 182, 547, 1640, 4921]
+        assert term(p, Kind.FIRST, 3) == 7
+
+    def test_no_terms_retained_across_calls(self):
+        # No process-wide memo: a scan keeps no terms alive.  Counting live
+        # allocator blocks is cheap, where tracemalloc would slow the scan
+        # fivefold; a memo of these terms would hold some 70 000 blocks.
+        grid = [new_params(a, b) for a, b in valid_pairs(10)]
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for p in grid:
+            for kind in Kind:
+                find_aps(p, kind, 100)
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 1000
 
 
 class TestSurd:

@@ -71,12 +71,12 @@ class TestCaseEquations:
         assert _variant_poly(Kind.FIRST, 0, 1, 2, 1) == bivar({(1, 0): 1, (0, 0): -2})
 
     def test_no_sign_duplicates_in_output(self):
-        # all 105 equations happen to be pairwise distinct up to sign; the
-        # dedup path must still leave unique normalized keys behind
-        eqs = case_equations(Kind.FIRST, 6)
-        keys = [eq.poly.sign_normalized() for eq in eqs]
-        assert len(keys) == len(set(keys)) == 105
-        assert all(not eq.aliases for eq in eqs)
+        # case_equations keeps no sign dedup: at the cap all 168 equations
+        # of each kind are nonzero and pairwise distinct up to sign
+        for kind in (Kind.FIRST, Kind.SECOND):
+            polys = [eq.poly for eq in case_equations(kind, 7)]
+            assert len(polys) == 168
+            assert len(set(polys) | {-p for p in polys}) == 2 * 168
 
     def test_ap_roles(self):
         eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2, _variant_poly(Kind.FIRST, 1, 2, 4, 2))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import Kind, SeqParams, linear_terms, terms
+from .core import EngineMismatchError, Kind, SeqParams, linear_terms, terms
 
 
 class CertificateFailureError(AssertionError):
@@ -177,7 +177,8 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
             continue
         s0 = ts[a1] - 2 * ts[a2] + ts[a3]
         s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
-        assert s0 == 0 and s1 == 0, "divisibility and identity disagree"
+        if s0 or s1:
+            raise EngineMismatchError("divisibility and identity disagree")
         out.append(APFamily((a1, 1), (a2, 1), (a3, 1), 0))
     out.sort(key=lambda f: (f.l_form, f.k_form, f.m_form))
     return out

@@ -36,6 +36,7 @@ from . import __version__
 from .apsearch import APFamily, APTriple, detect_families, find_aps, is_ap
 from .core import (
     Classification,
+    EngineMismatchError,
     Kind,
     SeqParams,
     Surd,
@@ -44,10 +45,6 @@ from .core import (
     surd_cmp_abs,
     terms,
 )
-
-
-class EngineMismatchError(RuntimeError):
-    """Internal cross-validation of a certificate failed (engine bug)."""
 
 
 def growth_exception(params: SeqParams, kind: Kind) -> bool:
@@ -131,8 +128,10 @@ class PatternAnalysis:
 @dataclass(frozen=True)
 class EngineConfig:
     gap_cap: int = 12
-    depth_cap: int = 12
-    search_cap: int = 2000
+
+
+# Steps of the exact monotone searches for a fixed-cell exponent and a top bound.
+SEARCH_CAP = 2000
 
 
 def _exponents_to_triple(n1: int, n2: int, n3: int, minus_two_at: int):
@@ -149,7 +148,7 @@ def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
-def _fixed_cell(pattern: GapPattern, params: SeqParams, cfg: EngineConfig) -> PatternAnalysis:
+def _fixed_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
     gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
     g1, g2 = pattern.g1.value, pattern.g2.value
@@ -171,7 +170,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams, cfg: EngineConfig) -> Pa
     # strictly increasing in n3: at most one candidate where the moduli agree.
     lhs, rhs = qg, qd
     sols = []
-    for n3 in range(cfg.search_cap):
+    for n3 in range(SEARCH_CAP):
         cmp = surd_cmp_abs(lhs, rhs)
         if cmp == 0:
             if (lhs - rhs.times_int(pattern.side_sign)).is_zero():
@@ -200,7 +199,8 @@ def _decoupled_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
     c1, c2, c3 = pattern.coefficients()
     a, b = pattern.g1.value, pattern.g2.value
     gi, di = gamma.as_integer(), delta.as_integer()
-    assert gi == 2 and abs(di) == 1 and pattern.minus_two_at == 1
+    if gi != 2 or abs(di) != 1 or pattern.minus_two_at != 1:
+        raise EngineMismatchError(f"decoupled cell reached with roots {gi}, {di}")
 
     td = c1 * di ** a + c2
     limit = abs(td) + abs(c3)
@@ -227,7 +227,6 @@ def pattern_bound(
     pattern: GapPattern,
     params: SeqParams,
     kind: Kind,
-    config: EngineConfig | None = None,
 ) -> PatternAnalysis:
     """Analyze one gap pattern exactly.
 
@@ -236,11 +235,10 @@ def pattern_bound(
     case W * |gamma|^n1 <= 4 * |gamma|^(a+b) * max(1,|delta|)^n1 bounds the
     top exponent of any solution, or requests a split (fix_next_gap).
     """
-    cfg = config or EngineConfig()
     if pattern.side_sign != (1 if kind is Kind.FIRST else -1):
         raise ValueError("pattern side sign does not match the kind")
     if pattern.g1.fixed and pattern.g2.fixed:
-        return _fixed_cell(pattern, params, cfg)
+        return _fixed_cell(pattern, params)
 
     gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
@@ -267,7 +265,7 @@ def pattern_bound(
     lhs = margin
     rhs = (ag ** (a + b)).times_int(4)
     top = -1
-    for n1 in range(cfg.search_cap):
+    for n1 in range(SEARCH_CAP):
         if (rhs - lhs).sign() < 0:
             break
         top = n1
@@ -407,22 +405,21 @@ class _GapEngine:
     def run(self):
         for placement in (0, 1, 2):
             pat = GapPattern(placement, self.eps, Gap(False, 1), Gap(False, 1))
-            self._analyze(pat, 0)
+            self._analyze(pat)
 
-    def _analyze(self, pat: GapPattern, depth: int):
-        if depth > self.cfg.depth_cap:
-            self.problems.append(f"depth cap exceeded at {pat.describe()}")
-            return
-        res = pattern_bound(pat, self.params, self.kind, self.cfg)
+    def _analyze(self, pat: GapPattern):
+        # each recursion fixes one more gap and a pattern with both gaps
+        # fixed never asks for a split, so the recursion is at most 2 deep
+        res = pattern_bound(pat, self.params, self.kind)
         if res.status != "fix_next_gap":
             self._handle(pat, res)
             return
         which = "g1" if not pat.g1.fixed else "g2"
         lb = getattr(pat, which).value
         for v in range(lb, self.cfg.gap_cap + 1):
-            self._analyze(replace(pat, **{which: Gap(True, v)}), depth + 1)
+            self._analyze(replace(pat, **{which: Gap(True, v)}))
             raised = replace(pat, **{which: Gap(False, v + 1)})
-            res2 = pattern_bound(raised, self.params, self.kind, self.cfg)
+            res2 = pattern_bound(raised, self.params, self.kind)
             if res2.status != "fix_next_gap":
                 self._handle(raised, res2)
                 return

@@ -20,9 +20,10 @@ from multiprocessing import get_context
 
 from . import __version__
 from .apsearch import detect_families, find_aps
-from .certify import EngineConfig, EngineMismatchError, certified_enumerate
+from .certify import EngineConfig, certified_enumerate
 from .core import (
     DegenerateError,
+    EngineMismatchError,
     Kind,
     ZeroCoefficientError,
     classify,

@@ -30,6 +30,10 @@ class ZeroCoefficientError(ValueError):
     """A or B is zero."""
 
 
+class EngineMismatchError(RuntimeError):
+    """Two independent computations of the same exact fact disagree (engine bug)."""
+
+
 class DegenerateError(ValueError):
     """The root ratio alpha/beta is a root of unity."""
 
@@ -151,7 +155,8 @@ class Surd:
         self._check(other)
         pp, rem1 = divmod(self.p * other.p + self.q * other.q * self.d, 2)
         qq, rem2 = divmod(self.p * other.q + self.q * other.p, 2)
-        assert rem1 == 0 and rem2 == 0, "product left the half-integer ring"
+        if rem1 or rem2:
+            raise EngineMismatchError("product left the half-integer ring")
         return Surd(pp, qq, self.d)
 
     def times_int(self, n: int) -> Surd:

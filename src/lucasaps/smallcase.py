@@ -2,12 +2,12 @@
 
 Writing terms as integer polynomials in (A, B) turns each index triple
 k < l < m and each placement of the doubled term into one Diophantine
-equation E(A, B) = 0.  The solver is complete for B-degree up to two:
+equation E(A, B) = 0, solved by its degree in B:
 
   degree 0   integer roots in A; a root makes B free (a one-parameter row).
   degree 1   B = -e0(A)/e1(A); the divisibility e1(A) | e0(A) either holds
-             identically (a curve B = w(A)) or pins A to divisors of an
-             exact resultant bound.
+             identically (a curve B = w(A)) or, e1 being linear, pins A to
+             the divisors of the resultant of e1 and e0.
   degree 2   B is integral only when Delta(A) = e1^2 - 4 e2 e0 is a perfect
              square.  Either Delta completes to an exact polynomial square,
              or it is trapped strictly between two consecutive squares for
@@ -15,24 +15,21 @@ equation E(A, B) = 0.  The solver is complete for B-degree up to two:
              cutoff is exhausted with integer square-root tests.
 
 Two further elementary closures handle the equations whose discriminant
-has a non-square leading coefficient (these only occur at largest indices
-the growth argument already rules out for non-exceptional pairs, but the
-solver does not rely on that):
+has a non-square leading coefficient, and the cubic B-degrees at the
+largest indices:
 
   constant trick    when E(0, B) is a nonzero constant c, any solution has
                     A | c, because E(A, B) - E(0, B) is divisible by A.
   root location     under the dominant filter, substituting C = A^2 + 4B
-                    gives a quadratic in C whose roots are provably < 1
-                    for |A| beyond an explicit cutoff (sign analysis of
-                    the value at C = 1 and of the vertex), so C >= 1 only
+                    gives a polynomial in C whose roots are provably < 1
+                    for |A| beyond an explicit cutoff, so C >= 1 only
                     happens in a finite window.
 
-Both closures extend to the cubic B-degrees that appear at the largest
-reachable indices (the root location one needs the dominant filter), so
-the solver is complete for every equation case_equations can produce
-under that filter.  Without it the cubic cases with no constant trick are
-genuinely out of reach and raise SqueezeUnresolvedError rather than
-guessing.  Every reported solution re-substitutes to zero.
+With the dominant filter the solver is complete for every equation
+case_equations can produce.  Without it, every equation of largest index 5
+(first kind) or 4 (second kind) lacks a closure and raises
+SqueezeUnresolvedError rather than guessing, so its reach is index 4 resp.
+3.  Every reported solution re-substitutes to zero.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .core import Kind, degeneracy_order
+from .core import EngineMismatchError, Kind, degeneracy_order
 
 
 class SqueezeUnresolvedError(ArithmeticError):
@@ -54,7 +51,7 @@ class SqueezeUnresolvedError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def _trim(c: list) -> list:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -164,173 +161,62 @@ def _frac_to_int(poly):
     return [int(Fraction(c) * t) for c in poly], t
 
 
-def frac_gcd(f, g):
-    """Primitive integer gcd of two integer polynomials (Euclid over Q)."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while any(b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return []
-    ints, _ = _frac_to_int(a)
-    cont = p_content(ints)
-    ints = [c // cont for c in ints]
-    return [-c for c in ints] if ints[-1] < 0 else ints
-
-
-def resultant(f, g) -> int:
-    """Sylvester resultant of two integer polynomials."""
-    n, m = p_deg(f), p_deg(g)
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for row in range(m):
-        for i, c in enumerate(reversed(f)):
-            mat[row][row + i] = Fraction(c)
-    for row in range(n):
-        for i, c in enumerate(reversed(g)):
-            mat[m + row][row + i] = Fraction(c)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] * inv
-            if factor:
-                for cc in range(col, size):
-                    mat[r][cc] -= factor * mat[col][cc]
-    assert det.denominator == 1
-    return int(det)
-
-
 def p_str(f) -> str:
-    return str(BivarPoly({(i, 0): c for i, c in enumerate(f)}))
+    return b_str((f,))
 
 
 # ---------------------------------------------------------------------------
-# Sparse bivariate integer polynomials in (A, B).
+# Polynomials in (A, B): the tuple of B-coefficients e_j(A) for j = 0..deg_B,
+# each a dense A-polynomial; the top one is nonzero, the zero polynomial is ().
 # ---------------------------------------------------------------------------
 
-class BivarPoly:
-    """Integer polynomial sum(c[i,j] * A^i * B^j), zero coefficients dropped."""
+def b_add(f, g, c: int = 1) -> tuple:
+    """f + c * g."""
+    rows = [
+        p_add(f[j] if j < len(f) else [], p_scale(g[j], c) if j < len(g) else [])
+        for j in range(max(len(f), len(g)))
+    ]
+    return tuple(tuple(row) for row in _trim(rows))
 
-    __slots__ = ("_c",)
 
-    def __init__(self, coeffs=None):
-        self._c = {k: v for k, v in dict(coeffs or {}).items() if v}
+def b_eval(f, a: int, b: int) -> int:
+    out = 0
+    for e in reversed(f):
+        out = out * b + p_eval(e, a)
+    return out
 
-    @classmethod
-    def constant(cls, c: int) -> "BivarPoly":
-        return cls({(0, 0): c})
 
-    def items(self):
-        return self._c.items()
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other):
-        out = dict(self._c)
-        for k, v in other._c.items():
-            out[k] = out.get(k, 0) + v
-        return BivarPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self._c)
-        for k, v in other._c.items():
-            out[k] = out.get(k, 0) - v
-        return BivarPoly(out)
-
-    def __neg__(self):
-        return BivarPoly({k: -v for k, v in self._c.items()})
-
-    def times(self, c: int) -> "BivarPoly":
-        return BivarPoly({k: v * c for k, v in self._c.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), v1 in self._c.items():
-            for (i2, j2), v2 in other._c.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return BivarPoly(out)
-
-    def evaluate(self, a: int, b: int) -> int:
-        return sum(v * a**i * b**j for (i, j), v in self._c.items())
-
-    @property
-    def deg_a(self) -> int:
-        return max((i for (i, _) in self._c), default=-1)
-
-    @property
-    def deg_b(self) -> int:
-        return max((j for (_, j) in self._c), default=-1)
-
-    def b_coefficients(self) -> list:
-        """Coefficient of B^j as a dense polynomial in A, for j = 0..deg_b."""
-        out = [[0] * (self.deg_a + 1) for _ in range(self.deg_b + 1)]
-        for (i, j), v in self._c.items():
-            out[j][i] += v
-        return [_trim(row) for row in out]
-
-    def __str__(self):
-        if not self._c:
-            return "0"
-        keys = sorted(self._c, key=lambda k: (k[1], k[0]), reverse=True)
-        parts = []
-        for i, j in keys:
-            c = self._c[(i, j)]
+def b_str(f) -> str:
+    """Terms by descending B-degree, then descending A-degree."""
+    out = ""
+    for j in reversed(range(len(f))):
+        for i in reversed(range(len(f[j]))):
+            c = f[j][i]
+            if not c:
+                continue
             mono = "*".join(
                 ([f"A^{i}" if i > 1 else "A"] if i else [])
                 + ([f"B^{j}" if j > 1 else "B"] if j else [])
             )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+            body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+            out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
 
 
-_A = BivarPoly({(1, 0): 1})
-_B = BivarPoly({(0, 1): 1})
+def poly_terms(kind: Kind, count: int) -> list:
+    """The first count terms as exact polynomials in (A, B)."""
+    seq = [(), ((1,),)] if kind is Kind.FIRST else [((2,),), ((0, 1),)]
+    while len(seq) < count:
+        times_a = tuple((0, *e) if e else () for e in seq[-1])
+        seq.append(b_add(times_a, ((),) + seq[-2]))
+    return seq[:count]
 
 
-def poly_term(kind: Kind, n: int) -> BivarPoly:
+def poly_term(kind: Kind, n: int) -> tuple:
     """The n-th term as an exact polynomial in (A, B)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    if kind is Kind.FIRST:
-        seq = [BivarPoly(), BivarPoly.constant(1)]
-    else:
-        seq = [BivarPoly.constant(2), _A]
-    while len(seq) <= n:
-        seq.append(_A * seq[-1] + _B * seq[-2])
-    return seq[n]
+    return poly_terms(kind, n + 1)[n]
 
 
 @dataclass(frozen=True)
@@ -344,7 +230,7 @@ class CaseEquation:
     kind: Kind
     triple: tuple
     variant: int
-    poly: BivarPoly
+    poly: tuple  # B-coefficients of E, as poly_term returns
 
     def ap_roles(self) -> tuple:
         """Canonical progression-index triple (outer, doubled, outer)."""
@@ -356,13 +242,14 @@ class CaseEquation:
         return (k, m, l)
 
 
-def _variant_poly(kind: Kind, k: int, l: int, m: int, variant: int) -> BivarPoly:
-    uk, ul, um = poly_term(kind, k), poly_term(kind, l), poly_term(kind, m)
+def _variant_poly(kind: Kind, k: int, l: int, m: int, variant: int) -> tuple:
+    u = poly_terms(kind, max(k, l, m) + 1)
+    uk, ul, um = u[k], u[l], u[m]
     if variant == 1:
-        return uk - ul.times(2) + um
+        return b_add(b_add(uk, ul, -2), um)
     if variant == 2:
-        return ul - uk.times(2) + um
-    return uk - um.times(2) + ul
+        return b_add(b_add(ul, uk, -2), um)
+    return b_add(b_add(uk, um, -2), ul)
 
 
 def case_equations(kind: Kind, m_cap: int) -> list:
@@ -449,8 +336,9 @@ class CurveFamilySolution:
         return a % self.den in self.residues and a not in self.a_exclusions
 
     def b_at(self, a: int) -> int:
-        val = p_eval(list(self.num), a)
-        assert val % self.den == 0
+        val = p_eval(self.num, a)
+        if val % self.den:
+            raise EngineMismatchError(f"curve value {val}/{self.den} at A = {a} is not integral")
         return val // self.den
 
 
@@ -558,35 +446,34 @@ class DivisibilityOutcome:
 def divisibility_candidates(den, num) -> DivisibilityOutcome:
     """Complete candidate analysis for den(A) | num(A) at integers.
 
-    When den divides num over Q the quotient settles every A.  Otherwise
-    split off the gcd; for the coprime parts, gcd(h1(a), h0(a)) divides
-    Res(h1, h0), so h1(a) | content(h0) * Res(h1, h0) and |h1(a)| runs over
-    the divisors of an explicit nonzero integer.  When den has no constant
+    When den divides num over Q the quotient settles every A.  Otherwise den
+    must be linear, c1*A + c0 (every case equation yields such a denominator;
+    a higher degree raises SqueezeUnresolvedError).  Then den(a) divides the
+    resultant Res(den, num) = sum(n_i * (-c0)^i * c1^(d-i)) = c1^d * num(-c0/c1),
+    which is nonzero because den does not divide num, so |den(a)| runs over
+    the divisors of content(num) * Res(den, num).  When den has no constant
     term but num does, a | num(0) is sharper; both candidate sets are
-    complete so they are intersected when both apply.  Callers re-verify
-    every candidate, so returning a superset is safe.
+    complete so they are intersected.  Callers re-verify every candidate, so
+    returning a superset is safe.
     """
     quotient, rem = _frac_divmod(num, den)
     if not any(rem):
         return DivisibilityOutcome(quotient)
-    g = frac_gcd(den, num)
-    h1f, r1 = _frac_divmod(den, g)
-    h0f, r0 = _frac_divmod(num, g)
-    assert not any(r1) and not any(r0)
-    h1, _ = _frac_to_int(h1f)
-    h0, _ = _frac_to_int(h0f)
-    bound = p_content(h0) * resultant(h1, h0)
-    assert bound != 0, "coprime parts cannot share a root"
+    if p_deg(den) != 1:
+        raise SqueezeUnresolvedError(
+            f"denominator {p_str(den)} has degree {p_deg(den)}; only linear ones are resolved"
+        )
+    c0, c1 = den
+    d = p_deg(num)
+    bound = p_content(num) * sum(n * (-c0) ** i * c1 ** (d - i) for i, n in enumerate(num))
     cands = set()
-    for d in divisors(bound):
-        for target in (d, -d):
-            probe = p_sub(h1, [target])
-            if probe:
-                cands.update(integer_roots(probe))
-    if den[0] == 0 and num and num[0] != 0:
+    for div in divisors(bound):
+        for target in (div, -div):
+            cands.update(integer_roots(p_sub(den, [target])))
+    if c0 == 0 and num[0] != 0:
         sharp = set()
-        for d in divisors(num[0]):
-            sharp.update((d, -d))
+        for div in divisors(num[0]):
+            sharp.update((div, -div))
         cands &= sharp
     return DivisibilityOutcome(None, tuple(sorted(cands)))
 
@@ -716,32 +603,21 @@ SQUEEZE_WIDEN = 6
 def _squeeze_side(delta, side, report):
     """Exhaustion cutoff for one sign side of A, or None.
 
-    Beyond the cutoff, delta(side * x) is negative or strictly between the
-    squares of two consecutive integers, hence never a perfect square.
-    Returns None when this side has no squeeze (odd degree or non-square
-    leading coefficient); the caller falls back to other closures.
+    Beyond the cutoff, delta(side * x) lies strictly between the squares of
+    two consecutive integers, hence is never a perfect square.  Returns None
+    when this side has no squeeze (odd degree, or a leading coefficient that
+    is not a positive square); the caller falls back to other closures.
     """
     ds = _substitute_side(delta, side)
     if not ds:
         raise SqueezeUnresolvedError("identically zero discriminant reached the squeeze")
-    if p_deg(ds) == 0:
-        if ds[0] < 0 or isqrt(ds[0]) ** 2 != ds[0]:
-            report.squeeze.append({"side": side, "cut": 0, "why": "constant non-square"})
-            return 0
-        raise SqueezeUnresolvedError("constant square discriminant escaped the square branch")
-    if ds[-1] < 0:
-        cut = cauchy_positive_cut(p_scale(ds, -1))
-        report.squeeze.append({"side": side, "cut": cut, "why": "negative beyond cut"})
-        return cut
-    if p_deg(ds) % 2:
-        return None
     q = _poly_sqrt(ds)
     if q is None:
         return None
     G, t = _frac_to_int(q)
     P = p_scale(ds, t * t)
-    r = p_sub(P, p_mul(G, G))
-    assert r, "exact square escaped the square branch"
+    if P == p_mul(G, G):
+        raise EngineMismatchError("exact square escaped the square branch")
     # t^2 * delta is squeezed between (G+j)^2 and (G+j+1)^2 once both
     # difference polynomials and G+j are positive; scaling by t^2 preserves
     # being a perfect square in both directions.
@@ -938,14 +814,15 @@ def _constant_trick(bcs, filt, triple, source, report):
 def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSolution:
     """Complete integer solutions of one case equation under the filter.
 
-    Raises SqueezeUnresolvedError when no closure applies: never for any
-    equation with largest index at most 6, nor for any index reachable by
-    case_equations under the dominant filter (the root-location closure
-    covers the cubic B-degrees there); without the dominant filter the
-    cubic cases are genuinely out of reach unless the constant trick fires.
+    Raises SqueezeUnresolvedError when no closure applies.  Under the
+    dominant filter that never happens for an equation case_equations
+    produces (the root-location closure covers the cubic B-degrees).
+    Without it, first kind raises from largest index 5 (first at triple
+    (0, 1, 5)) and second kind from 4 (at (0, 1, 4)), wherever the
+    constant trick does not fire.
     """
     filt = filt or DomainFilter()
-    bcs = eq.poly.b_coefficients()
+    bcs = eq.poly
     deg_b = len(bcs) - 1
     triple = eq.ap_roles()
     source = (eq.triple, eq.variant)
@@ -983,13 +860,6 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSoluti
             b_families.extend(f)
         delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
         report.delta = tuple(delta)
-        if not delta:
-            s, f, c, cands = _linear_branch(
-                p_scale(e2, 2), p_scale(e1, -1), filt, triple, source, report
-            )
-            report.candidates = cands
-            report.notes.append("discriminant vanishes identically; double root in B")
-            return CaseSolution(sporadics + s, b_families + f, curves + c, report)
         q = _poly_sqrt(delta)
         if q is not None:
             G, t = _frac_to_int(q)
@@ -1047,7 +917,7 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSoluti
         report.square_hits = tuple(sorted(set(hits)))
         return CaseSolution(sporadics, b_families, curves, report)
 
-    report.strategy = "cubic_in_b" if deg_b == 3 else f"degree_{deg_b}_in_b"
+    report.strategy = "cubic_in_b"
     trick = _constant_trick(bcs, filt, triple, source, report)
     if trick is not None:
         report.strategy += "_constant_trick"
@@ -1086,8 +956,15 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
     for eq in case_equations(kind, m_cap):
         sol = solve_case(eq, filt)
         reports.append(sol.report)
+
+        def check(a, b):
+            if b_eval(eq.poly, a, b):
+                raise EngineMismatchError(
+                    f"({a}, {b}) does not solve triple {eq.triple} variant {eq.variant}"
+                )
+
         for s in sol.sporadics:
-            assert eq.poly.evaluate(s.A, s.B) == 0
+            check(s.A, s.B)
             sporadics.setdefault((s.A, s.B, s.triple), s)
         for f in sol.b_families:
             witnesses = []
@@ -1097,7 +974,7 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
                     witnesses.append(b)
                 b += 1
             for b in witnesses:
-                assert eq.poly.evaluate(f.A, b) == 0
+                check(f.A, b)
             b_families.setdefault((f.A, f.triple), f)
         for c in sol.curves:
             witnesses = []
@@ -1108,7 +985,7 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
                         witnesses.append(cand)
                 a += 1
             for cand in witnesses:
-                assert eq.poly.evaluate(cand, c.b_at(cand)) == 0
+                check(cand, c.b_at(cand))
             curves.append(c)
     return SolutionSet(
         kind,

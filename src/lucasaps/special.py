@@ -20,6 +20,7 @@ from enum import Enum
 
 from .core import (
     DegenerateError,
+    EngineMismatchError,
     Kind,
     SeqParams,
     Surd,
@@ -100,7 +101,8 @@ def quad_factors(spec: TrinomialSpec) -> list:
                 continue
             for x in roots_of(-p, -q):
                 value = (x**a).times_int(ca) + (x**b).times_int(cb) + Surd.integer(c0, x.d)
-                assert value.is_zero(), "remainder and root evaluation disagree"
+                if not value.is_zero():
+                    raise EngineMismatchError("remainder and root evaluation disagree")
             found.append((p, q))
     return found
 

@@ -200,6 +200,43 @@ class TestSmallcases:
         assert code == 2
         assert "inconclusive" in err
 
+    def test_unfiltered_reach(self, capsys):
+        # without the dominant filter the first kind is solved up to index 4
+        # and the second up to 3; the next index raises for every equation
+        for kind, solved, unresolved in (("first", (2, 3, 4), 5), ("second", (2, 3), 4)):
+            for cap in solved + (unresolved,):
+                code, out, err = run(
+                    capsys, "smallcases", "--kind", kind, "--max-index", str(cap),
+                    "--no-dominant-filter",
+                )
+                if cap == unresolved:
+                    assert (code, out) == (2, ""), (kind, cap)
+                    assert err.startswith("inconclusive: triple (0, 1, "), (kind, cap)
+                else:
+                    assert (code, err) == (0, ""), (kind, cap)
+                    jsonschema.validate(json.loads(out), schema_for("smallcases"))
+
+    def test_unfiltered_curve_families(self, capsys):
+        code, out, _ = run(
+            capsys, "smallcases", "--kind", "second", "--max-index", "2",
+            "--no-dominant-filter",
+        )
+        assert code == 0
+        assert json.loads(out)["curveFamilies"] == [
+            {"bNumerator": "-A^2+2*A-2", "denominator": 2, "residues": [0],
+             "triple": [0, 1, 2]},
+            {"bNumerator": "-A^2-A+4", "denominator": 2, "residues": [0, 1],
+             "triple": [1, 0, 2]},
+            {"bNumerator": "-2*A^2+A+2", "denominator": 4, "residues": [2],
+             "triple": [0, 2, 1]},
+        ]
+        code, out, _ = run(
+            capsys, "smallcases", "--kind", "first", "--max-index", "3",
+            "--no-dominant-filter",
+        )
+        assert code == 0
+        assert len(json.loads(out)["curveFamilies"]) == 8
+
 
 class TestVerifyTables:
     def test_passes(self, capsys):

@@ -1,16 +1,21 @@
 """Parameter validation, exact surd arithmetic, and term generation."""
 
+import ast
 import gc
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lucasaps
+from lucasaps import certify
 from lucasaps.apsearch import find_aps
 from lucasaps.core import (
     Classification,
     DegenerateError,
+    EngineMismatchError,
     Kind,
     Surd,
     ZeroCoefficientError,
@@ -270,3 +275,17 @@ class TestDominantRoot:
     def test_rejects_complex(self):
         with pytest.raises(ValueError):
             dominant_root(new_params(-1, -2))
+
+
+class TestEngineChecks:
+    def test_no_assert_in_src(self):
+        # cross-checks raise EngineMismatchError, so they survive python -O
+        sources = sorted(Path(lucasaps.__file__).parent.glob("*.py"))
+        assert len(sources) >= 9
+        for path in sources:
+            tree = ast.parse(path.read_text(), str(path))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert lines == [], (path.name, lines)
+
+    def test_mismatch_error_lives_in_core(self):
+        assert certify.EngineMismatchError is EngineMismatchError

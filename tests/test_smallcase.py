@@ -1,47 +1,49 @@
 """Symbolic case equations and the complete small-index solver."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from lucasaps.core import Kind, degeneracy_order, new_params, term
+from lucasaps.cli import main
+from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params, term
 from lucasaps.apsearch import find_aps
 from lucasaps.smallcase import (
-    BivarPoly,
     CaseEquation,
     DomainFilter,
     SqueezeUnresolvedError,
+    _frac_divmod,
+    _frac_to_int,
     _variant_poly,
+    b_add,
+    b_eval,
+    b_str,
     case_equations,
     divisibility_candidates,
+    divisors,
     integer_roots,
+    p_content,
+    p_deg,
     p_eval,
     p_mul,
     p_str,
+    p_sub,
     poly_term,
     solve_all,
     solve_case,
 )
 
 
-def bivar(coeffs):
-    return BivarPoly(coeffs)
-
-
 class TestPolyTerm:
     def test_first_kind_examples(self):
-        assert poly_term(Kind.FIRST, 4) == bivar({(3, 0): 1, (1, 1): 2})
-        assert poly_term(Kind.FIRST, 6) == bivar({(5, 0): 1, (3, 1): 4, (1, 2): 3})
+        assert poly_term(Kind.FIRST, 4) == ((0, 0, 0, 1), (0, 2))
+        assert poly_term(Kind.FIRST, 6) == ((0, 0, 0, 0, 0, 1), (0, 0, 0, 4), (0, 3))
 
     def test_second_kind_seventh_at_unit_a(self):
         v7 = poly_term(Kind.SECOND, 7)
         # |v_7| at A = +-1 is 7B^3 + 14B^2 + 7B + 1
-        coeffs_plus = {}
-        for (i, j), c in v7.items():
-            coeffs_plus[j] = coeffs_plus.get(j, 0) + c
-        assert coeffs_plus == {0: 1, 1: 7, 2: 14, 3: 7}
-        minus = sum(c * (-1) ** i for (i, j), c in v7.items() if j == 3)
-        assert abs(minus) == 7
+        assert [p_eval(e, 1) for e in v7] == [1, 7, 14, 7]
+        assert abs(p_eval(v7[3], -1)) == 7
 
     def test_matches_terms_at_random_points(self, rng):
         for _ in range(50):
@@ -52,23 +54,21 @@ class TestPolyTerm:
             p = new_params(a, b)
             n = rng.randint(0, 7)
             for kind in Kind:
-                assert poly_term(kind, n).evaluate(a, b) == term(p, kind, n)
+                assert b_eval(poly_term(kind, n), a, b) == term(p, kind, n)
 
 
 class TestCaseEquations:
     def test_known_linear_equation_expansion(self):
         poly = _variant_poly(Kind.FIRST, 1, 2, 4, 2)
-        assert poly == bivar({(3, 0): 1, (1, 1): 2, (1, 0): 1, (0, 0): -2})
-        assert str(poly) == "2*A*B+A^3+A-2"
+        assert poly == ((-2, 1, 0, 1), (0, 2))
+        assert b_str(poly) == "2*A*B+A^3+A-2"
 
     def test_known_quadratic_equation_expansion(self):
         poly = _variant_poly(Kind.FIRST, 0, 3, 6, 3)
-        assert poly == bivar(
-            {(1, 2): -6, (3, 1): -8, (0, 1): 1, (5, 0): -2, (2, 0): 1}
-        )
+        assert poly == ((0, 0, 1, 0, 0, -2), (1, 0, 0, -8), (0, -6))
 
     def test_trivial_equation(self):
-        assert _variant_poly(Kind.FIRST, 0, 1, 2, 1) == bivar({(1, 0): 1, (0, 0): -2})
+        assert _variant_poly(Kind.FIRST, 0, 1, 2, 1) == ((-2, 1),)
 
     def test_no_sign_duplicates_in_output(self):
         # case_equations keeps no sign dedup: at the cap all 168 equations
@@ -76,7 +76,7 @@ class TestCaseEquations:
         for kind in (Kind.FIRST, Kind.SECOND):
             polys = [eq.poly for eq in case_equations(kind, 7)]
             assert len(polys) == 168
-            assert len(set(polys) | {-p for p in polys}) == 2 * 168
+            assert len(set(polys) | {b_add((), p, -1) for p in polys}) == 2 * 168
 
     def test_ap_roles(self):
         eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2, _variant_poly(Kind.FIRST, 1, 2, 4, 2))
@@ -120,7 +120,7 @@ class TestWorkedEquations:
     def test_divisor_sweep_completeness(self):
         # every |a| <= 10^4 satisfying the divisibility is in the candidate set
         for eq in case_equations(Kind.FIRST, 6):
-            bcs = eq.poly.b_coefficients()
+            bcs = eq.poly
             if len(bcs) - 1 != 1 or not bcs[0]:
                 continue
             e1, e0 = bcs[1], [-c for c in bcs[0]]
@@ -132,6 +132,117 @@ class TestWorkedEquations:
                 d = p_eval(e1, a)
                 if d and p_eval(e0, a) % d == 0:
                     assert a in cands, (eq.triple, eq.variant, a)
+
+
+def _frac_gcd(f, g):
+    """Primitive integer gcd of two integer polynomials (Euclid over Q)."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while any(b):
+        _, r = _frac_divmod(a, b)
+        a, b = b, r
+    if not any(a):
+        return []
+    ints, _ = _frac_to_int(a)
+    cont = p_content(ints)
+    ints = [c // cont for c in ints]
+    return [-c for c in ints] if ints[-1] < 0 else ints
+
+
+def _sylvester_resultant(f, g):
+    n, m = p_deg(f), p_deg(g)
+    if n < 0 or m < 0:
+        return 0
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    size = n + m
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for row in range(m):
+        for i, c in enumerate(reversed(f)):
+            mat[row][row + i] = Fraction(c)
+    for row in range(n):
+        for i, c in enumerate(reversed(g)):
+            mat[m + row][row + i] = Fraction(c)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, size):
+            factor = mat[r][col] * inv
+            if factor:
+                for cc in range(col, size):
+                    mat[r][cc] -= factor * mat[col][cc]
+    assert det.denominator == 1
+    return int(det)
+
+
+def oracle_divisibility(den, num):
+    """The general gcd-split and Sylvester-resultant analysis for any degree."""
+    quotient, rem = _frac_divmod(num, den)
+    if not any(rem):
+        return quotient, ()
+    g = _frac_gcd(den, num)
+    h1f, r1 = _frac_divmod(den, g)
+    h0f, r0 = _frac_divmod(num, g)
+    assert not any(r1) and not any(r0)
+    h1, _ = _frac_to_int(h1f)
+    h0, _ = _frac_to_int(h0f)
+    bound = p_content(h0) * _sylvester_resultant(h1, h0)
+    assert bound != 0
+    cands = set()
+    for d in divisors(bound):
+        for target in (d, -d):
+            probe = p_sub(h1, [target])
+            if probe:
+                cands.update(integer_roots(probe))
+    if den[0] == 0 and num and num[0] != 0:
+        sharp = set()
+        for d in divisors(num[0]):
+            sharp.update((d, -d))
+        cands &= sharp
+    return None, tuple(sorted(cands))
+
+
+class TestDivisibilityOracle:
+    def assert_matches(self, den, num):
+        out = divisibility_candidates(den, num)
+        assert (out.exact_quotient, out.candidates) == oracle_divisibility(den, num), (den, num)
+
+    def test_case_equations(self):
+        count = 0
+        for kind in Kind:
+            for eq in case_equations(kind, 7):
+                if len(eq.poly) == 2 and eq.poly[0]:
+                    self.assert_matches(eq.poly[1], [-c for c in eq.poly[0]])
+                    count += 1
+        assert count == 39
+
+    def test_random_linear_denominators(self, rng):
+        count = 0
+        for _ in range(20000):
+            den = [rng.randint(-6, 6), rng.choice([-4, -3, -2, -1, 1, 2, 3, 5])]
+            num = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.1:
+                num = p_mul(den, num)  # exact division
+            if not any(num):
+                continue
+            self.assert_matches(den, num)
+            count += 1
+        assert count > 19000
+
+    def test_quadratic_denominator_raises(self):
+        with pytest.raises(SqueezeUnresolvedError):
+            divisibility_candidates([1, 0, 1], [2, 0, 0, 1])
+        # an exact quotient needs no resultant, whatever the degree
+        assert divisibility_candidates([1, 0, 1], [1, 1, 1, 1]).exact_quotient == [1, 1]
 
 
 class TestSolveAll:
@@ -149,6 +260,15 @@ class TestSolveAll:
         assert (-3, -1, (1, 0, 2)) in found
         assert (1, 3, (1, 4, 5)) in found
 
+    def test_resubstitution_mismatch_exits_three(self, monkeypatch, capsys):
+        # the re-substitution check is a raise, not an assert, so it also
+        # runs under python -O
+        monkeypatch.setattr("lucasaps.smallcase.b_eval", lambda f, a, b: 1)
+        with pytest.raises(EngineMismatchError):
+            solve_all(Kind.FIRST, 2)
+        assert main(["smallcases", "--kind", "first", "--max-index", "2"]) == 3
+        assert "internal verification mismatch" in capsys.readouterr().err
+
     def test_no_unresolved_equation_below_seven(self):
         for kind in Kind:
             for eq in case_equations(kind, 6):
@@ -160,7 +280,7 @@ class TestSolveAll:
             for s in ss.sporadics:
                 for (trip, variant) in [s.source]:
                     poly = _variant_poly(kind, *trip, variant)
-                    assert poly.evaluate(s.A, s.B) == 0
+                    assert b_eval(poly, s.A, s.B) == 0
 
     def test_grid_oracle_small(self):
         for kind in Kind:
@@ -253,12 +373,12 @@ class TestIntegerRoots:
 class TestBivarPoly:
     def test_b_coefficients(self):
         poly = _variant_poly(Kind.FIRST, 0, 3, 6, 3)
-        e2, e1, e0 = poly.b_coefficients()[2], poly.b_coefficients()[1], poly.b_coefficients()[0]
-        assert e2 == [0, -6]
-        assert e1 == [1, 0, 0, -8]
-        assert e0 == [0, 0, 1, 0, 0, -2]
+        e0, e1, e2 = poly
+        assert e2 == (0, -6)
+        assert e1 == (1, 0, 0, -8)
+        assert e0 == (0, 0, 1, 0, 0, -2)
 
     def test_str_and_eval(self):
         poly = _variant_poly(Kind.FIRST, 1, 2, 4, 2)
-        assert poly.evaluate(2, -1) == 8 - 4 + 2 - 2
+        assert b_eval(poly, 2, -1) == 8 - 4 + 2 - 2
         assert p_str([-2, 0, 1]) == "A^2-2"

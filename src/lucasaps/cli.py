@@ -48,6 +48,11 @@ MAX_EXPONENT = 10_000
 # at 4000.
 MAX_INDEX = 5000
 
+# A scan row costs about 0.36 ms at --max-index 30 and 450 bytes of peak
+# memory (job, row and output text), so a box at this cap takes about
+# 1.5 minutes and 110 MB on one worker.
+MAX_SCAN_ROWS = 250_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -101,13 +106,8 @@ def _family_doc(f) -> dict:
     }
 
 
-def _emit(doc, out_path=None):
-    text = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(doc):
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _build_parser() -> _Parser:
@@ -324,10 +324,14 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.max_index <= MAX_INDEX:
         raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
+    (a_lo, a_hi), (b_lo, b_hi) = args.a_range, args.b_range
+    count = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(kinds)
+    if count > MAX_SCAN_ROWS:
+        raise _UsageError(f"the scan box has {count} rows; at most {MAX_SCAN_ROWS} are allowed")
     jobs = [
         (A, B, kind, args.max_index)
-        for A in range(args.a_range[0], args.a_range[1] + 1)
-        for B in range(args.b_range[0], args.b_range[1] + 1)
+        for A in range(a_lo, a_hi + 1)
+        for B in range(b_lo, b_hi + 1)
         for kind in kinds
     ]
     workers = _worker_count(args.jobs)

@@ -2,17 +2,21 @@
 
 Writing terms as integer polynomials in (A, B) turns each index triple
 k < l < m and each placement of the doubled term into one Diophantine
-equation E(A, B) = 0, solved by its degree in B:
+equation E(A, B) = 0.  A closure chosen by the degree of E in B proves that
+every solution off a curve family has A in a finite window; E(a, B) = 0 is
+then solved exactly in B at each a of the window.  The closures:
 
-  degree 0   integer roots in A; a root makes B free (a one-parameter row).
+  degree 0   the integer roots of E in A (at a root B is free).
   degree 1   B = -e0(A)/e1(A); the divisibility e1(A) | e0(A) either holds
              identically (a curve B = w(A)) or, e1 being linear, pins A to
-             the divisors of the resultant of e1 and e0.
+             the divisors of the resultant of e1 and e0.  The roots of e1
+             join the window.
   degree 2   B is integral only when Delta(A) = e1^2 - 4 e2 e0 is a perfect
-             square.  Either Delta completes to an exact polynomial square,
-             or it is trapped strictly between two consecutive squares for
-             |A| beyond an explicit cutoff and the finite range below the
-             cutoff is exhausted with integer square-root tests.
+             square.  Either Delta completes to an exact polynomial square
+             and B splits into two degree-1 branches, or it is trapped
+             strictly between two consecutive squares for |A| beyond an
+             explicit cutoff and the window is the A below the cutoff at
+             which Delta is a square.
 
 Two further elementary closures handle the equations whose discriminant
 has a non-square leading coefficient, and the cubic B-degrees at the
@@ -481,24 +485,24 @@ def divisibility_candidates(den, num) -> DivisibilityOutcome:
 def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
     """Resolve B = w(A) (w with rational coefficients) under the filter.
 
-    Returns (sporadics, curve_families).  Under the dominant filter the
+    Returns (window, curve_families).  Under the dominant filter the
     admissible A region is finite whenever t*A^2 + 4*num has negative
-    leading coefficient, and is enumerated outright; otherwise the curve is
-    kept as an infinite family object.
+    leading coefficient, and that region is the window; otherwise the curve
+    is kept as an infinite family object.
     """
     wn, t = _frac_to_int(w_frac)
     label = p_str(wn) + (f"/{t}" if t > 1 else "")
     if not wn:
         report.branches.append({"b": "0", "outcome": "rejected: B = 0"})
-        return [], []
+        return set(), []
     residues = tuple(r for r in range(t) if p_eval(wn, r) % t == 0)
     if not residues:
         report.branches.append({"b": label, "outcome": "rejected: never an integer"})
-        return [], []
+        return set(), []
     for kk in (1, 2, 3, 4):
         if not p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)):
             report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
-            return [], []
+            return set(), []
     exclusions = set(integer_roots(wn)) | {0}
     for kk in (1, 2, 3, 4):
         exclusions.update(integer_roots(p_add(p_scale([0, 0, 1], t), p_scale(wn, kk))))
@@ -508,62 +512,33 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
         # discriminant polynomial is positive toward one infinity
         if dnum and dnum[-1] < 0 and p_deg(dnum) % 2 == 0:
             cut = cauchy_positive_cut(p_scale(dnum, -1))
-            sporadics = []
-            for a in range(-cut, cut + 1):
-                if a % t not in residues or p_eval(dnum, a) <= 0:
-                    continue
-                B = p_eval(wn, a) // t
-                if filt.admits(a, B):
-                    sporadics.append(SporadicSolution(a, B, triple, source))
-                    report.branches.append({"b": label, "a": a, "B": B, "outcome": "admitted"})
-            if not sporadics:
-                report.branches.append(
-                    {"b": label, "outcome": "rejected: positive discriminant fails for every A"}
-                )
-            return sporadics, []
+            window = {
+                a for a in range(-cut, cut + 1) if a % t in residues and p_eval(dnum, a) > 0
+            }
+            report.branches.append({"b": label, "outcome": "finite window", "window": sorted(window)})
+            return window, []
         report.branches.append({"b": label, "outcome": "infinite curve family"})
     else:
         report.branches.append({"b": label, "outcome": "curve family"})
-    return [], [
+    return set(), [
         CurveFamilySolution(tuple(wn), t, residues, triple, source, tuple(sorted(exclusions)))
     ]
 
 
 def _linear_branch(den, num, filt, triple, source, report):
-    """All admitted (A, B) with B = num(A)/den(A); den nonzero polynomial.
+    """Window for B = num(A)/den(A), den a nonzero polynomial.
 
-    Returns (sporadics, b_families, curves, candidates).
+    The window holds the roots of den, where the exact solve finds B free or
+    nothing, and the A at which den(A) | num(A) can hold.  When den divides
+    num over Q, B = num/den is a curve instead.  Returns (window, curves,
+    candidates).
     """
-    sporadics, b_families, curves = [], [], []
-    for a in integer_roots(den):
-        if (p_eval(num, a) if num else 0) == 0:
-            if a != 0:
-                b_min, excl = filt.b_condition(a)
-                b_families.append(BFamilySolution(a, b_min, excl, triple, source))
-                report.branches.append({"a": a, "outcome": "B free (both sides vanish)"})
-        else:
-            report.branches.append({"a": a, "outcome": "no solution at denominator root"})
-    if not num:
-        return sporadics, b_families, curves, ()
+    window = set(integer_roots(den))
     out = divisibility_candidates(den, num)
     if out.exact_quotient is not None:
-        s, c = _curve_members(out.exact_quotient, filt, triple, source, report)
-        return s, b_families, c, ()
-    for a in out.candidates:
-        da = p_eval(den, a)
-        if da == 0:
-            continue
-        na = p_eval(num, a)
-        if na % da:
-            report.branches.append({"a": a, "outcome": "rejected: B not integral"})
-            continue
-        B = na // da
-        if filt.admits(a, B):
-            sporadics.append(SporadicSolution(a, B, triple, source))
-            report.branches.append({"a": a, "B": B, "outcome": "admitted"})
-        else:
-            report.branches.append({"a": a, "B": B, "outcome": "rejected by filter"})
-    return sporadics, b_families, curves, out.candidates
+        w, curves = _curve_members(out.exact_quotient, filt, triple, source, report)
+        return window | w, curves, ()
+    return window | set(out.candidates), [], out.candidates
 
 
 def _poly_sqrt(delta):
@@ -647,47 +622,39 @@ def _binomial(n, k):
 
 
 def _root_location_side(bcs, side, report):
-    """Dominant-filter cutoff from the C = A^2 + 4B substitution, or None.
+    """Dominant-filter cutoff from the C = A^2 + 4B substitution.
 
     With B = (C - A^2)/4, 4^d * E becomes a C-polynomial P whose value
     region C >= 1 must be root-free for large |A|: writing
     Q(x) = P(1 + x), it suffices that every coefficient of s * Q (s the
     eventual sign of the leading C-coefficient on this side) is eventually
-    non-negative with a positive constant term.  Cauchy bounds turn
-    "eventually" into an explicit cutoff; below it the caller exhausts.
+    positive.  Cauchy bounds turn "eventually" into an explicit cutoff;
+    below it the caller exhausts.  A coefficient that is zero (C = 1 solves
+    the equation for every A when it is the constant one) or eventually
+    negative leaves the proof open.  No case equation does that under the
+    dominant filter, so it raises EngineMismatchError.
     """
     d = len(bcs) - 1
-    a2 = [0, 0, 1]
     coef_c = [[] for _ in range(d + 1)]
     for j, ej in enumerate(bcs):
-        if not ej:
-            continue
         scaled = p_scale(ej, 4 ** (d - j))
         for i in range(j + 1):
             # (C - A^2)^j contributes binom(j, i) * (-A^2)^(j-i) to C^i
             piece = p_scale(scaled, _binomial(j, i) * (-1) ** (j - i))
             for _ in range(j - i):
-                piece = p_mul(piece, a2)
+                piece = p_mul(piece, [0, 0, 1])
             coef_c[i] = p_add(coef_c[i], piece)
-    q_coeffs = []
-    for r in range(d + 1):
-        acc = []
-        for i in range(r, d + 1):
-            acc = p_add(acc, p_scale(coef_c[i], _binomial(i, r)))
-        q_coeffs.append(acc)
-    lead = _substitute_side(coef_c[d], side)
-    if not lead:
-        return None
-    s = 1 if lead[-1] > 0 else -1
-    if not q_coeffs[0]:
-        return None  # C = 1 solves the equation for every A
+    s = 1 if _substitute_side(coef_c[d], side)[-1] > 0 else -1  # coef_c[d] = e_d
     cut = 0
-    for r, q in enumerate(q_coeffs):
+    for r in range(d + 1):
+        q = []
+        for i in range(r, d + 1):
+            q = p_add(q, p_scale(coef_c[i], _binomial(i, r)))
         qs = _substitute_side(p_scale(q, s), side)
-        if not qs:
-            continue
-        if qs[-1] <= 0:
-            return None
+        if not qs or qs[-1] <= 0:
+            raise EngineMismatchError(
+                f"root location fails on side {side}: coefficient {r} of P(1 + x) is {p_str(q)}"
+            )
         cut = max(cut, cauchy_positive_cut(qs))
     report.squeeze.append(
         {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
@@ -789,30 +756,105 @@ def _solve_b_univariate(a, bcs, filt, triple, source, report):
     return sporadics, []
 
 
-def _constant_trick(bcs, filt, triple, source, report):
-    """Complete solve via A | E(0, B) when that value is a nonzero constant.
-
-    Returns (sporadics, b_families) or None when the trick does not apply.
-    """
+def _constant_trick(bcs, report):
+    """Window A | E(0, B) when that value is a nonzero constant, else None."""
     at_zero = _trim([bc[0] if bc else 0 for bc in bcs])
     if len(at_zero) != 1:
         return None
     c = at_zero[0]
     report.notes.append(f"E(0, B) = {c}: any solution has A | {abs(c)}")
-    candidates = []
-    for d in divisors(c):
-        candidates.extend((d, -d))
-    report.candidates = tuple(sorted(set(candidates)))
-    sporadics, b_families = [], []
-    for a in report.candidates:
-        s, f = _solve_b_univariate(a, bcs, filt, triple, source, report)
-        sporadics.extend(s)
-        b_families.extend(f)
-    return sporadics, b_families
+    report.candidates = tuple(sorted(sign * d for d in divisors(c) for sign in (1, -1)))
+    return set(report.candidates)
+
+
+def _closure(eq: CaseEquation, filt: DomainFilter, report):
+    """(window, curves): every admitted solution off the curve families has
+    A in the finite window.  Fills the report's strategy and evidence."""
+    bcs = eq.poly
+    deg_b = len(bcs) - 1
+    triple = eq.ap_roles()
+    source = (eq.triple, eq.variant)
+    if deg_b < 0:
+        raise ValueError("identically zero case equation")
+
+    if deg_b == 0:
+        report.strategy = "constant_in_b"
+        report.candidates = tuple(integer_roots(bcs[0]))
+        return set(report.candidates), []
+
+    if deg_b == 1:
+        report.strategy = "linear_in_b"
+        window, curves, report.candidates = _linear_branch(
+            bcs[1], p_scale(bcs[0], -1), filt, triple, source, report
+        )
+        return window, curves
+
+    if deg_b == 2:
+        # where e2 vanishes the equation drops to B-degree <= 1; no closure
+        # below loses those A: the branch denominators vanish there, Delta =
+        # e1^2 is a square there, and the constant trick bounds every A
+        report.strategy = "quadratic_in_b"
+        e2, e1, e0 = bcs[2], bcs[1], bcs[0]
+        delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
+        report.delta = tuple(delta)
+        q = _poly_sqrt(delta)
+        if q is not None:
+            G, t = _frac_to_int(q)
+            if not p_sub(p_scale(delta, t * t), p_mul(G, G)):
+                # B = (-t*e1 +- G) / (2*t*e2): two linear branches
+                report.delta_square_root = (tuple(G), t)
+                window, curves, cands = set(), [], set()
+                for sign_branch in (1, -1):
+                    num = p_add(p_scale(e1, -t), p_scale(G, sign_branch))
+                    w, c, cs = _linear_branch(p_scale(e2, 2 * t), num, filt, triple, source, report)
+                    window |= w
+                    curves += c
+                    cands.update(cs)
+                report.candidates = tuple(sorted(cands))
+                return window, curves
+        cuts = {}
+        for side in (1, -1):
+            cuts[side] = _squeeze_side(delta, side, report)
+            if cuts[side] is None and filt.dominant:
+                report.strategy = "quadratic_in_b_root_location"
+                cuts[side] = _root_location_side(bcs, side, report)
+        if None in cuts.values():
+            trick = _constant_trick(bcs, report)
+            if trick is None:
+                raise SqueezeUnresolvedError(
+                    f"triple {eq.triple} variant {eq.variant}: discriminant "
+                    f"{p_str(delta)} admits no squeeze, root location or constant trick"
+                )
+            report.strategy = "quadratic_in_b_constant_trick"
+            return trick, []
+        report.square_hits = tuple(
+            a for a in range(-cuts[-1], cuts[1] + 1)
+            if (da := p_eval(delta, a)) >= 0 and isqrt(da) ** 2 == da
+        )
+        return set(report.square_hits), []
+
+    report.strategy = "cubic_in_b"
+    trick = _constant_trick(bcs, report)
+    if trick is not None:
+        report.strategy += "_constant_trick"
+        return trick, []
+    if not filt.dominant:
+        raise SqueezeUnresolvedError(
+            f"B-degree {deg_b} for triple {eq.triple} variant {eq.variant}: "
+            "outside the squeeze, root-location and constant-trick toolbox"
+        )
+    report.strategy += "_root_location"
+    cuts = {side: _root_location_side(bcs, side, report) for side in (1, -1)}
+    return set(range(-cuts[-1], cuts[1] + 1)), []
 
 
 def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSolution:
     """Complete integer solutions of one case equation under the filter.
+
+    The closure for the equation's B-degree bounds A: it returns a finite
+    window of A values plus any curve families, and E(a, B) = 0 is then
+    solved exactly in B at each a of the window.  A root that lies on a
+    returned curve is left to the curve.
 
     Raises SqueezeUnresolvedError when no closure applies.  Under the
     dominant filter that never happens for an equation case_equations
@@ -822,124 +864,15 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSoluti
     constant trick does not fire.
     """
     filt = filt or DomainFilter()
-    bcs = eq.poly
-    deg_b = len(bcs) - 1
-    triple = eq.ap_roles()
-    source = (eq.triple, eq.variant)
-    report = EquationReport(eq.triple, eq.variant, deg_b, "")
-    sporadics, b_families, curves = [], [], []
-
-    if deg_b < 0:
-        raise ValueError("identically zero case equation")
-
-    if deg_b == 0:
-        report.strategy = "constant_in_b"
-        roots = integer_roots(bcs[0])
-        report.candidates = tuple(roots)
-        for a in roots:
-            if a == 0:
-                report.branches.append({"a": 0, "outcome": "rejected: A = 0"})
-                continue
-            b_min, excl = filt.b_condition(a)
-            b_families.append(BFamilySolution(a, b_min, excl, triple, source))
-            report.branches.append({"a": a, "outcome": "B free"})
-        return CaseSolution(sporadics, b_families, curves, report)
-
-    if deg_b == 1:
-        report.strategy = "linear_in_b"
-        s, f, c, cands = _linear_branch(bcs[1], p_scale(bcs[0], -1), filt, triple, source, report)
-        report.candidates = cands
-        return CaseSolution(s, f, c, report)
-
-    if deg_b == 2:
-        report.strategy = "quadratic_in_b"
-        e2, e1, e0 = bcs[2], bcs[1], bcs[0]
-        for a in integer_roots(e2):  # the equation drops to B-degree <= 1
-            s, f = _solve_b_univariate(a, bcs, filt, triple, source, report)
-            sporadics.extend(s)
-            b_families.extend(f)
-        delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
-        report.delta = tuple(delta)
-        q = _poly_sqrt(delta)
-        if q is not None:
-            G, t = _frac_to_int(q)
-            if not p_sub(p_scale(delta, t * t), p_mul(G, G)):
-                report.delta_square_root = (tuple(G), t)
-                den = p_scale(e2, 2 * t)
-                all_cands = set()
-                for sign_branch in (1, -1):
-                    num = p_add(p_scale(e1, -t), p_scale(G, sign_branch))
-                    if not num:
-                        report.branches.append({"b": "0", "outcome": "rejected: B = 0"})
-                        continue
-                    s, f, c, cands = _linear_branch(den, num, filt, triple, source, report)
-                    all_cands.update(cands)
-                    sporadics.extend(s)
-                    b_families.extend(f)
-                    curves.extend(c)
-                report.candidates = tuple(sorted(all_cands))
-                return CaseSolution(sporadics, b_families, curves, report)
-        cuts = {}
-        for side in (1, -1):
-            cut = _squeeze_side(delta, side, report)
-            if cut is None and filt.dominant:
-                cut = _root_location_side(bcs, side, report)
-            cuts[side] = cut
-        if any(c is None for c in cuts.values()):
-            trick = _constant_trick(bcs, filt, triple, source, report)
-            if trick is None:
-                raise SqueezeUnresolvedError(
-                    f"triple {eq.triple} variant {eq.variant}: discriminant "
-                    f"{p_str(delta)} admits no squeeze, root location or constant trick"
-                )
-            report.strategy = "quadratic_in_b_constant_trick"
-            s, f = trick
-            return CaseSolution(sporadics + s, b_families + f, curves, report)
-        hits = []
-        e2_roots = set(integer_roots(e2))
-        for side in (1, -1):
-            for x in range(0, cuts[side] + 1):
-                a = side * x
-                if side < 0 and x == 0:
-                    continue
-                da = p_eval(delta, a)
-                if da < 0 or isqrt(da) ** 2 != da:
-                    continue
-                hits.append(a)
-                if a in e2_roots:
-                    continue
-                for B in integer_roots([p_eval(e0, a), p_eval(e1, a), p_eval(e2, a)]):
-                    if filt.admits(a, B):
-                        sporadics.append(SporadicSolution(a, B, triple, source))
-                        report.branches.append({"a": a, "B": B, "outcome": "admitted"})
-                    else:
-                        report.branches.append({"a": a, "B": B, "outcome": "rejected by filter"})
-        report.square_hits = tuple(sorted(set(hits)))
-        return CaseSolution(sporadics, b_families, curves, report)
-
-    report.strategy = "cubic_in_b"
-    trick = _constant_trick(bcs, filt, triple, source, report)
-    if trick is not None:
-        report.strategy += "_constant_trick"
-        s, f = trick
-        return CaseSolution(s, f, curves, report)
-    if filt.dominant:
-        cuts = {side: _root_location_side(bcs, side, report) for side in (1, -1)}
-        if all(c is not None for c in cuts.values()):
-            report.strategy += "_root_location"
-            for side in (1, -1):
-                for x in range(0, cuts[side] + 1):
-                    a = side * x
-                    if side < 0 and x == 0:
-                        continue
-                    s, f = _solve_b_univariate(a, bcs, filt, triple, source, report)
-                    sporadics.extend(s)
-                    b_families.extend(f)
-            return CaseSolution(sporadics, b_families, curves, report)
-    raise SqueezeUnresolvedError(
-        f"B-degree {deg_b} for triple {eq.triple} variant {eq.variant}: "
-        "outside the squeeze, root-location and constant-trick toolbox"
-    )
+    report = EquationReport(eq.triple, eq.variant, len(eq.poly) - 1, "")
+    window, curves = _closure(eq, filt, report)
+    triple, source = eq.ap_roles(), (eq.triple, eq.variant)
+    sporadics, b_families = [], []
+    for a in sorted(window):
+        s, f = _solve_b_univariate(a, eq.poly, filt, triple, source, report)
+        sporadics += [x for x in s if not any(c.admits_a(a) and c.b_at(a) == x.B for c in curves)]
+        b_families += f
+    return CaseSolution(sporadics, b_families, curves, report)
 
 
 def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> SolutionSet:

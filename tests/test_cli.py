@@ -1,6 +1,7 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
 import json
+import tracemalloc
 from importlib import resources as importlib_resources
 
 import jsonschema
@@ -173,6 +174,18 @@ class TestSmallcases:
         doc = json.loads(out)
         assert doc["equationCount"] == 168
 
+    def test_cap_seven_grid_check(self, capsys):
+        # cap 7 is the only cap at which first-kind root-location windows
+        # of cubic-in-B equations run
+        for kind, count in (("first", 139), ("second", 20)):
+            code, out, err = run(
+                capsys, "smallcases", "--kind", kind, "--max-index", "7", "--grid-check", "30",
+            )
+            assert (code, err) == (0, ""), kind
+            assert json.loads(out)["gridCheck"] == {
+                "box": 30, "symbolic": count, "bruteForce": count, "equal": True,
+            }, kind
+
     def test_nonpositive_grid_check_is_usage_error(self, capsys):
         # an empty box would pass vacuously
         for n in ("0", "-3"):
@@ -299,6 +312,32 @@ class TestScan:
             assert code == 1
             assert stdout == ""
             assert f"--max-index must be between 2 and {cli.MAX_INDEX}" in err
+        assert not out.exists()
+
+    def test_box_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the row count is checked before any job list is built
+        def no_work(job):
+            raise AssertionError("scan work started for an oversized box")
+
+        monkeypatch.setattr(cli, "_scan_pair", no_work)
+        out = tmp_path / "scan.csv"
+        half = cli.MAX_SCAN_ROWS // 2
+        for a_range, b_range, rows in (
+            ("0..0", f"1..{half + 1}", 2 * (half + 1)),
+            ("-1000000000..1000000000", "-5..5", 2 * 2_000_000_001 * 11),
+        ):
+            tracemalloc.start()
+            try:
+                code, stdout, err = run(
+                    capsys, "scan", f"--a-range={a_range}", f"--b-range={b_range}",
+                    "--out", str(out),
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, stdout) == (1, "")
+            assert f"the scan box has {rows} rows; at most {cli.MAX_SCAN_ROWS}" in err
+            assert peak < 1_000_000
         assert not out.exists()
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):

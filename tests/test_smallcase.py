@@ -1,5 +1,6 @@
 """Symbolic case equations and the complete small-index solver."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,9 +12,11 @@ from lucasaps.apsearch import find_aps
 from lucasaps.smallcase import (
     CaseEquation,
     DomainFilter,
+    EquationReport,
     SqueezeUnresolvedError,
     _frac_divmod,
     _frac_to_int,
+    _root_location_side,
     _variant_poly,
     b_add,
     b_eval,
@@ -116,6 +119,27 @@ class TestWorkedEquations:
         assert sol.report.square_hits == (0, 1)
         assert sol.report.squeeze and all(e["cut"] >= 3 for e in sol.report.squeeze)
         assert not sol.sporadics
+
+    def test_curve_point_not_repeated_as_sporadic(self):
+        # Delta is a square: one branch is the curve B = A - A^2, the other
+        # has divisor candidates, and the exact solve at those candidates
+        # also finds the curve's points, which the curve already reports
+        eq = CaseEquation(Kind.FIRST, (4, 5, 6), 1, _variant_poly(Kind.FIRST, 4, 5, 6, 1))
+        sol = solve_case(eq, DomainFilter(dominant=False))
+        assert sol.report.delta_square_root == ((0, 2, -4, 2), 1)
+        assert sol.report.candidates == (-10, -2, 0, 1, 2, 6, 22)
+        assert [(c.num, c.den, c.residues) for c in sol.curves] == [((0, 1, -1), 1, (0,))]
+        assert not sol.sporadics and not sol.b_families
+
+    def test_root_location_failure_raises(self):
+        # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives
+        # P(1 + x) = 1 + x - A^2, whose constant is eventually negative
+        report = EquationReport((0, 1, 2), 1, 1, "")
+        for bcs in (((-1, 0, 1), (4,)), ((), (4,))):
+            for side in (1, -1):
+                with pytest.raises(EngineMismatchError, match="root location fails"):
+                    _root_location_side(bcs, side, report)
+        assert not report.squeeze
 
     def test_divisor_sweep_completeness(self):
         # every |a| <= 10^4 satisfying the divisibility is in the candidate set
@@ -268,6 +292,24 @@ class TestSolveAll:
             solve_all(Kind.FIRST, 2)
         assert main(["smallcases", "--kind", "first", "--max-index", "2"]) == 3
         assert "internal verification mismatch" in capsys.readouterr().err
+
+    def test_strategy_counts_at_cap_seven(self):
+        # a quadratic whose cutoff came from root location says so, as the
+        # cubic ones do
+        counts = {kind: Counter(r.strategy for r in solve_all(kind, 7).reports) for kind in Kind}
+        assert counts[Kind.FIRST] == {
+            "constant_in_b": 3,
+            "linear_in_b": 27,
+            "quadratic_in_b": 45,
+            "quadratic_in_b_root_location": 30,
+            "cubic_in_b_root_location": 63,
+        }
+        assert counts[Kind.SECOND] == {
+            "linear_in_b": 12,
+            "quadratic_in_b_root_location": 48,
+            "cubic_in_b_constant_trick": 9,
+            "cubic_in_b_root_location": 99,
+        }
 
     def test_no_unresolved_equation_below_seven(self):
         for kind in Kind:

@@ -68,30 +68,53 @@ def canonical_indices(k: int, l: int, m: int) -> tuple[int, int, int]:
 def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     """All canonical progressions with indices <= n_max, sorted by (m, k, l).
 
-    Uses a value -> indices map so each middle/outer combination costs one
-    dictionary probe; a repeated value fans out over its index list,
-    whatever its length.
+    Write b(x) for the bit length of |x|.  If 2*x_l = x_k + x_m, then
+    either |b(x_k) - b(x_m)| <= 1, or the larger of b(x_k), b(x_m) lies in
+    [b(x_l), b(x_l) + 2]: with b_k >= b_m + 2,
+    2^(b_k - 2) < |x_k + x_m| < 2^(b_k + 1), and b(2*x_l) = b(x_l) + 1
+    (x_l = 0 forces x_k = -x_m, the first case).  So two routes over bit-length buckets find every triple:
+
+    1. each pair of indices whose bit lengths differ by at most 1 probes
+       the value map for the middle, (x_k + x_m) / 2, when the sum is even;
+    2. each middle l and each j with b(x_j) in [b(x_l), b(x_l) + 2]
+       probes the value map for the other outer, 2*x_l - x_j.
+
+    The result is exact on any sequence; only the speed depends on its
+    growth.  On a geometrically growing sequence each bucket holds O(1)
+    indices, so both routes make O(n_max) probes instead of n_max^2.  A
+    repeated value fans out over its index list, whatever its length.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     vals = terms(params, kind, n_max + 1)
     where = defaultdict(list)
+    bucket = defaultdict(list)
     for i, v in enumerate(vals):
         where[v].append(i)
+        bucket[abs(v).bit_length()].append(i)
+
+    found = set()
+    for b, same in bucket.items():
+        wider = bucket.get(b + 1, [])
+        for a, k in enumerate(same):
+            for m in same[a + 1:] + wider:
+                s = vals[k] + vals[m]
+                if not s & 1:
+                    for l in where.get(s >> 1, ()):
+                        found.add(canonical_indices(k, l, m))
+    for l, v in enumerate(vals):
+        b = abs(v).bit_length()
+        for j in bucket.get(b, []) + bucket.get(b + 1, []) + bucket.get(b + 2, []):
+            for i in where.get(2 * v - vals[j], ()):
+                found.add(canonical_indices(i, l, j))
 
     out = []
-    for l in range(n_max + 1):
-        target = 2 * vals[l]
-        for k in range(n_max + 1):
-            if k == l:
-                continue
-            for m in where.get(target - vals[k], ()):
-                if m <= k or m == l:
-                    continue
-                vk, vl, vm = vals[k], vals[l], vals[m]
-                if vk == vl or vl == vm or vk == vm:
-                    continue
-                out.append(APTriple(k, l, m, (vk, vl, vm)))
+    for k, l, m in found:
+        vk, vl, vm = vals[k], vals[l], vals[m]
+        # distinct values imply distinct indices
+        if vk == vl or vl == vm or vk == vm:
+            continue
+        out.append(APTriple(k, l, m, (vk, vl, vm)))
     out.sort(key=lambda t: (t.m, t.k, t.l))
     return out
 

@@ -25,7 +25,6 @@ from .core import (
     SeqParams,
     Surd,
     ZeroCoefficientError,
-    alpha_beta,
     linear_terms,
     new_params,
     roots_of,
@@ -156,39 +155,6 @@ def _report_for(values: list) -> MultiplicityReport:
 def multiplicity(params: SeqParams, kind: Kind, window_end: int) -> MultiplicityReport:
     """Exact value -> indices map over indices 0..window_end."""
     return _report_for(terms(params, kind, window_end + 1))
-
-
-def multiplicity_with_initials(
-    A: int, B: int, x0: int, x1: int, window_end: int
-) -> MultiplicityReport:
-    """Multiplicity over a window for arbitrary initial values (used to check
-    recurrences written in other sign conventions)."""
-    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
-
-
-def from_subtraction_convention(a: int, b: int) -> tuple:
-    """Map coefficients of x_n = a*x_{n-1} - b*x_{n-2} to this library's
-    (A, B) convention x_n = A*x_{n-1} + B*x_{n-2}."""
-    return (a, -b)
-
-
-def mult_independence_check(params: SeqParams, bound: int = 12) -> bool:
-    """True when no relation alpha^t = +-beta^s holds for 1 <= t, s <= bound.
-
-    Valid parameters always pass: such a relation would force the root
-    ratio to be a root of unity, which the constructor rejects.  Exposed as
-    an oracle for exactly that guarantee.
-    """
-    a, b = alpha_beta(params)
-    pow_a = a
-    for _ in range(bound):
-        pow_b = b
-        for _ in range(bound):
-            if (pow_a - pow_b).is_zero() or (pow_a + pow_b).is_zero():
-                return False
-            pow_b = pow_b * b
-        pow_a = pow_a * a
-    return True
 
 
 @dataclass(frozen=True)

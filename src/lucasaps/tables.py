@@ -28,7 +28,6 @@ from importlib import resources as importlib_resources
 from .apsearch import (
     APFamily,
     canonical_indices,
-    detect_families,
     family_instances,
     is_ap,
     verify_family,
@@ -233,20 +232,3 @@ def infinite_family_pairs() -> tuple:
     first = ((1, 1), (-1, 1), (1, 2), (-1, 2), (-1, -2))
     second = ((1, 1), (-1, 1), (-1, 2), (-1, -2))
     return first, second
-
-
-def family_for_pair(A: int, B: int, kind: Kind, e_max: int = 12):
-    """Some verified family witnessing infinitely many progressions.
-
-    Uses divisibility detection first and falls back to catalog patterns
-    (the step-two families are not unit-step and are catalog-supplied).
-    """
-    params = new_params(A, B)
-    fams = detect_families(params, kind, e_max)
-    if fams:
-        return fams[0]
-    for entry in _table_entries():
-        if entry.kind is kind and not entry.is_b_row and (entry.a, entry.b) == (A, B):
-            if entry.families:
-                return entry.families[0]
-    return None

@@ -32,19 +32,27 @@ from lucasaps.core import (
     Surd,
     closed_form_check,
     degeneracy_order,
+    linear_terms,
     new_params,
     roots_of,
     term,
     terms,
 )
 from lucasaps.smallcase import CaseEquation, _variant_poly, solve_all, solve_case
-from lucasaps.special import (
-    from_subtraction_convention,
-    multiplicity,
-    multiplicity_with_initials,
-    sunit_constant,
-)
+from lucasaps.special import _report_for, multiplicity, sunit_constant
 from lucasaps.tables import verify_tables
+
+
+def multiplicity_with_initials(A, B, x0, x1, window_end):
+    """Multiplicity over a window for arbitrary initial values (used to check
+    recurrences written in other sign conventions)."""
+    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
+
+
+def from_subtraction_convention(a, b):
+    """Map coefficients of x_n = a*x_{n-1} - b*x_{n-2} to this library's
+    (A, B) convention x_n = A*x_{n-1} + B*x_{n-2}."""
+    return (a, -b)
 
 
 def _verdict(number: int, ok: bool, detail: str):

@@ -1,5 +1,8 @@
 """Progression predicate, windowed search, families and certificates."""
 
+from collections import defaultdict
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +97,51 @@ class TestFindAPs:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             find_aps(new_params(1, 1), Kind.FIRST, 1)
+
+    def test_matches_quadratic_oracle(self):
+        # the bucket routes return the same triples, in the same order, as
+        # the n^2 loop over every middle/outer pair
+        for A in range(-10, 11):
+            for B in range(-10, 11):
+                if not A or not B or degeneracy_order(A, B) is not None:
+                    continue
+                p = new_params(A, B)
+                for kind in Kind:
+                    for n in (2, 3, 5, 12, 80):
+                        got = [t.indices for t in find_aps(p, kind, n)]
+                        want = _quadratic_aps(terms(p, kind, n + 1))
+                        assert got == want, (A, B, kind, n)
+
+    @given(st.lists(st.integers(-64, 64), min_size=3, max_size=40))
+    def test_exact_on_any_sequence(self, vals):
+        # the lemma needs no growth: repeats, zeros and sign changes included
+        with mock.patch("lucasaps.apsearch.terms", lambda *_: vals):
+            got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, len(vals) - 1)]
+        assert got == _quadratic_aps(vals)
+
+
+def _quadratic_aps(vals):
+    """Canonical progression indices of vals, sorted by (m, k, l).
+
+    The n^2 loop: every middle l and outer k probe a value -> indices map
+    for the other outer 2*x_l - x_k.
+    """
+    where = defaultdict(list)
+    for i, v in enumerate(vals):
+        where[v].append(i)
+    out = []
+    for l, vl in enumerate(vals):
+        for k, vk in enumerate(vals):
+            if k == l:
+                continue
+            for m in where.get(2 * vl - vk, ()):
+                if m <= k or m == l:
+                    continue
+                if vk == vl or vl == vals[m] or vk == vals[m]:
+                    continue
+                out.append((k, l, m))
+    out.sort(key=lambda t: (t[2], t[0], t[1]))
+    return out
 
 
 class TestDetectFamilies:

@@ -2,19 +2,47 @@
 
 import pytest
 
-from lucasaps.core import Kind, degeneracy_order, new_params
+from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params
 from lucasaps.special import (
     TrinomialShape,
     TrinomialSpec,
+    _report_for,
     companion_candidates_complex,
-    from_subtraction_convention,
-    mult_independence_check,
     multiplicity,
-    multiplicity_with_initials,
     quad_factors,
     sunit_constant,
     unit_equation_solution_bound,
 )
+
+
+def multiplicity_with_initials(A, B, x0, x1, window_end):
+    """Multiplicity over a window for arbitrary initial values (used to check
+    recurrences written in other sign conventions)."""
+    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
+
+
+def from_subtraction_convention(a, b):
+    """Map coefficients of x_n = a*x_{n-1} - b*x_{n-2} to this library's
+    (A, B) convention x_n = A*x_{n-1} + B*x_{n-2}."""
+    return (a, -b)
+
+
+def mult_independence_check(params, bound=12):
+    """True when no relation alpha^t = +-beta^s holds for 1 <= t, s <= bound.
+
+    Valid parameters always pass: such a relation would force the root
+    ratio to be a root of unity, which the constructor rejects.
+    """
+    a, b = alpha_beta(params)
+    pow_a = a
+    for _ in range(bound):
+        pow_b = b
+        for _ in range(bound):
+            if (pow_a - pow_b).is_zero() or (pow_a + pow_b).is_zero():
+                return False
+            pow_b = pow_b * b
+        pow_a = pow_a * a
+    return True
 
 
 class TestQuadFactors:

@@ -5,15 +5,30 @@ from importlib import resources as importlib_resources
 
 import pytest
 
-from lucasaps.apsearch import is_ap, verify_family
+from lucasaps.apsearch import detect_families, is_ap, verify_family
 from lucasaps.core import Kind, new_params, term
 from lucasaps.tables import (
-    family_for_pair,
     infinite_family_pairs,
     load_table_entries,
     pair_in_tables,
     verify_tables,
 )
+
+
+def family_for_pair(A, B, kind, e_max=12):
+    """Some verified family witnessing infinitely many progressions.
+
+    Uses divisibility detection first and falls back to catalog patterns
+    (the step-two families are not unit-step and are catalog-supplied).
+    """
+    fams = detect_families(new_params(A, B), kind, e_max)
+    if fams:
+        return fams[0]
+    for entry in load_table_entries():
+        if entry.kind is kind and not entry.is_b_row and (entry.a, entry.b) == (A, B):
+            if entry.families:
+                return entry.families[0]
+    return None
 
 
 class TestCatalogData:

@@ -118,17 +118,40 @@ def divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def cauchy_positive_cut(f) -> int:
-    """N >= 0 with f(x) > 0 for every integer x > N (requires lc > 0).
+def _ceil_root(n: int, k: int) -> int:
+    """Least integer r >= 0 with r**k >= n, for n >= 0 (exact search)."""
+    lo, hi = 0, 1 << -(-n.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k >= n:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    Cauchy's bound: every real root has |x| <= 1 + max|c_i| / lc.
+
+def root_bound(f) -> int:
+    """N >= 0 with every real root of the nonzero polynomial f in [-N, N].
+
+    The lesser of two classical bounds on the root modulus, each rounded up
+    exactly: Cauchy's 1 + max|c_i| / |lc| and Fujiwara's
+    2 * max_k (|c_(d-k)| / |lc|)^(1/k), whose last entry |c_0 / (2 lc)| is
+    loosened to |c_0 / lc|.
     """
+    lc = abs(f[-1])
+    lower = [abs(c) for c in reversed(f[:-1])]  # lower[k - 1] = |c_(d-k)|
+    if not lower:
+        return 0
+    cauchy = 1 + -(-max(lower) // lc)
+    fujiwara = 2 * max(_ceil_root(-(-c // lc), k) for k, c in enumerate(lower, 1))
+    return min(cauchy, fujiwara)
+
+
+def positive_cut(f) -> int:
+    """N >= 0 with f(x) > 0 for every integer x > N (requires lc > 0)."""
     if not f or f[-1] <= 0:
         raise ValueError("leading coefficient must be positive")
-    if len(f) == 1:
-        return 0
-    top = max(abs(c) for c in f[:-1])
-    return 1 + (top + f[-1] - 1) // f[-1]
+    return root_bound(f)
 
 
 def _frac_divmod(num, den):
@@ -511,7 +534,7 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
         # a finite admissible window needs even degree: an odd-degree
         # discriminant polynomial is positive toward one infinity
         if dnum and dnum[-1] < 0 and p_deg(dnum) % 2 == 0:
-            cut = cauchy_positive_cut(p_scale(dnum, -1))
+            cut = positive_cut(p_scale(dnum, -1))
             window = {
                 a for a in range(-cut, cut + 1) if a % t in residues and p_eval(dnum, a) > 0
             }
@@ -602,9 +625,9 @@ def _squeeze_side(delta, side, report):
         if not low or not high or low[-1] <= 0 or high[-1] <= 0:
             continue
         cut = max(
-            cauchy_positive_cut(low),
-            cauchy_positive_cut(high),
-            cauchy_positive_cut(p_add(G, [j])) if p_deg(p_add(G, [j])) >= 1 else 0,
+            positive_cut(low),
+            positive_cut(high),
+            positive_cut(p_add(G, [j])) if p_deg(p_add(G, [j])) >= 1 else 0,
         )
         report.squeeze.append(
             {"side": side, "cut": cut, "shift": j,
@@ -628,10 +651,11 @@ def _root_location_side(bcs, side, report):
     region C >= 1 must be root-free for large |A|: writing
     Q(x) = P(1 + x), it suffices that every coefficient of s * Q (s the
     eventual sign of the leading C-coefficient on this side) is eventually
-    positive.  Cauchy bounds turn "eventually" into an explicit cutoff;
-    below it the caller exhausts.  A coefficient that is zero (C = 1 solves
-    the equation for every A when it is the constant one) or eventually
-    negative leaves the proof open.  No case equation does that under the
+    positive.  The root bound of each coefficient (root_bound, the lesser
+    of the Cauchy and Fujiwara bounds) turns "eventually" into an explicit
+    cutoff; below it the caller exhausts.  A coefficient that is zero
+    (C = 1 solves the equation for every A when it is the constant one) or
+    eventually negative leaves the proof open.  No case equation does that under the
     dominant filter, so it raises EngineMismatchError.
     """
     d = len(bcs) - 1
@@ -655,7 +679,7 @@ def _root_location_side(bcs, side, report):
             raise EngineMismatchError(
                 f"root location fails on side {side}: coefficient {r} of P(1 + x) is {p_str(q)}"
             )
-        cut = max(cut, cauchy_positive_cut(qs))
+        cut = max(cut, positive_cut(qs))
     report.squeeze.append(
         {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
     )
@@ -718,7 +742,7 @@ def integer_roots(coeffs):
             if (-c1 + pm) % (2 * c2) == 0:
                 out.add((-c1 + pm) // (2 * c2))
         return sorted(out)
-    bound = 1 + max(abs(c) for c in f[:-1]) // abs(f[-1]) + 1
+    bound = max(root_bound(f), 1)  # two distinct ends even for c3 * x^3
     # critical points: roots of f' = 3*c3*x^2 + 2*c2*x + c1
     c1, c2, c3 = f[1], f[2], f[3]
     disc = 4 * c2 * c2 - 12 * c3 * c1

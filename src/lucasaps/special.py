@@ -4,9 +4,12 @@ The negative-discriminant analysis reduces infinite-family detection to
 finding quadratic factors of trinomials X^a - 2X^b + 1, X^a + X^b - 2 and
 2X^a - X^b - 1.  Every root of these has modulus at most 2 (otherwise the
 leading term dominates the other two), so a quadratic factor X^2 + p*X + q
-has |q| <= 4 and |p| <= 4 and the search space is a small box.  Each
-candidate is decided by the remainders of X^n modulo it, and every factor
-found is cross-checked by evaluating the trinomial at its roots exactly.
+has |p| <= 4.  The factor is monic, so by Gauss's lemma its cofactor has
+integer coefficients and q divides the constant term c_0 in {1, -2, -1}:
+q is +-1, or +-2 for X^a + X^b - 2, and the search space is a box of 18 or
+36 candidates.  Each candidate is decided by the remainders of X^n modulo
+it, and every factor found is cross-checked by evaluating the trinomial at
+its roots exactly.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations: with A(k, s) <= 2^(35*b^3) * d^(6*b^2), b = max(k+1, s) and
@@ -80,10 +83,13 @@ def quad_factors(spec: TrinomialSpec) -> list:
 
     With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
     modulo X^2 + p*X + q for n >= 1 (the identity detect_families uses), so
-    a candidate in the |p|, |q| <= 4 box divides c_a*X^a + c_b*X^b + c_0
-    exactly when both coefficients of the combined remainder vanish.  Every
-    hit is cross-checked independently: the trinomial must vanish at both
-    roots of the candidate in exact surd arithmetic.
+    a candidate divides c_a*X^a + c_b*X^b + c_0 exactly when both
+    coefficients of the combined remainder vanish.  The candidates have
+    |p| <= 4 (both roots have modulus at most 2) and q | c_0: a monic
+    factor of an integer polynomial has an integer cofactor (Gauss's
+    lemma), whose constant term times q is c_0.  Every hit is cross-checked
+    independently: the trinomial must vanish at both roots of the candidate
+    in exact surd arithmetic.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
@@ -91,10 +97,9 @@ def quad_factors(spec: TrinomialSpec) -> list:
     coeffs = spec.coefficients()
     ca, cb, c0 = coeffs[a], coeffs[b], coeffs[0]
     found = []
+    qs = [q for q in (-2, -1, 1, 2) if c0 % q == 0]
     for p in range(-4, 5):
-        for q in range(-4, 5):
-            if q == 0:
-                continue  # a zero root is impossible: nonzero constant term
+        for q in qs:
             u = linear_terms(-p, -q, 0, 1, a + 1)
             if ca * u[a] + cb * u[b] or c0 - q * (ca * u[a - 1] + cb * u[b - 1]):
                 continue
@@ -136,11 +141,6 @@ class MultiplicityReport:
     value_to_indices: dict
     max_multiplicity: int
     witnesses: tuple
-
-    def indices_of_abs(self, value: int) -> tuple:
-        idx = set(self.value_to_indices.get(value, ()))
-        idx |= set(self.value_to_indices.get(-value, ()))
-        return tuple(sorted(idx))
 
 
 def _report_for(values: list) -> MultiplicityReport:

@@ -39,14 +39,22 @@ from lucasaps.core import (
     terms,
 )
 from lucasaps.smallcase import CaseEquation, _variant_poly, solve_all, solve_case
-from lucasaps.special import _report_for, multiplicity, sunit_constant
+from lucasaps.special import MultiplicityReport, _report_for, multiplicity, sunit_constant
 from lucasaps.tables import verify_tables
+
+
+class _IndexedReport(MultiplicityReport):
+    def indices_of_abs(self, value: int) -> tuple:
+        """Sorted indices at which the term is value or -value."""
+        idx = set(self.value_to_indices.get(value, ()))
+        idx |= set(self.value_to_indices.get(-value, ()))
+        return tuple(sorted(idx))
 
 
 def multiplicity_with_initials(A, B, x0, x1, window_end):
     """Multiplicity over a window for arbitrary initial values (used to check
     recurrences written in other sign conventions)."""
-    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
+    return _IndexedReport(**vars(_report_for(linear_terms(A, B, x0, x1, window_end + 1))))
 
 
 def from_subtraction_convention(a, b):

@@ -32,6 +32,8 @@ from lucasaps.smallcase import (
     p_str,
     p_sub,
     poly_term,
+    positive_cut,
+    root_bound,
     solve_all,
     solve_case,
 )
@@ -368,6 +370,52 @@ class TestSolveAll:
                     if t.max_index <= 4:
                         brute.add((A, B, t.indices))
         assert sym == brute
+
+
+def _cauchy_bound(f):
+    """Cauchy's root bound 1 + max|c_i| / |lc|, rounded up: the window cut
+    the solver used before root_bound, kept as its oracle."""
+    if len(f) == 1:
+        return 0
+    lc = abs(f[-1])
+    return 1 + (max(abs(c) for c in f[:-1]) + lc - 1) // lc
+
+
+class TestRootBound:
+    def test_planted_roots_within_bound(self, rng):
+        # degree 1..14, coefficients up to 2^200, integer roots up to 2^40
+        for _ in range(400):
+            degree = rng.randint(1, 14)
+            roots = [rng.randint(-(2**40), 2**40) for _ in range(rng.randint(1, degree))]
+            f = [rng.randint(-(2**200), 2**200) for _ in range(degree - len(roots))]
+            f.append(rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.randint(0, 200)))
+            for r in roots:
+                f = p_mul(f, [-r, 1])
+            n = root_bound(f)
+            assert all(abs(r) <= n for r in roots), (f, roots)
+            assert n <= _cauchy_bound(f)
+            for side in (1, -1):
+                g = [c * side**i for i, c in enumerate(f)]  # f(side * x)
+                if g[-1] < 0:
+                    g = [-c for c in g]
+                cut = positive_cut(g)
+                assert all(p_eval(g, x) > 0 for x in range(cut + 1, cut + 65)), (g, cut)
+
+    def test_small_cases(self):
+        assert root_bound([5]) == 0
+        assert root_bound([0, 0, 0, -5]) == 0
+        assert root_bound([-4, 0, 1]) == 4  # Fujiwara: 2 * sqrt(4)
+        assert root_bound([-100, 1]) == 101  # Fujiwara 200, Cauchy 101
+        with pytest.raises(ValueError):
+            positive_cut([0, -1])
+
+    def test_solver_output_unchanged_under_cauchy_cut(self, monkeypatch):
+        # every window cut and the cubic bisection range go through
+        # root_bound; the looser Cauchy bound must give the same solutions
+        tight = {kind: solve_all(kind, 7).to_json_dict() for kind in Kind}
+        monkeypatch.setattr("lucasaps.smallcase.root_bound", _cauchy_bound)
+        for kind in Kind:
+            assert solve_all(kind, 7).to_json_dict() == tight[kind], kind
 
 
 class TestIntegerRoots:

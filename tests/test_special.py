@@ -4,6 +4,7 @@ import pytest
 
 from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params
 from lucasaps.special import (
+    MultiplicityReport,
     TrinomialShape,
     TrinomialSpec,
     _report_for,
@@ -15,10 +16,18 @@ from lucasaps.special import (
 )
 
 
+class _IndexedReport(MultiplicityReport):
+    def indices_of_abs(self, value: int) -> tuple:
+        """Sorted indices at which the term is value or -value."""
+        idx = set(self.value_to_indices.get(value, ()))
+        idx |= set(self.value_to_indices.get(-value, ()))
+        return tuple(sorted(idx))
+
+
 def multiplicity_with_initials(A, B, x0, x1, window_end):
     """Multiplicity over a window for arbitrary initial values (used to check
     recurrences written in other sign conventions)."""
-    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
+    return _IndexedReport(**vars(_report_for(linear_terms(A, B, x0, x1, window_end + 1))))
 
 
 def from_subtraction_convention(a, b):
@@ -66,6 +75,20 @@ class TestQuadFactors:
                 for b in range(1, a):
                     spec = TrinomialSpec(shape, a, b)
                     assert quad_factors(spec) == _division_oracle(spec), spec
+
+    def test_box_oracle_factors_divide_constant_term(self):
+        # the full |p|, |q| <= 4 box never finds a factor with q not
+        # dividing c_0, which is why quad_factors loops q over divisors of c_0
+        hits = 0
+        for shape in TrinomialShape:
+            for a in range(2, 65):
+                for b in range(1, a):
+                    spec = TrinomialSpec(shape, a, b)
+                    c0 = spec.coefficients()[0]
+                    for p, q in _division_oracle(spec):
+                        assert c0 % q == 0, (spec, p, q)
+                        hits += 1
+        assert hits > 0
 
     def test_exhaustive_negative_discriminant_scan(self):
         # among all X^a + X^b - 2 with a <= 24, the only quadratic factor

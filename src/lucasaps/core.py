@@ -294,8 +294,10 @@ def terms(params: SeqParams, kind: Kind, count: int) -> list:
 def linear_terms(A: int, B: int, x0: int, x1: int, count: int) -> list:
     """Terms of x_{n+2} = A*x_{n+1} + B*x_n from arbitrary initial values."""
     out = [x0, x1]
-    while len(out) < count:
-        out.append(A * out[-1] + B * out[-2])
+    append = out.append
+    for _ in range(count - 2):
+        x0, x1 = x1, A * x1 + B * x0
+        append(x1)
     return out[:count]
 
 

@@ -2,14 +2,21 @@
 
 The negative-discriminant analysis reduces infinite-family detection to
 finding quadratic factors of trinomials X^a - 2X^b + 1, X^a + X^b - 2 and
-2X^a - X^b - 1.  Every root of these has modulus at most 2 (otherwise the
-leading term dominates the other two), so a quadratic factor X^2 + p*X + q
-has |p| <= 4.  The factor is monic, so by Gauss's lemma its cofactor has
+2X^a - X^b - 1.  Let r > 1 be the modulus of a root.  Since a - b >= 1
+and b >= 1, r <= r^(a-b) and r^(-b) <= 1/r, so
+  X^a - 2X^b + 1:  r^(a-b) <= 2 + r^(-b)  gives r^2 - 2r - 1 <= 0, r <= 1 + sqrt(2);
+  X^a + X^b - 2:   r^(a-b) <= 1 + 2r^(-b) gives r^2 - r - 2 <= 0,  r <= 2;
+  2X^a - X^b - 1:  2r^(a-b) <= 1 + r^(-b) < 2 is impossible,        r <= 1.
+A factor X^2 + p*X + q is monic, so by Gauss's lemma its cofactor has
 integer coefficients and q divides the constant term c_0 in {1, -2, -1}:
-q is +-1, or +-2 for X^a + X^b - 2, and the search space is a box of 18 or
-36 candidates.  Each candidate is decided by the remainders of X^n modulo
-it, and every factor found is cross-checked by evaluating the trinomial at
-its roots exactly.
+q is +-1, or +-2 for X^a + X^b - 2.  With R the root bound of the shape,
+|p| <= R + |q|/R when the roots are real and |p| <= 2*sqrt(|q|) when they
+are complex, so |p| <= 2 at q = +-1 and |p| <= 3 at q = +-2, that is
+|p| <= 1 + |q|: a box of 10 candidates, or 24 for X^a + X^b - 2.  A factor
+g divides f in Z[X], so g(m) divides f(m) for every integer m; a candidate
+failing that at some m in {2, 3, -2, -3} with g(m) != 0 is dropped.  Each
+survivor is decided by the remainders of X^n modulo it, and every factor
+found is cross-checked by evaluating the trinomial at its roots exactly.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations: with A(k, s) <= 2^(35*b^3) * d^(6*b^2), b = max(k+1, s) and
@@ -81,15 +88,17 @@ EXPONENT_CAP = 64
 def quad_factors(spec: TrinomialSpec) -> list:
     """All monic quadratic integer factors X^2 + p*X + q of the trinomial.
 
+    The candidates have q | c_0 and |p| <= 1 + |q|, from the proven root
+    moduli in the module docstring (1 + sqrt(2), 2 and 1 for the three
+    shapes).  A monic factor leaves an integer cofactor (Gauss's lemma), so
+    g(m) | f(m) at every integer m; candidates failing that at some
+    m in {2, 3, -2, -3} with g(m) != 0 are skipped before any recurrence.
     With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
     modulo X^2 + p*X + q for n >= 1 (the identity detect_families uses), so
-    a candidate divides c_a*X^a + c_b*X^b + c_0 exactly when both
-    coefficients of the combined remainder vanish.  The candidates have
-    |p| <= 4 (both roots have modulus at most 2) and q | c_0: a monic
-    factor of an integer polynomial has an integer cofactor (Gauss's
-    lemma), whose constant term times q is c_0.  Every hit is cross-checked
-    independently: the trinomial must vanish at both roots of the candidate
-    in exact surd arithmetic.
+    a survivor divides c_a*X^a + c_b*X^b + c_0 exactly when both
+    coefficients of the combined remainder vanish.  Every hit is
+    cross-checked independently: the trinomial must vanish at both roots of
+    the candidate in exact surd arithmetic.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
@@ -98,8 +107,13 @@ def quad_factors(spec: TrinomialSpec) -> list:
     ca, cb, c0 = coeffs[a], coeffs[b], coeffs[0]
     found = []
     qs = [q for q in (-2, -1, 1, 2) if c0 % q == 0]
-    for p in range(-4, 5):
+    points = [(m, ca * m**a + cb * m**b + c0) for m in (2, 3, -2, -3)]
+    for p in range(-3, 4):
         for q in qs:
+            if abs(p) > 1 + abs(q):
+                continue
+            if any((g := m * m + p * m + q) and fm % g for m, fm in points):
+                continue
             u = linear_terms(-p, -q, 0, 1, a + 1)
             if ca * u[a] + cb * u[b] or c0 - q * (ca * u[a - 1] + cb * u[b - 1]):
                 continue

@@ -120,6 +120,20 @@ class TestTerms:
     def test_custom_initials(self):
         assert linear_terms(1, -2, 1, 1, 5) == [1, 1, -1, -3, -1]
 
+    def test_linear_terms_matches_growing_list_oracle(self, rng):
+        def oracle(A, B, x0, x1, count):
+            out = [x0, x1]
+            while len(out) < count:
+                out.append(A * out[-1] + B * out[-2])
+            return out[:count]
+
+        starts = [(0, 0, 0, 0), (0, 1, 0, 1), (1, -2, 1, 1), (-3, 0, 2, -5)]
+        starts += [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(40)]
+        for A, B, x0, x1 in starts:
+            for count in range(-2, 61):
+                args = (A, B, x0, x1, count)
+                assert linear_terms(*args) == oracle(*args), args
+
     def test_terms_is_the_one_recurrence(self):
         for a, b in valid_pairs(6):
             p = new_params(a, b)

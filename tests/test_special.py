@@ -68,25 +68,26 @@ class TestQuadFactors:
             quad_factors(TrinomialSpec(TrinomialShape.UNIT_CONSTANT, 80, 3))
 
     def test_matches_division_oracle(self):
-        # the remainder identity finds exactly the factors long division
-        # finds, for every shape and exponent pair up to 30 and at the cap
-        for shape in TrinomialShape:
-            for a in list(range(2, 31)) + [64]:
-                for b in range(1, a):
-                    spec = TrinomialSpec(shape, a, b)
-                    assert quad_factors(spec) == _division_oracle(spec), spec
-
-    def test_box_oracle_factors_divide_constant_term(self):
-        # the full |p|, |q| <= 4 box never finds a factor with q not
-        # dividing c_0, which is why quad_factors loops q over divisors of c_0
+        # one long-division pass over the full |p|, |q| <= 4 box for every
+        # shape and 1 <= b < a <= 64: quad_factors finds exactly the same
+        # factors in the same order, and every factor lies inside the
+        # pruned box (q | c_0, |p| <= 1 + |q|) and passes the divisibility
+        # test at the integer points
         hits = 0
         for shape in TrinomialShape:
             for a in range(2, 65):
                 for b in range(1, a):
                     spec = TrinomialSpec(shape, a, b)
-                    c0 = spec.coefficients()[0]
-                    for p, q in _division_oracle(spec):
-                        assert c0 % q == 0, (spec, p, q)
+                    oracle = _division_oracle(spec)
+                    assert quad_factors(spec) == oracle, spec
+                    coeffs = spec.coefficients()
+                    for p, q in oracle:
+                        assert coeffs[0] % q == 0, (spec, p, q)
+                        assert abs(p) <= 1 + abs(q), (spec, p, q)
+                        for m in (2, 3, -2, -3):
+                            g = m * m + p * m + q
+                            fm = coeffs[a] * m**a + coeffs[b] * m**b + coeffs[0]
+                            assert g == 0 or fm % g == 0, (spec, p, q, m)
                         hits += 1
         assert hits > 0
 
@@ -106,8 +107,9 @@ class TestQuadFactors:
         assert survivors == {(1, 2)}
 
     def test_root_modulus_bound_empirically(self):
-        # every root of the three shapes has modulus at most 2, which is
-        # what confines the (p, q) search box
+        # the proven root-modulus bounds are 1 + sqrt(2), 2 and 1 for the
+        # three shapes (special module docstring); that every root seen here
+        # has modulus at most 2 is a stronger, empirical observation
         import numpy as np
 
         for shape in TrinomialShape:

@@ -1,5 +1,7 @@
 """Trinomial factors, term multiplicity, and the exact counting bound."""
 
+import functools
+
 import pytest
 
 from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params
@@ -68,27 +70,28 @@ class TestQuadFactors:
             quad_factors(TrinomialSpec(TrinomialShape.UNIT_CONSTANT, 80, 3))
 
     def test_matches_division_oracle(self):
-        # one long-division pass over the full |p|, |q| <= 4 box for every
-        # shape and 1 <= b < a <= 64: quad_factors finds exactly the same
-        # factors in the same order, and every factor lies inside the
-        # pruned box (q | c_0, |p| <= 1 + |q|) and passes the divisibility
-        # test at the integer points
+        # quad_factors finds exactly the factors long division over the full
+        # |p|, |q| <= 4 box finds, in the same order, for every shape and
+        # 1 <= b < a <= 64
+        for spec, oracle in _oracle_table():
+            assert quad_factors(spec) == oracle, spec
+
+    def test_box_oracle_factors_divide_constant_term(self):
+        # the full |p|, |q| <= 4 box never finds a factor outside the pruned
+        # box (q | c_0, |p| <= 1 + |q|) or one failing the divisibility test
+        # at the integer points, which is why quad_factors may skip those
         hits = 0
-        for shape in TrinomialShape:
-            for a in range(2, 65):
-                for b in range(1, a):
-                    spec = TrinomialSpec(shape, a, b)
-                    oracle = _division_oracle(spec)
-                    assert quad_factors(spec) == oracle, spec
-                    coeffs = spec.coefficients()
-                    for p, q in oracle:
-                        assert coeffs[0] % q == 0, (spec, p, q)
-                        assert abs(p) <= 1 + abs(q), (spec, p, q)
-                        for m in (2, 3, -2, -3):
-                            g = m * m + p * m + q
-                            fm = coeffs[a] * m**a + coeffs[b] * m**b + coeffs[0]
-                            assert g == 0 or fm % g == 0, (spec, p, q, m)
-                        hits += 1
+        for spec, oracle in _oracle_table():
+            coeffs = spec.coefficients()
+            a, b = spec.a, spec.b
+            for p, q in oracle:
+                assert coeffs[0] % q == 0, (spec, p, q)
+                assert abs(p) <= 1 + abs(q), (spec, p, q)
+                for m in (2, 3, -2, -3):
+                    g = m * m + p * m + q
+                    fm = coeffs[a] * m**a + coeffs[b] * m**b + coeffs[0]
+                    assert g == 0 or fm % g == 0, (spec, p, q, m)
+                hits += 1
         assert hits > 0
 
     def test_exhaustive_negative_discriminant_scan(self):
@@ -214,6 +217,19 @@ def _divide_out_quadratic(coeffs: list, p: int, q: int):
     if work[0] or work[1]:
         return None
     return quot
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_table():
+    """(spec, long-division factors) for every shape and 1 <= b < a <= 64,
+    computed once and shared by the oracle tests."""
+    return tuple(
+        (spec, _division_oracle(spec))
+        for shape in TrinomialShape
+        for a in range(2, 65)
+        for b in range(1, a)
+        for spec in (TrinomialSpec(shape, a, b),)
+    )
 
 
 def _division_oracle(spec):

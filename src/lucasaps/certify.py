@@ -390,65 +390,47 @@ class EnumerationResult:
     evidence: tuple = ()
 
 
-class _GapEngine:
-    def __init__(self, params: SeqParams, kind: Kind, cfg: EngineConfig):
-        self.params = params
-        self.kind = kind
-        self.cfg = cfg
-        self.eps = 1 if kind is Kind.FIRST else -1
-        self.solutions: set = set()
-        self.families: list = []
-        self.evidence: list = []
-        self.problems: list = []
-        self.top_bounds: list = []
+def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
+    """Run the gap patterns of every -2 placement; returns (evidence, problems).
 
-    def run(self):
-        for placement in (0, 1, 2):
-            pat = GapPattern(placement, self.eps, Gap(False, 1), Gap(False, 1))
-            self._analyze(pat)
+    Each evidence node holds its cell's canonical solution triples,
+    families and top bound; problems lists every guard that tripped.
+    """
+    evidence, problems = [], []
 
-    def _analyze(self, pat: GapPattern):
+    def record(pat: GapPattern, res: PatternAnalysis):
+        if res.status == "inconclusive":
+            problems.append(f"{pat.describe()}: {res.note}")
+        sols = res.solutions
+        if res.status == "bounded":
+            sols = _cell_solutions(pat, params, kind, res.top_bound)
+        triples = tuple(_exponents_to_triple(*s, pat.minus_two_at) for s in sols)
+        evidence.append(PatternEvidence(
+            pat, res.status, res.margin, res.top_bound, triples, res.families, res.note
+        ))
+
+    def analyze(pat: GapPattern):
         # each recursion fixes one more gap and a pattern with both gaps
         # fixed never asks for a split, so the recursion is at most 2 deep
-        res = pattern_bound(pat, self.params, self.kind)
+        res = pattern_bound(pat, params, kind)
         if res.status != "fix_next_gap":
-            self._handle(pat, res)
+            record(pat, res)
             return
         which = "g1" if not pat.g1.fixed else "g2"
         lb = getattr(pat, which).value
-        for v in range(lb, self.cfg.gap_cap + 1):
-            self._analyze(replace(pat, **{which: Gap(True, v)}))
+        for v in range(lb, gap_cap + 1):
+            analyze(replace(pat, **{which: Gap(True, v)}))
             raised = replace(pat, **{which: Gap(False, v + 1)})
-            res2 = pattern_bound(raised, self.params, self.kind)
+            res2 = pattern_bound(raised, params, kind)
             if res2.status != "fix_next_gap":
-                self._handle(raised, res2)
+                record(raised, res2)
                 return
-        self.problems.append(f"gap cap exhausted at {pat.describe()}")
+        problems.append(f"gap cap exhausted at {pat.describe()}")
 
-    def _handle(self, pat: GapPattern, res: PatternAnalysis):
-        if res.status == "inconclusive":
-            self.problems.append(f"{pat.describe()}: {res.note}")
-            self.evidence.append(PatternEvidence(pat, "inconclusive", res.margin, note=res.note))
-            return
-        sols = res.solutions
-        if res.status == "bounded":
-            sols = _cell_solutions(pat, self.params, self.kind, res.top_bound)
-            self.top_bounds.append(res.top_bound)
-        for n1, n2, n3 in sols:
-            self.solutions.add(_exponents_to_triple(n1, n2, n3, pat.minus_two_at))
-        if res.families:
-            self.families.extend(res.families)
-        self.evidence.append(
-            PatternEvidence(
-                pat,
-                res.status,
-                res.margin,
-                res.top_bound,
-                tuple(_exponents_to_triple(*s, pat.minus_two_at) for s in sols),
-                res.families,
-                res.note,
-            )
-        )
+    eps = 1 if kind is Kind.FIRST else -1
+    for placement in (0, 1, 2):
+        analyze(GapPattern(placement, eps, Gap(False, 1), Gap(False, 1)))
+    return tuple(evidence), problems
 
 
 def certified_enumerate(
@@ -476,35 +458,34 @@ def certified_enumerate(
         )
         return EnumerationResult("complete", aps, (), cert)
 
-    engine = _GapEngine(params, kind, cfg)
-    engine.run()
-    evidence = tuple(engine.evidence)
-    if engine.problems:
+    evidence, problems = _gap_engine(params, kind, cfg.gap_cap)
+    if problems:
         return EnumerationResult(
-            "inconclusive", diagnostics=tuple(engine.problems), evidence=evidence
+            "inconclusive", diagnostics=tuple(problems), evidence=evidence
         )
 
-    # engine solutions are canonical index triples (k < m), each listed once
-    ts = terms(params, kind, max(map(max, engine.solutions), default=-1) + 1)
+    # evidence solutions are canonical index triples (k < m)
+    solutions = {s for e in evidence for s in e.solutions}
+    ts = terms(params, kind, max(map(max, solutions), default=-1) + 1)
     sporadic = [
         APTriple(k, l, m, (ts[k], ts[l], ts[m]))
-        for k, l, m in sorted(engine.solutions, key=lambda s: (max(s), s))
+        for k, l, m in sorted(solutions, key=lambda s: (max(s), s))
         if is_ap(ts[k], ts[l], ts[m])
     ]
 
-    if engine.families:
-        fams = sorted(
-            {f.normalized() for f in engine.families},
-            key=lambda f: (f.l_form, f.k_form, f.m_form),
-        )
+    fams = sorted(
+        {f.normalized() for e in evidence for f in e.families},
+        key=lambda f: (f.l_form, f.k_form, f.m_form),
+    )
+    if fams:
         return EnumerationResult(
             "has_families", tuple(sporadic), tuple(fams), None, (), evidence
         )
 
     n0 = max(
         [2]
-        + engine.top_bounds
-        + [max(s) for s in engine.solutions]
+        + [e.top_bound for e in evidence if e.top_bound is not None]
+        + [max(s) for s in solutions]
     )
     aps = tuple(find_aps(params, kind, n0))
     if {t.indices for t in aps} != {t.indices for t in sporadic}:

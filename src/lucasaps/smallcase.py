@@ -16,7 +16,9 @@ then solved exactly in B at each a of the window.  The closures:
              and B splits into two degree-1 branches, or it is trapped
              strictly between two consecutive squares for |A| beyond an
              explicit cutoff and the window is the A below the cutoff at
-             which Delta is a square.
+             which Delta is a square.  Delta(-A) has the same degree and
+             leading coefficient, so one polynomial square root serves
+             both sides and the squeeze exists on both or on neither.
 
 Two further elementary closures handle the equations whose discriminant
 has a non-square leading coefficient, and the cubic B-degrees at the
@@ -24,9 +26,10 @@ largest indices:
 
   constant trick    when E(0, B) is a nonzero constant c, any solution has
                     A | c, because E(A, B) - E(0, B) is divisible by A.
-  root location     under the dominant filter, substituting C = A^2 + 4B
-                    gives a polynomial in C whose roots are provably < 1
-                    for |A| beyond an explicit cutoff, so C >= 1 only
+  root location     under the dominant filter, the one substitution
+                    B = (x + 1 - A^2)/4, i.e. C = A^2 + 4B = 1 + x, gives
+                    a polynomial in x with no root x >= 0 for |A| beyond
+                    an explicit cutoff on either side, so C >= 1 only
                     happens in a finite window.
 
 With the dominant filter the solver is complete for every equation
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .core import EngineMismatchError, Kind, degeneracy_order
 
@@ -239,13 +242,6 @@ def poly_terms(kind: Kind, count: int) -> list:
     return seq[:count]
 
 
-def poly_term(kind: Kind, n: int) -> tuple:
-    """The n-th term as an exact polynomial in (A, B)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return poly_terms(kind, n + 1)[n]
-
-
 @dataclass(frozen=True)
 class CaseEquation:
     """One equation E(A, B) = 0 for a sorted index triple k < l < m.
@@ -257,7 +253,7 @@ class CaseEquation:
     kind: Kind
     triple: tuple
     variant: int
-    poly: tuple  # B-coefficients of E, as poly_term returns
+    poly: tuple  # B-coefficients of E, as poly_terms returns them
 
     def ap_roles(self) -> tuple:
         """Canonical progression-index triple (outer, doubled, outer)."""
@@ -522,15 +518,16 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
     if not residues:
         report.branches.append({"b": label, "outcome": "rejected: never an integer"})
         return set(), []
-    for kk in (1, 2, 3, 4):
-        if not p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)):
-            report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
-            return set(), []
+    # t * (A^2 + k*B) for k = 1..4: degenerate pairs lie on their roots
+    degenerate = [p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)) for kk in (1, 2, 3, 4)]
+    if not all(degenerate):
+        report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
+        return set(), []
     exclusions = set(integer_roots(wn)) | {0}
-    for kk in (1, 2, 3, 4):
-        exclusions.update(integer_roots(p_add(p_scale([0, 0, 1], t), p_scale(wn, kk))))
+    for f in degenerate:
+        exclusions.update(integer_roots(f))
     if filt.dominant:
-        dnum = p_add(p_scale([0, 0, 1], t), p_scale(wn, 4))  # t * (A^2 + 4B)
+        dnum = degenerate[3]  # t * (A^2 + 4B)
         # a finite admissible window needs even degree: an odd-degree
         # discriminant polynomial is positive toward one infinity
         if dnum and dnum[-1] < 0 and p_deg(dnum) % 2 == 0:
@@ -598,22 +595,17 @@ def _substitute_side(poly, side):
 SQUEEZE_WIDEN = 6
 
 
-def _squeeze_side(delta, side, report):
-    """Exhaustion cutoff for one sign side of A, or None.
+def _squeeze_side(delta, G, t, side, report):
+    """Exhaustion cutoff for one sign side of A.
 
-    Beyond the cutoff, delta(side * x) lies strictly between the squares of
-    two consecutive integers, hence is never a perfect square.  Returns None
-    when this side has no squeeze (odd degree, or a leading coefficient that
-    is not a positive square); the caller falls back to other closures.
+    G/t is the polynomial root of delta (_poly_sqrt, denominators cleared)
+    and not exact.  delta(-x) has the same degree and leading coefficient,
+    and its root is (-1)^h * G(-x)/t with h = deg G.  Beyond the cutoff,
+    delta(side * x) lies strictly between the squares of two consecutive
+    integers, hence is never a perfect square.
     """
-    ds = _substitute_side(delta, side)
-    if not ds:
-        raise SqueezeUnresolvedError("identically zero discriminant reached the squeeze")
-    q = _poly_sqrt(ds)
-    if q is None:
-        return None
-    G, t = _frac_to_int(q)
-    P = p_scale(ds, t * t)
+    G = _substitute_side(p_scale(G, side ** p_deg(G)), side)
+    P = p_scale(_substitute_side(delta, side), t * t)
     if P == p_mul(G, G):
         raise EngineMismatchError("exact square escaped the square branch")
     # t^2 * delta is squeezed between (G+j)^2 and (G+j+1)^2 once both
@@ -637,53 +629,43 @@ def _squeeze_side(delta, side, report):
     raise SqueezeUnresolvedError("no bounding square pair within the widening limit")
 
 
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+def _root_location(bcs, report):
+    """Dominant-filter cutoffs {side: cut} from the C = A^2 + 4B substitution.
 
-
-def _root_location_side(bcs, side, report):
-    """Dominant-filter cutoff from the C = A^2 + 4B substitution.
-
-    With B = (C - A^2)/4, 4^d * E becomes a C-polynomial P whose value
-    region C >= 1 must be root-free for large |A|: writing
-    Q(x) = P(1 + x), it suffices that every coefficient of s * Q (s the
-    eventual sign of the leading C-coefficient on this side) is eventually
-    positive.  The root bound of each coefficient (root_bound, the lesser
-    of the Cauchy and Fujiwara bounds) turns "eventually" into an explicit
-    cutoff; below it the caller exhausts.  A coefficient that is zero
-    (C = 1 solves the equation for every A when it is the constant one) or
-    eventually negative leaves the proof open.  No case equation does that under the
+    The dominant domain is C >= 1.  Substituting B = (x + 1 - A^2)/4 turns
+    4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain.
+    It suffices that on a side of A every x-coefficient of s * P(1 + x) (s
+    the eventual sign of e_d there) is eventually positive; the root bound of
+    each coefficient (root_bound) makes "eventually" an explicit cutoff, and
+    below it the caller exhausts.  A coefficient that is zero (C = 1 solves
+    the equation for every A when it is the constant one) or eventually
+    negative leaves the proof open.  No case equation does that under the
     dominant filter, so it raises EngineMismatchError.
     """
     d = len(bcs) - 1
-    coef_c = [[] for _ in range(d + 1)]
+    q = [[] for _ in bcs]
     for j, ej in enumerate(bcs):
-        scaled = p_scale(ej, 4 ** (d - j))
-        for i in range(j + 1):
-            # (C - A^2)^j contributes binom(j, i) * (-A^2)^(j-i) to C^i
-            piece = p_scale(scaled, _binomial(j, i) * (-1) ** (j - i))
-            for _ in range(j - i):
-                piece = p_mul(piece, [0, 0, 1])
-            coef_c[i] = p_add(coef_c[i], piece)
-    s = 1 if _substitute_side(coef_c[d], side)[-1] > 0 else -1  # coef_c[d] = e_d
-    cut = 0
-    for r in range(d + 1):
-        q = []
-        for i in range(r, d + 1):
-            q = p_add(q, p_scale(coef_c[i], _binomial(i, r)))
-        qs = _substitute_side(p_scale(q, s), side)
-        if not qs or qs[-1] <= 0:
-            raise EngineMismatchError(
-                f"root location fails on side {side}: coefficient {r} of P(1 + x) is {p_str(q)}"
-            )
-        cut = max(cut, positive_cut(qs))
-    report.squeeze.append(
-        {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
-    )
-    return cut
+        # (x + 1 - A^2)^j puts comb(j, r) * (1 - A^2)^(j-r) on x^r
+        piece = p_scale(ej, 4 ** (d - j))
+        for r in range(j, -1, -1):
+            q[r] = p_add(q[r], p_scale(piece, comb(j, r)))
+            piece = p_mul(piece, [1, 0, -1])
+    cuts = {}
+    for side in (1, -1):
+        s = 1 if _substitute_side(bcs[d], side)[-1] > 0 else -1
+        cut = 0
+        for r, qr in enumerate(q):
+            qs = _substitute_side(p_scale(qr, s), side)
+            if not qs or qs[-1] <= 0:
+                raise EngineMismatchError(
+                    f"root location fails on side {side}: coefficient {r} of P(1 + x) is {p_str(qr)}"
+                )
+            cut = max(cut, positive_cut(qs))
+        report.squeeze.append(
+            {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
+        )
+        cuts[side] = cut
+    return cuts
 
 
 def _bisect_int_roots(f, lo, hi):
@@ -821,6 +803,8 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
         e2, e1, e0 = bcs[2], bcs[1], bcs[0]
         delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
         report.delta = tuple(delta)
+        if not delta:
+            raise SqueezeUnresolvedError("identically zero discriminant reached the squeeze")
         q = _poly_sqrt(delta)
         if q is not None:
             G, t = _frac_to_int(q)
@@ -836,13 +820,11 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
                     cands.update(cs)
                 report.candidates = tuple(sorted(cands))
                 return window, curves
-        cuts = {}
-        for side in (1, -1):
-            cuts[side] = _squeeze_side(delta, side, report)
-            if cuts[side] is None and filt.dominant:
-                report.strategy = "quadratic_in_b_root_location"
-                cuts[side] = _root_location_side(bcs, side, report)
-        if None in cuts.values():
+            cuts = {side: _squeeze_side(delta, G, t, side, report) for side in (1, -1)}
+        elif filt.dominant:
+            report.strategy = "quadratic_in_b_root_location"
+            cuts = _root_location(bcs, report)
+        else:
             trick = _constant_trick(bcs, report)
             if trick is None:
                 raise SqueezeUnresolvedError(
@@ -868,7 +850,7 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
             "outside the squeeze, root-location and constant-trick toolbox"
         )
     report.strategy += "_root_location"
-    cuts = {side: _root_location_side(bcs, side, report) for side in (1, -1)}
+    cuts = _root_location(bcs, report)
     return set(range(-cuts[-1], cuts[1] + 1)), []
 
 

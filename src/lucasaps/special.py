@@ -1,4 +1,4 @@
-"""Trinomial factor classification, term multiplicity, and the counting bound.
+"""Trinomial factor classification and the counting bound.
 
 The negative-discriminant analysis reduces infinite-family detection to
 finding quadratic factors of trinomials X^a - 2X^b + 1, X^a + X^b - 2 and
@@ -31,14 +31,11 @@ from enum import Enum
 from .core import (
     DegenerateError,
     EngineMismatchError,
-    Kind,
-    SeqParams,
     Surd,
     ZeroCoefficientError,
     linear_terms,
     new_params,
     roots_of,
-    terms,
 )
 
 
@@ -147,28 +144,6 @@ def companion_candidates_complex() -> list:
             if params not in out:
                 out.append(params)
     return sorted(out, key=lambda s: (s.A, s.B))
-
-
-@dataclass
-class MultiplicityReport:
-    window_end: int
-    value_to_indices: dict
-    max_multiplicity: int
-    witnesses: tuple
-
-
-def _report_for(values: list) -> MultiplicityReport:
-    where = {}
-    for i, v in enumerate(values):
-        where.setdefault(v, []).append(i)
-    best = max(len(ix) for ix in where.values())
-    witnesses = tuple(sorted(v for v, ix in where.items() if len(ix) == best))
-    return MultiplicityReport(len(values) - 1, {v: tuple(ix) for v, ix in where.items()}, best, witnesses)
-
-
-def multiplicity(params: SeqParams, kind: Kind, window_end: int) -> MultiplicityReport:
-    """Exact value -> indices map over indices 0..window_end."""
-    return _report_for(terms(params, kind, window_end + 1))
 
 
 @dataclass(frozen=True)

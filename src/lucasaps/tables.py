@@ -52,11 +52,6 @@ class TableEntry:
     def is_b_row(self) -> bool:
         return self.b is None
 
-    def describe_pair(self) -> str:
-        if self.is_b_row:
-            return f"({self.a}, B), B>={self.b_min}"
-        return f"({self.a}, {self.b})"
-
     def all_triples(self) -> tuple:
         return self.triples + tuple(t for t, _ in self.completions)
 

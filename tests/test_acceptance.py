@@ -14,6 +14,7 @@ the value -1, so x attains -1 four times.
 """
 
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -39,11 +40,19 @@ from lucasaps.core import (
     terms,
 )
 from lucasaps.smallcase import CaseEquation, _variant_poly, solve_all, solve_case
-from lucasaps.special import MultiplicityReport, _report_for, multiplicity, sunit_constant
+from lucasaps.special import sunit_constant
 from lucasaps.tables import verify_tables
 
 
-class _IndexedReport(MultiplicityReport):
+@dataclass
+class MultiplicityReport:
+    """Exact value -> indices map over a term window."""
+
+    window_end: int
+    value_to_indices: dict
+    max_multiplicity: int
+    witnesses: tuple
+
     def indices_of_abs(self, value: int) -> tuple:
         """Sorted indices at which the term is value or -value."""
         idx = set(self.value_to_indices.get(value, ()))
@@ -51,10 +60,24 @@ class _IndexedReport(MultiplicityReport):
         return tuple(sorted(idx))
 
 
+def _report_for(values: list) -> MultiplicityReport:
+    where = {}
+    for i, v in enumerate(values):
+        where.setdefault(v, []).append(i)
+    best = max(len(ix) for ix in where.values())
+    witnesses = tuple(sorted(v for v, ix in where.items() if len(ix) == best))
+    return MultiplicityReport(len(values) - 1, {v: tuple(ix) for v, ix in where.items()}, best, witnesses)
+
+
+def multiplicity(params, kind, window_end):
+    """Exact value -> indices map over indices 0..window_end."""
+    return _report_for(terms(params, kind, window_end + 1))
+
+
 def multiplicity_with_initials(A, B, x0, x1, window_end):
     """Multiplicity over a window for arbitrary initial values (used to check
     recurrences written in other sign conventions)."""
-    return _IndexedReport(**vars(_report_for(linear_terms(A, B, x0, x1, window_end + 1))))
+    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
 
 
 def from_subtraction_convention(a, b):

@@ -178,6 +178,22 @@ class TestCertifiedEnumerate:
         assert r.status == "inconclusive"
         assert any("gap cap" in d for d in r.diagnostics)
 
+    def test_exhausted_gap_cap_keeps_every_analyzed_node(self):
+        # with cap 1 the middle placement runs out twice, once per free gap;
+        # the evidence still lists every node analyzed, in recursion order
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST, EngineConfig(gap_cap=1))
+        assert r.status == "inconclusive"
+        assert r.diagnostics == (
+            "gap cap exhausted at -2@n2 g1=1 g2>=1",
+            "gap cap exhausted at -2@n2 g1>=1 g2>=1",
+        )
+        assert [(e.pattern.describe(), e.outcome) for e in r.evidence] == [
+            ("-2@n1 g1>=1 g2>=1", "bounded"),
+            ("-2@n2 g1=1 g2=1", "resolved"),
+            ("-2@n3 g1=1 g2>=1", "bounded"),
+            ("-2@n3 g1>=2 g2>=1", "bounded"),
+        ]
+
     def test_every_exception_pair_resolves(self):
         # the finite exception lists of the ratio criterion, in full
         def exception_pairs(kind):

@@ -16,7 +16,7 @@ from lucasaps.smallcase import (
     SqueezeUnresolvedError,
     _frac_divmod,
     _frac_to_int,
-    _root_location_side,
+    _root_location,
     _variant_poly,
     b_add,
     b_eval,
@@ -31,12 +31,17 @@ from lucasaps.smallcase import (
     p_mul,
     p_str,
     p_sub,
-    poly_term,
+    poly_terms,
     positive_cut,
     root_bound,
     solve_all,
     solve_case,
 )
+
+
+def poly_term(kind, n):
+    """The n-th term as an exact polynomial in (A, B)."""
+    return poly_terms(kind, n + 1)[n]
 
 
 class TestPolyTerm:
@@ -133,15 +138,34 @@ class TestWorkedEquations:
         assert [(c.num, c.den, c.residues) for c in sol.curves] == [((0, 1, -1), 1, (0,))]
         assert not sol.sporadics and not sol.b_families
 
+    def test_squeeze_root_on_each_side(self):
+        # Delta(-x) has the root (-1)^3 * G(-x) for G = 2A^3 + 2, so side -1
+        # squeezes around 2A^3 - 2
+        eq = CaseEquation(Kind.FIRST, (1, 3, 6), 1, _variant_poly(Kind.FIRST, 1, 3, 6, 1))
+        sol = solve_case(eq)
+        assert sol.report.squeeze == [
+            {"side": 1, "cut": 4, "shift": -1, "squareRoot": "2*A^3+2"},
+            {"side": -1, "cut": 4, "shift": 0, "squareRoot": "2*A^3-2"},
+        ]
+
     def test_root_location_failure_raises(self):
         # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives
-        # P(1 + x) = 1 + x - A^2, whose constant is eventually negative
+        # P(1 + x) = 4 + 4x - 4A^2, whose constant is eventually negative
         report = EquationReport((0, 1, 2), 1, 1, "")
         for bcs in (((-1, 0, 1), (4,)), ((), (4,))):
-            for side in (1, -1):
-                with pytest.raises(EngineMismatchError, match="root location fails"):
-                    _root_location_side(bcs, side, report)
+            with pytest.raises(EngineMismatchError, match="root location fails on side 1"):
+                _root_location(bcs, report)
         assert not report.squeeze
+        # E = A^3 + B gives P(1 + x) = x + 4A^3 - A^2 + 1: positive for
+        # A > 2, eventually negative for A < 0
+        with pytest.raises(EngineMismatchError) as failure:
+            _root_location(((0, 0, 0, 1), (1,)), report)
+        assert str(failure.value) == (
+            "root location fails on side -1: coefficient 0 of P(1 + x) is 4*A^3-A^2+1"
+        )
+        assert report.squeeze == [
+            {"side": 1, "cut": 2, "why": "discriminant-variable roots below 1"}
+        ]
 
     def test_divisor_sweep_completeness(self):
         # every |a| <= 10^4 satisfying the divisibility is in the candidate set

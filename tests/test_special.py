@@ -1,24 +1,30 @@
 """Trinomial factors, term multiplicity, and the exact counting bound."""
 
 import functools
+from dataclasses import dataclass
 
 import pytest
 
-from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params
+from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params, terms
 from lucasaps.special import (
-    MultiplicityReport,
     TrinomialShape,
     TrinomialSpec,
-    _report_for,
     companion_candidates_complex,
-    multiplicity,
     quad_factors,
     sunit_constant,
     unit_equation_solution_bound,
 )
 
 
-class _IndexedReport(MultiplicityReport):
+@dataclass
+class MultiplicityReport:
+    """Exact value -> indices map over a term window."""
+
+    window_end: int
+    value_to_indices: dict
+    max_multiplicity: int
+    witnesses: tuple
+
     def indices_of_abs(self, value: int) -> tuple:
         """Sorted indices at which the term is value or -value."""
         idx = set(self.value_to_indices.get(value, ()))
@@ -26,10 +32,24 @@ class _IndexedReport(MultiplicityReport):
         return tuple(sorted(idx))
 
 
+def _report_for(values: list) -> MultiplicityReport:
+    where = {}
+    for i, v in enumerate(values):
+        where.setdefault(v, []).append(i)
+    best = max(len(ix) for ix in where.values())
+    witnesses = tuple(sorted(v for v, ix in where.items() if len(ix) == best))
+    return MultiplicityReport(len(values) - 1, {v: tuple(ix) for v, ix in where.items()}, best, witnesses)
+
+
+def multiplicity(params, kind, window_end):
+    """Exact value -> indices map over indices 0..window_end."""
+    return _report_for(terms(params, kind, window_end + 1))
+
+
 def multiplicity_with_initials(A, B, x0, x1, window_end):
     """Multiplicity over a window for arbitrary initial values (used to check
     recurrences written in other sign conventions)."""
-    return _IndexedReport(**vars(_report_for(linear_terms(A, B, x0, x1, window_end + 1))))
+    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
 
 
 def from_subtraction_convention(a, b):

@@ -25,7 +25,6 @@ from .core import (
     DegenerateError,
     EngineMismatchError,
     Kind,
-    ZeroCoefficientError,
     classify,
     degeneracy_order,
     new_params,
@@ -416,9 +415,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ZeroCoefficientError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateError as exc:
         print(

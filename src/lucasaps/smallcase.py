@@ -7,18 +7,19 @@ every solution off a curve family has A in a finite window; E(a, B) = 0 is
 then solved exactly in B at each a of the window.  The closures:
 
   degree 0   the integer roots of E in A (at a root B is free).
-  degree 1   B = -e0(A)/e1(A); the divisibility e1(A) | e0(A) either holds
-             identically (a curve B = w(A)) or, e1 being linear, pins A to
-             the divisors of the resultant of e1 and e0.  The roots of e1
-             join the window.
+  degree 1   B = -e0(A)/e1(A), e1 constant or linear.  A constant divides
+             e0 over Q; for a linear e1 the resultant of e1 and e0 decides:
+             at zero, synthetic division gives the curve B = w(A), else A is
+             pinned to its divisors.  The roots of e1 join the window.
   degree 2   B is integral only when Delta(A) = e1^2 - 4 e2 e0 is a perfect
-             square.  Either Delta completes to an exact polynomial square
-             and B splits into two degree-1 branches, or it is trapped
-             strictly between two consecutive squares for |A| beyond an
-             explicit cutoff and the window is the A below the cutoff at
-             which Delta is a square.  Delta(-A) has the same degree and
-             leading coefficient, so one polynomial square root serves
-             both sides and the squeeze exists on both or on neither.
+             square.  With G/t the polynomial root of Delta, either R =
+             t^2 Delta - G^2 is zero and B splits into two degree-1 branches,
+             or t^2 Delta lies strictly between (G + j)^2 and (G + j + 1)^2
+             beyond a cutoff on each side of A, j = 0 if R is eventually
+             positive there and j = -1 if not; the window is the A below
+             the cutoff at which Delta is a square.  Delta(-A) has the same
+             degree and leading coefficient, so the squeeze exists on both
+             sides or on neither.
 
 Two further elementary closures handle the equations whose discriminant
 has a non-square leading coefficient, and the cubic B-degrees at the
@@ -157,30 +158,6 @@ def positive_cut(f) -> int:
     return root_bound(f)
 
 
-def _frac_divmod(num, den):
-    """Polynomial division over Q; den must be nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    r = num[:]
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(den):
-            break
-        c = r[-1] / den[-1]
-        k = len(r) - len(den)
-        q[k] = c
-        for i, d in enumerate(den):
-            r[i + k] -= c * d
-        r.pop()
-    return q, r
-
-
 def _frac_to_int(poly):
     """Clear denominators: returns (int_poly, t) with int_poly = t * poly."""
     if not poly:
@@ -307,12 +284,8 @@ class DomainFilter:
     def b_condition(self, A: int):
         """(b_min, exclusions) for B free at fixed A; b_min None if unbounded."""
         if self.dominant:
-            b_min = -(A * A) // 4 + 1  # least integer B with A^2 + 4B > 0
-            excl = (0,) if b_min <= 0 else ()
-            while b_min in excl:
-                b_min += 1
-            excl = tuple(e for e in excl if e > b_min)
-            return b_min, excl
+            b_min = -(A * A) // 4 + 1 or 1  # least nonzero B with A^2 + 4B > 0
+            return b_min, (0,) if b_min < 0 else ()
         excl = {0}
         for kk in (1, 2, 3, 4):
             if (A * A) % kk == 0:
@@ -469,28 +442,37 @@ class DivisibilityOutcome:
 def divisibility_candidates(den, num) -> DivisibilityOutcome:
     """Complete candidate analysis for den(A) | num(A) at integers.
 
-    When den divides num over Q the quotient settles every A.  Otherwise den
-    must be linear, c1*A + c0 (every case equation yields such a denominator;
-    a higher degree raises SqueezeUnresolvedError).  Then den(a) divides the
-    resultant Res(den, num) = sum(n_i * (-c0)^i * c1^(d-i)) = c1^d * num(-c0/c1),
-    which is nonzero because den does not divide num, so |den(a)| runs over
-    the divisors of content(num) * Res(den, num).  When den has no constant
-    term but num does, a | num(0) is sharper; both candidate sets are
-    complete so they are intersected.  Callers re-verify every candidate, so
-    returning a superset is safe.
+    Every case equation yields a constant or linear denominator; a higher
+    degree raises SqueezeUnresolvedError.  A constant divides num over Q.
+    For den = c1*A + c0 the resultant Res(den, num) = sum(n_i * (-c0)^i *
+    c1^(d-i)) = c1^d * num(-c0/c1) decides: when it is zero den divides num
+    over Q and synthetic division at -c0/c1 gives the quotient, which
+    settles every A.  Otherwise den(a) divides it, so |den(a)| runs over the
+    divisors of content(num) * Res(den, num).  When den has no constant term
+    but num does, a | num(0) is sharper; both candidate sets are complete so
+    they are intersected.  Callers re-verify every candidate, so returning a
+    superset is safe.
     """
-    quotient, rem = _frac_divmod(num, den)
-    if not any(rem):
-        return DivisibilityOutcome(quotient)
+    den = _trim(list(den))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p_deg(den) == 0:
+        return DivisibilityOutcome([Fraction(c, den[0]) for c in num])
     if p_deg(den) != 1:
         raise SqueezeUnresolvedError(
             f"denominator {p_str(den)} has degree {p_deg(den)}; only linear ones are resolved"
         )
     c0, c1 = den
     d = p_deg(num)
-    bound = p_content(num) * sum(n * (-c0) ** i * c1 ** (d - i) for i, n in enumerate(num))
+    res = sum(n * (-c0) ** i * c1 ** (d - i) for i, n in enumerate(num))
+    if res == 0:
+        root, acc, quotient = Fraction(-c0, c1), Fraction(0), []
+        for n in reversed(num[1:]):
+            acc = acc * root + n
+            quotient.append(acc / c1)
+        return DivisibilityOutcome(quotient[::-1])
     cands = set()
-    for div in divisors(bound):
+    for div in divisors(p_content(num) * res):
         for target in (div, -div):
             cands.update(integer_roots(p_sub(den, [target])))
     if c0 == 0 and num[0] != 0:
@@ -591,42 +573,28 @@ def _substitute_side(poly, side):
     return _trim([c * (side ** i) for i, c in enumerate(poly)])
 
 
-# Shifts j tried for the bounding squares (G+j)^2 < t^2*Delta < (G+j+1)^2.
-SQUEEZE_WIDEN = 6
-
-
-def _squeeze_side(delta, G, t, side, report):
+def _squeeze_side(R, G, t, side, report):
     """Exhaustion cutoff for one sign side of A.
 
-    G/t is the polynomial root of delta (_poly_sqrt, denominators cleared)
-    and not exact.  delta(-x) has the same degree and leading coefficient,
-    and its root is (-1)^h * G(-x)/t with h = deg G.  Beyond the cutoff,
-    delta(side * x) lies strictly between the squares of two consecutive
-    integers, hence is never a perfect square.
+    G/t is the polynomial root of delta (_poly_sqrt, denominators cleared),
+    R = t^2 * delta - G^2 is nonzero and deg R < deg G = h >= 1.  On the
+    side, delta(side * x) has root side^h * G(side * x)/t and t^2 * delta
+    lies strictly between (G + j)^2 and (G + j + 1)^2 once both differences
+    and G + j are positive.  As lc(G) > 0 and deg R < h, only j = 0 (for
+    lc(R) > 0) or j = -1 (for lc(R) < 0) makes both leading coefficients
+    positive.  Beyond the cutoff delta(side * x) is never a perfect square.
     """
     G = _substitute_side(p_scale(G, side ** p_deg(G)), side)
-    P = p_scale(_substitute_side(delta, side), t * t)
-    if P == p_mul(G, G):
-        raise EngineMismatchError("exact square escaped the square branch")
-    # t^2 * delta is squeezed between (G+j)^2 and (G+j+1)^2 once both
-    # difference polynomials and G+j are positive; scaling by t^2 preserves
-    # being a perfect square in both directions.
-    for j in range(-SQUEEZE_WIDEN, SQUEEZE_WIDEN + 1):
-        low = p_sub(P, p_mul(p_add(G, [j]), p_add(G, [j])))
-        high = p_sub(p_mul(p_add(G, [j + 1]), p_add(G, [j + 1])), P)
-        if not low or not high or low[-1] <= 0 or high[-1] <= 0:
-            continue
-        cut = max(
-            positive_cut(low),
-            positive_cut(high),
-            positive_cut(p_add(G, [j])) if p_deg(p_add(G, [j])) >= 1 else 0,
-        )
-        report.squeeze.append(
-            {"side": side, "cut": cut, "shift": j,
-             "squareRoot": p_str(G) + (f"/{t}" if t > 1 else "")}
-        )
-        return cut
-    raise SqueezeUnresolvedError("no bounding square pair within the widening limit")
+    R = _substitute_side(R, side)
+    j = 0 if R[-1] > 0 else -1
+    low = p_sub(R, p_add(p_scale(G, 2 * j), [j * j]))
+    high = p_sub(p_add(p_scale(G, 2 * (j + 1)), [(j + 1) ** 2]), R)
+    cut = max(positive_cut(low), positive_cut(high), positive_cut(p_add(G, [j])))
+    report.squeeze.append(
+        {"side": side, "cut": cut, "shift": j,
+         "squareRoot": p_str(G) + (f"/{t}" if t > 1 else "")}
+    )
+    return cut
 
 
 def _root_location(bcs, report):
@@ -808,7 +776,8 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
         q = _poly_sqrt(delta)
         if q is not None:
             G, t = _frac_to_int(q)
-            if not p_sub(p_scale(delta, t * t), p_mul(G, G)):
+            R = p_sub(p_scale(delta, t * t), p_mul(G, G))
+            if not R:
                 # B = (-t*e1 +- G) / (2*t*e2): two linear branches
                 report.delta_square_root = (tuple(G), t)
                 window, curves, cands = set(), [], set()
@@ -820,7 +789,7 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
                     cands.update(cs)
                 report.candidates = tuple(sorted(cands))
                 return window, curves
-            cuts = {side: _squeeze_side(delta, G, t, side, report) for side in (1, -1)}
+            cuts = {side: _squeeze_side(R, G, t, side, report) for side in (1, -1)}
         elif filt.dominant:
             report.strategy = "quadratic_in_b_root_location"
             cuts = _root_location(bcs, report)

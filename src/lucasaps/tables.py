@@ -34,6 +34,7 @@ from .apsearch import (
 )
 from .certify import certified_enumerate
 from .core import Kind, degeneracy_order, new_params, terms
+from .special import companion_candidates_complex
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,11 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
 
 def infinite_family_pairs() -> tuple:
     """Coefficient pairs whose sequences contain infinitely many progressions,
-    per kind.  Every other pair admits at most finitely many."""
-    first = ((1, 1), (-1, 1), (1, 2), (-1, 2), (-1, -2))
-    second = ((1, 1), (-1, 1), (-1, 2), (-1, -2))
-    return first, second
+    per kind: the catalog rows with families, in catalog order, then the
+    negative-discriminant companion pairs.  Every other pair admits at most
+    finitely many."""
+    extra = tuple((p.A, p.B) for p in companion_candidates_complex())
+    return tuple(
+        tuple((e.a, e.b) for e in _table_entries() if e.kind is kind and e.families) + extra
+        for kind in (Kind.FIRST, Kind.SECOND)
+    )

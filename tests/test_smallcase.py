@@ -14,7 +14,6 @@ from lucasaps.smallcase import (
     DomainFilter,
     EquationReport,
     SqueezeUnresolvedError,
-    _frac_divmod,
     _frac_to_int,
     _root_location,
     _variant_poly,
@@ -184,6 +183,30 @@ class TestWorkedEquations:
                     assert a in cands, (eq.triple, eq.variant, a)
 
 
+def _frac_divmod(num, den):
+    """Polynomial division over Q; den must be nonzero."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    while den and den[-1] == 0:
+        den.pop()
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    r = num[:]
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(den):
+            break
+        c = r[-1] / den[-1]
+        k = len(r) - len(den)
+        q[k] = c
+        for i, d in enumerate(den):
+            r[i + k] -= c * d
+        r.pop()
+    return q, r
+
+
 def _frac_gcd(f, g):
     """Primitive integer gcd of two integer polynomials (Euclid over Q)."""
     a = [Fraction(c) for c in f]
@@ -288,11 +311,25 @@ class TestDivisibilityOracle:
             count += 1
         assert count > 19000
 
+    def test_random_constant_denominators(self, rng):
+        # a constant divides every numerator over Q, trailing zeros kept
+        for _ in range(2000):
+            num = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            for c in (1, -1, 2, -2, 3, -3):
+                self.assert_matches([c], num)
+
+    def test_zero_denominator_raises(self):
+        for den in ([], [0], [0, 0]):
+            with pytest.raises(ZeroDivisionError):
+                divisibility_candidates(den, [1, 2])
+
     def test_quadratic_denominator_raises(self):
+        # no case equation has a denominator of degree 2, so even an exact
+        # quotient is outside the solver's reach
         with pytest.raises(SqueezeUnresolvedError):
             divisibility_candidates([1, 0, 1], [2, 0, 0, 1])
-        # an exact quotient needs no resultant, whatever the degree
-        assert divisibility_candidates([1, 0, 1], [1, 1, 1, 1]).exact_quotient == [1, 1]
+        with pytest.raises(SqueezeUnresolvedError):
+            divisibility_candidates([1, 0, 1], [1, 1, 1, 1])
 
 
 class TestSolveAll:
@@ -336,6 +373,23 @@ class TestSolveAll:
             "cubic_in_b_constant_trick": 9,
             "cubic_in_b_root_location": 99,
         }
+
+    def test_squeeze_shifts_at_cap_seven(self):
+        # the shift follows from the sign of t^2 * Delta - G^2 on each side;
+        # second kind never squeezes, first kind the same with either filter
+        for dominant in (True, False):
+            shifts, cuts = Counter(), 0
+            for eq in case_equations(Kind.FIRST, 7):
+                try:
+                    report = solve_case(eq, DomainFilter(dominant)).report
+                except SqueezeUnresolvedError:
+                    continue
+                for entry in report.squeeze:
+                    if "shift" in entry:
+                        shifts[entry["side"], entry["shift"]] += 1
+                        cuts += entry["cut"]
+            assert shifts == {(1, 0): 34, (1, -1): 6, (-1, 0): 32, (-1, -1): 8}, dominant
+            assert cuts == 843, dominant
 
     def test_no_unresolved_equation_below_seven(self):
         for kind in Kind:

@@ -6,7 +6,8 @@ from importlib import resources as importlib_resources
 import pytest
 
 from lucasaps.apsearch import detect_families, is_ap, verify_family
-from lucasaps.core import Kind, new_params, term
+from lucasaps.certify import certified_enumerate, growth_exception
+from lucasaps.core import Kind, degeneracy_order, new_params, term
 from lucasaps.tables import (
     infinite_family_pairs,
     load_table_entries,
@@ -95,8 +96,37 @@ class TestVerifyTables:
         assert doc["mismatches"] == []
 
 
+class TestExceptionalPairs:
+    def test_every_exceptional_pair_agrees_with_the_catalog(self):
+        # the growth-lemma exception set with D > 0 is finite: |A| <= 7 and
+        # -A^2/4 < B <= 14; (+-1, 11..14) and (+-7, -11), (+-7, -12) lie
+        # outside the box that verify_tables sweeps
+        counts = {}
+        for kind in Kind:
+            counts[kind] = 0
+            for A in range(-7, 8):
+                for B in range(-(A * A) // 4, 15):
+                    if A == 0 or B == 0 or A * A + 4 * B <= 0:
+                        continue
+                    if degeneracy_order(A, B) is not None:
+                        continue
+                    params = new_params(A, B)
+                    if not growth_exception(params, kind):
+                        continue
+                    counts[kind] += 1
+                    result = certified_enumerate(params, kind)
+                    assert result.status != "inconclusive", (kind, A, B)
+                    found = bool(result.families or result.aps)
+                    assert pair_in_tables(A, B, kind) == found, (kind, A, B)
+        assert counts == {Kind.FIRST: 62, Kind.SECOND: 96}
+
+
 class TestInfiniteFamilyPairs:
     def test_listed_pairs(self):
+        assert infinite_family_pairs() == (
+            ((1, 1), (-1, 1), (1, 2), (-1, 2), (-1, -2)),
+            ((1, 1), (-1, 1), (-1, 2), (-1, -2)),
+        )
         first, second = infinite_family_pairs()
         assert (-1, -2) in first and (-1, -2) in second
         assert (1, 2) in first and (1, 2) not in second

@@ -106,7 +106,7 @@ class GapPattern:
 
 @dataclass
 class PatternAnalysis:
-    """Outcome of analyzing one gap pattern.
+    """One analyzed gap pattern, a node of the certificate.
 
     status is one of:
       family        -- the cell is an infinite family (plus any decoupled ones)
@@ -114,6 +114,7 @@ class PatternAnalysis:
       bounded       -- certified margin; every solution has n1 <= top_bound
       fix_next_gap  -- margin not certifiable, split on the first free gap
       inconclusive  -- a search guard tripped
+    solutions are canonical (k, l, m) triples; a bounded cell lists all of its.
     """
 
     pattern: GapPattern
@@ -123,6 +124,30 @@ class PatternAnalysis:
     margin: Surd | None = None
     top_bound: int | None = None
     note: str = ""
+
+    def to_json_dict(self) -> dict:
+        doc = {
+            "minusTwoAt": self.pattern.minus_two_at,
+            "g1": self.pattern.g1.describe(),
+            "g2": self.pattern.g2.describe(),
+            "outcome": self.status,
+        }
+        if self.margin is not None:
+            doc["margin"] = {
+                "p": str(self.margin.p),
+                "q": str(self.margin.q),
+                "disc": self.margin.d,
+                "text": str(self.margin),
+            }
+        if self.top_bound is not None:
+            doc["topBound"] = self.top_bound
+        if self.solutions:
+            doc["solutions"] = [list(s) for s in self.solutions]
+        if self.families:
+            doc["families"] = [f.describe() for f in self.families]
+        if self.note:
+            doc["note"] = self.note
+        return doc
 
 
 @dataclass(frozen=True)
@@ -174,7 +199,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
         cmp = surd_cmp_abs(lhs, rhs)
         if cmp == 0:
             if (lhs - rhs.times_int(pattern.side_sign)).is_zero():
-                sols.append((n3 + g1 + g2, n3 + g2, n3))
+                sols.append(_exponents_to_triple(n3 + g1 + g2, n3 + g2, n3, pattern.minus_two_at))
             break
         if cmp > 0:
             break
@@ -233,7 +258,7 @@ def pattern_bound(
     Fixed gaps resolve outright (family / no solution / single verified
     candidate).  A free gap either certifies a positive margin W, in which
     case W * |gamma|^n1 <= 4 * |gamma|^(a+b) * max(1,|delta|)^n1 bounds the
-    top exponent of any solution, or requests a split (fix_next_gap).
+    top exponent and the cell is exhausted up to it, or requests a split.
     """
     if pattern.side_sign != (1 if kind is Kind.FIRST else -1):
         raise ValueError("pattern side sign does not match the kind")
@@ -274,12 +299,13 @@ def pattern_bound(
     else:
         return PatternAnalysis(pattern, "inconclusive", margin=margin,
                                note="top bound search cap hit")
-    return PatternAnalysis(pattern, "bounded", margin=margin, top_bound=top)
+    return PatternAnalysis(pattern, "bounded", _cell_solutions(pattern, params, kind, top),
+                           margin=margin, top_bound=top)
 
 
 def _cell_solutions(pattern: GapPattern, params: SeqParams, kind: Kind, top: int):
-    """Exhaust a bounded cell: all exponent triples matching the gap
-    constraints with n1 <= top, checked against the recurrence terms."""
+    """Exhaust a bounded cell: the canonical triples of exponents meeting the
+    gap constraints with n1 <= top, checked against the recurrence terms."""
     if top < 2:
         return ()
     c1, c2, c3 = pattern.coefficients()
@@ -293,45 +319,8 @@ def _cell_solutions(pattern: GapPattern, params: SeqParams, kind: Kind, top: int
                 n2 = n3 + g2
                 n1 = n2 + g1
                 if c1 * ts[n1] + c2 * ts[n2] + c3 * ts[n3] == 0:
-                    out.append((n1, n2, n3))
+                    out.append(_exponents_to_triple(n1, n2, n3, pattern.minus_two_at))
     return tuple(out)
-
-
-@dataclass
-class PatternEvidence:
-    """Serializable record of one analyzed pattern node."""
-
-    pattern: GapPattern
-    outcome: str
-    margin: Surd | None = None
-    top_bound: int | None = None
-    solutions: tuple = ()
-    families: tuple = ()
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "minusTwoAt": self.pattern.minus_two_at,
-            "g1": self.pattern.g1.describe(),
-            "g2": self.pattern.g2.describe(),
-            "outcome": self.outcome,
-        }
-        if self.margin is not None:
-            doc["margin"] = {
-                "p": str(self.margin.p),
-                "q": str(self.margin.q),
-                "disc": self.margin.d,
-                "text": str(self.margin),
-            }
-        if self.top_bound is not None:
-            doc["topBound"] = self.top_bound
-        if self.solutions:
-            doc["solutions"] = [list(s) for s in self.solutions]
-        if self.families:
-            doc["families"] = [f.describe() for f in self.families]
-        if self.note:
-            doc["note"] = self.note
-        return doc
 
 
 @dataclass
@@ -393,28 +382,22 @@ class EnumerationResult:
 def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
     """Run the gap patterns of every -2 placement; returns (evidence, problems).
 
-    Each evidence node holds its cell's canonical solution triples,
-    families and top bound; problems lists every guard that tripped.
+    The evidence is every analysis that is not a split, as pattern_bound
+    returned it; problems lists every guard that tripped.
     """
     evidence, problems = [], []
 
-    def record(pat: GapPattern, res: PatternAnalysis):
+    def record(res: PatternAnalysis):
         if res.status == "inconclusive":
-            problems.append(f"{pat.describe()}: {res.note}")
-        sols = res.solutions
-        if res.status == "bounded":
-            sols = _cell_solutions(pat, params, kind, res.top_bound)
-        triples = tuple(_exponents_to_triple(*s, pat.minus_two_at) for s in sols)
-        evidence.append(PatternEvidence(
-            pat, res.status, res.margin, res.top_bound, triples, res.families, res.note
-        ))
+            problems.append(f"{res.pattern.describe()}: {res.note}")
+        evidence.append(res)
 
     def analyze(pat: GapPattern):
         # each recursion fixes one more gap and a pattern with both gaps
         # fixed never asks for a split, so the recursion is at most 2 deep
         res = pattern_bound(pat, params, kind)
         if res.status != "fix_next_gap":
-            record(pat, res)
+            record(res)
             return
         which = "g1" if not pat.g1.fixed else "g2"
         lb = getattr(pat, which).value
@@ -423,7 +406,7 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
             raised = replace(pat, **{which: Gap(False, v + 1)})
             res2 = pattern_bound(raised, params, kind)
             if res2.status != "fix_next_gap":
-                record(raised, res2)
+                record(res2)
                 return
         problems.append(f"gap cap exhausted at {pat.describe()}")
 

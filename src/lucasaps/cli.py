@@ -52,6 +52,14 @@ MAX_INDEX = 5000
 # 1.5 minutes and 110 MB on one worker.
 MAX_SCAN_ROWS = 250_000
 
+# verify-tables checks O(b_cap) pairs in constant memory: a run at this cap
+# took 97 s and 18 MB peak on a 2-vCPU Xeon VM.
+MAX_B_CAP = 350_000
+
+# A grid check runs find_aps on all (2N + 1)^2 pairs of the box: at this cap
+# and --max-index 7 it took 88 s (first kind) and 19 MB peak.
+MAX_GRID_CHECK = 850
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -249,6 +257,8 @@ def _cmd_families(args) -> int:
 def _cmd_smallcases(args) -> int:
     if args.max_index < 2:
         raise _UsageError("--max-index must be at least 2")
+    if args.grid_check and args.grid_check > MAX_GRID_CHECK:
+        raise _UsageError(f"--grid-check must be at most {MAX_GRID_CHECK}")
     filt = DomainFilter(dominant=not args.no_dominant_filter)
     solset = solve_all(args.kind, args.max_index, filt)
     doc = solset.to_json_dict()
@@ -276,6 +286,8 @@ def _cmd_smallcases(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    if args.b_cap > MAX_B_CAP:
+        raise _UsageError(f"--b-cap must be at most {MAX_B_CAP}")
     report = verify_tables(args.b_cap)
     _emit(report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_MISMATCH

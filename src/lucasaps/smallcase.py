@@ -580,16 +580,18 @@ def _squeeze_side(R, G, t, side, report):
     R = t^2 * delta - G^2 is nonzero and deg R < deg G = h >= 1.  On the
     side, delta(side * x) has root side^h * G(side * x)/t and t^2 * delta
     lies strictly between (G + j)^2 and (G + j + 1)^2 once both differences
-    and G + j are positive.  As lc(G) > 0 and deg R < h, only j = 0 (for
-    lc(R) > 0) or j = -1 (for lc(R) < 0) makes both leading coefficients
-    positive.  Beyond the cutoff delta(side * x) is never a perfect square.
+    are positive; G + j >= 0 then holds too, since for an integer n <= -1,
+    (n + 1)^2 <= n^2 leaves no room strictly between them.  As lc(G) > 0
+    and deg R < h, only j = 0 (for lc(R) > 0) or j = -1 (for lc(R) < 0)
+    makes both leading coefficients positive.  Beyond the cutoff
+    delta(side * x) is never a perfect square.
     """
     G = _substitute_side(p_scale(G, side ** p_deg(G)), side)
     R = _substitute_side(R, side)
     j = 0 if R[-1] > 0 else -1
     low = p_sub(R, p_add(p_scale(G, 2 * j), [j * j]))
     high = p_sub(p_add(p_scale(G, 2 * (j + 1)), [(j + 1) ** 2]), R)
-    cut = max(positive_cut(low), positive_cut(high), positive_cut(p_add(G, [j])))
+    cut = max(positive_cut(low), positive_cut(high))
     report.squeeze.append(
         {"side": side, "cut": cut, "shift": j,
          "squareRoot": p_str(G) + (f"/{t}" if t > 1 else "")}

@@ -197,6 +197,20 @@ class TestSmallcases:
             assert out == ""
             assert err.startswith("usage: lucasaps smallcases")
 
+    def test_grid_check_cap_is_usage_error(self, capsys, monkeypatch):
+        # brute force runs on (2N + 1)^2 pairs; the cap is checked before solving
+        def no_work(*args):
+            raise AssertionError("smallcases work started for an oversized grid check")
+
+        monkeypatch.setattr(cli, "solve_all", no_work)
+        for n in (cli.MAX_GRID_CHECK + 1, 10**5):
+            code, out, err = run(
+                capsys, "smallcases", "--kind", "first", "--max-index", "7",
+                "--grid-check", str(n),
+            )
+            assert (code, out) == (1, "")
+            assert f"--grid-check must be at most {cli.MAX_GRID_CHECK}" in err
+
     def test_index_below_two_is_usage_error(self, capsys):
         # no triple fits below index 2, so the result would be vacuous
         for n in ("1", "0", "-1"):
@@ -259,6 +273,17 @@ class TestVerifyTables:
         jsonschema.validate(doc, schema_for("verifyTables"))
         assert doc["ok"] is True
         assert len(doc["completionsUsed"]) == 2
+
+    def test_b_cap_is_usage_error(self, capsys, monkeypatch):
+        # verify_tables checks O(b_cap) pairs; the cap is checked before it runs
+        def no_work(*args):
+            raise AssertionError("verify_tables started for an oversized cap")
+
+        monkeypatch.setattr(cli, "verify_tables", no_work)
+        for n in (cli.MAX_B_CAP + 1, 10**9):
+            code, out, err = run(capsys, "verify-tables", "--b-cap", str(n))
+            assert (code, out) == (1, "")
+            assert f"--b-cap must be at most {cli.MAX_B_CAP}" in err
 
 
 class TestScan:

@@ -1,6 +1,7 @@
 """Catalog integrity and the end-to-end verification report."""
 
 import json
+from dataclasses import replace
 from importlib import resources as importlib_resources
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lucasaps.apsearch import detect_families, is_ap, verify_family
 from lucasaps.certify import certified_enumerate, growth_exception
 from lucasaps.core import Kind, degeneracy_order, new_params, term
+from lucasaps import tables
 from lucasaps.tables import (
     infinite_family_pairs,
     load_table_entries,
@@ -94,6 +96,52 @@ class TestVerifyTables:
         doc = verify_tables(10, window=30).to_json_dict()
         assert doc["ok"] is True
         assert doc["mismatches"] == []
+
+
+def _first_one_one(entry) -> bool:
+    return entry.kind is Kind.FIRST and not entry.is_b_row and (entry.a, entry.b) == (1, 1)
+
+
+def _first_b_row(a):
+    return lambda entry: entry.kind is Kind.FIRST and entry.is_b_row and entry.a == a
+
+
+def _mutant(pick, change):
+    """The catalog with change applied to the rows that pick selects
+    (change None drops them)."""
+    rows = tables._table_entries()
+    if change is None:
+        return tuple(e for e in rows if not pick(e))
+    return tuple(change(e) if pick(e) else e for e in rows)
+
+
+class TestVerifyTablesDetectsBrokenCatalogs:
+    @pytest.mark.parametrize(
+        "pick,change,first_mismatch",
+        [
+            (_first_one_one, lambda e: replace(e, triples=e.triples[1:]),
+             "first (1, 1): triples differ: catalog-only [] engine-only [(0, 1, 3)]"),
+            (_first_b_row(2), lambda e: replace(e, b_min=2),
+             "first (2, 1): expected a certified empty enumeration"),
+            (_first_b_row(1), lambda e: replace(e, b_min=2),
+             "first (1, 2): families differ"),
+            (_first_one_one, None,
+             "first (1, 1): expected a certified empty enumeration"),
+            (_first_one_one, lambda e: replace(e, families=()),
+             "first (1, 1): families differ"),
+            (_first_one_one, lambda e: replace(e, completions=()),
+             "first (1, 1): triples differ: catalog-only [] engine-only [(1, 4, 5)]"),
+        ],
+        ids=["drop-triple", "raise-bmin", "lower-bmin", "drop-entry",
+             "drop-family", "drop-completion"],
+    )
+    def test_mutant_fails(self, monkeypatch, pick, change, first_mismatch):
+        mutant = _mutant(pick, change)
+        assert mutant != tables._table_entries()
+        monkeypatch.setattr(tables, "_table_entries", lambda: mutant)
+        report = verify_tables()
+        assert report.ok is False
+        assert report.mismatches[0].startswith(first_mismatch), report.mismatches
 
 
 class TestExceptionalPairs:

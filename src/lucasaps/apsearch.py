@@ -77,7 +77,8 @@ def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     1. each pair of indices whose bit lengths differ by at most 1 probes
        the value map for the middle, (x_k + x_m) / 2, when the sum is even;
     2. each middle l and each j with b(x_j) in [b(x_l), b(x_l) + 2]
-       probes the value map for the other outer, 2*x_l - x_j.
+       and x_j != x_l probes the value map for the other outer,
+       2*x_l - x_j (x_j = x_l could only find x_i = x_l, never distinct).
 
     The result is exact on any sequence; only the speed depends on its
     growth.  On a geometrically growing sequence each bucket holds O(1)
@@ -105,6 +106,8 @@ def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     for l, v in enumerate(vals):
         b = abs(v).bit_length()
         for j in bucket.get(b, []) + bucket.get(b + 1, []) + bucket.get(b + 2, []):
+            if vals[j] == v:
+                continue
             for i in where.get(2 * v - vals[j], ()):
                 found.add(canonical_indices(i, l, j))
 

@@ -2,11 +2,14 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from importlib import resources as importlib_resources
 
 import jsonschema
 
-from lucasaps import cli
+from lucasaps import cli, tables
+from lucasaps.apsearch import APFamily
+from lucasaps.core import Kind
 from lucasaps.cli import main
 
 SCHEMA = json.loads(
@@ -273,6 +276,20 @@ class TestVerifyTables:
         jsonschema.validate(doc, schema_for("verifyTables"))
         assert doc["ok"] is True
         assert len(doc["completionsUsed"]) == 2
+
+    def test_broken_catalog_is_mismatch(self, capsys, monkeypatch):
+        # first-kind (1, 1) with its family (t, t+2, t+3) moved to (t, t+2, t+4)
+        wrong = (APFamily((0, 1), (2, 1), (4, 1), 0),)
+        mutant = tuple(
+            replace(e, families=wrong) if e.kind is Kind.FIRST and (e.a, e.b) == (1, 1) else e
+            for e in tables._table_entries()
+        )
+        monkeypatch.setattr(tables, "_table_entries", lambda: mutant)
+        code, out, _ = run(capsys, "verify-tables")
+        assert code == cli.EXIT_MISMATCH == 3
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema_for("verifyTables"))
+        assert doc["ok"] is False
 
     def test_b_cap_is_usage_error(self, capsys, monkeypatch):
         # verify_tables checks O(b_cap) pairs; the cap is checked before it runs

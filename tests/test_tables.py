@@ -6,7 +6,7 @@ from importlib import resources as importlib_resources
 
 import pytest
 
-from lucasaps.apsearch import detect_families, is_ap, verify_family
+from lucasaps.apsearch import APFamily, detect_families, is_ap, verify_family
 from lucasaps.certify import certified_enumerate, growth_exception
 from lucasaps.core import Kind, degeneracy_order, new_params, term
 from lucasaps import tables
@@ -85,7 +85,7 @@ class TestVerifyTables:
     def test_clean_report(self):
         report = verify_tables(12, window=40)
         assert report.ok, report.mismatches
-        assert report.checked_pairs > 400
+        assert report.checked_pairs == 642
         assert len(report.completions_used) == 2
 
     def test_rejects_small_cap(self):
@@ -95,6 +95,7 @@ class TestVerifyTables:
     def test_json_shape(self):
         doc = verify_tables(10, window=30).to_json_dict()
         assert doc["ok"] is True
+        assert doc["checkedPairs"] == 636
         assert doc["mismatches"] == []
 
 
@@ -131,9 +132,15 @@ class TestVerifyTablesDetectsBrokenCatalogs:
              "first (1, 1): families differ"),
             (_first_one_one, lambda e: replace(e, completions=()),
              "first (1, 1): triples differ: catalog-only [] engine-only [(1, 4, 5)]"),
+            (_first_one_one,
+             lambda e: replace(e, families=(APFamily((0, 1), (2, 1), (4, 1), 0),)),
+             "first (1, 1): families differ: catalog ['(t, t+2, t+4), t>=0'] "
+             "vs engine ['(t, t+2, t+3), t>=0']"),
+            (_first_one_one, lambda e: replace(e, triples=((0, 1, 2),) + e.triples[1:]),
+             "first (1, 1): triples differ: catalog-only [(0, 1, 2)] engine-only [(0, 1, 3)]"),
         ],
         ids=["drop-triple", "raise-bmin", "lower-bmin", "drop-entry",
-             "drop-family", "drop-completion"],
+             "drop-family", "drop-completion", "shift-family", "non-progression-triple"],
     )
     def test_mutant_fails(self, monkeypatch, pick, change, first_mismatch):
         mutant = _mutant(pick, change)

@@ -49,12 +49,22 @@ MAX_INDEX = 5000
 
 # A scan row costs about 0.36 ms at --max-index 30 and 450 bytes of peak
 # memory (job, row and output text), so a box at this cap takes about
-# 1.5 minutes and 110 MB on one worker.
+# 1.5 minutes and 110 MB on one worker.  A row costs more as --max-index
+# grows (61 ms at 5000 with |A| + |B| of 8 bits), so rows times
+# max(--max-index, 30) is capped at MAX_SCAN_ROWS * 30: 1500 such rows take
+# about 1.5 minutes too on a 2-vCPU Xeon VM.
 MAX_SCAN_ROWS = 250_000
 
 # verify-tables checks O(b_cap) pairs in constant memory: a run at this cap
 # took 97 s and 18 MB peak on a 2-vCPU Xeon VM.
 MAX_B_CAP = 350_000
+
+# |gamma| <= |A| + |B|, so a term of index n has at most about
+# n * bitlen(|A| + |B|) bits; the caps above were sized on (1, 1).  At this
+# bound `families --A 14 --B 1 --max-exponent 10000` peaked at 96 MB in
+# 0.4 s and `enumerate --A 254 --B 1 --max-index 5000` at 33 MB (process
+# peak RSS), the largest of the pairs measured.
+MAX_TERM_BITS = 40_000
 
 # A grid check runs find_aps on all (2N + 1)^2 pairs of the box: at this cap
 # and --max-index 7 it took 88 s (first kind) and 19 MB peak.
@@ -101,6 +111,16 @@ def _range_arg(value: str):
     if lo > hi:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
+
+
+def _check_term_bits(option: str, n: int, coeff_sum: int) -> None:
+    """Usage error when n times the bit length of |A| + |B| exceeds MAX_TERM_BITS."""
+    bits = coeff_sum.bit_length()
+    if n * bits > MAX_TERM_BITS:
+        raise _UsageError(
+            f"{option} {n} with |A| + |B| of {bits} bits allows terms of {n * bits} bits; "
+            f"at most {MAX_TERM_BITS} are allowed"
+        )
 
 
 def _family_doc(f) -> dict:
@@ -189,6 +209,7 @@ def _cmd_classify(args) -> int:
 def _cmd_enumerate(args) -> int:
     if not 2 <= args.max_index <= MAX_INDEX:
         raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
+    _check_term_bits("--max-index", args.max_index, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
     aps = find_aps(params, args.kind, args.max_index)
     if args.format == "json":
@@ -240,6 +261,7 @@ def _cmd_certify(args) -> int:
 def _cmd_families(args) -> int:
     if not 3 <= args.max_exponent <= MAX_EXPONENT:
         raise _UsageError(f"--max-exponent must be between 3 and {MAX_EXPONENT}")
+    _check_term_bits("--max-exponent", args.max_exponent, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
     fams = detect_families(params, args.kind, args.max_exponent)
     _emit(
@@ -336,8 +358,13 @@ def _cmd_scan(args) -> int:
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
     (a_lo, a_hi), (b_lo, b_hi) = args.a_range, args.b_range
     count = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(kinds)
-    if count > MAX_SCAN_ROWS:
-        raise _UsageError(f"the scan box has {count} rows; at most {MAX_SCAN_ROWS} are allowed")
+    limit = MAX_SCAN_ROWS * 30 // max(args.max_index, 30)
+    if count > limit:
+        raise _UsageError(f"the scan box has {count} rows; at most {limit} are allowed")
+    _check_term_bits(
+        "--max-index", args.max_index,
+        max(abs(a_lo), abs(a_hi)) + max(abs(b_lo), abs(b_hi)),
+    )
     jobs = [
         (A, B, kind, args.max_index)
         for A in range(a_lo, a_hi + 1)

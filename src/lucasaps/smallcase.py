@@ -21,23 +21,20 @@ then solved exactly in B at each a of the window.  The closures:
              degree and leading coefficient, so the squeeze exists on both
              sides or on neither.
 
-Two further elementary closures handle the equations whose discriminant
-has a non-square leading coefficient, and the cubic B-degrees at the
-largest indices:
+Every other equation -- a quadratic whose discriminant has no polynomial
+square root, and the cubic B-degrees at the largest indices -- has one
+closure, under the dominant filter only:
 
-  constant trick    when E(0, B) is a nonzero constant c, any solution has
-                    A | c, because E(A, B) - E(0, B) is divisible by A.
-  root location     under the dominant filter, the one substitution
-                    B = (x + 1 - A^2)/4, i.e. C = A^2 + 4B = 1 + x, gives
-                    a polynomial in x with no root x >= 0 for |A| beyond
-                    an explicit cutoff on either side, so C >= 1 only
-                    happens in a finite window.
+  root location     the one substitution B = (x + 1 - A^2)/4, i.e.
+                    C = A^2 + 4B = 1 + x, gives a polynomial in x with no
+                    root x >= 0 for |A| beyond an explicit cutoff on either
+                    side, so C >= 1 only happens in a finite window.
 
 With the dominant filter the solver is complete for every equation
-case_equations can produce.  Without it, every equation of largest index 5
-(first kind) or 4 (second kind) lacks a closure and raises
-SqueezeUnresolvedError rather than guessing, so its reach is index 4 resp.
-3.  Every reported solution re-substitutes to zero.
+case_equations can produce.  Without it, an equation past the square-root
+analysis raises SqueezeUnresolvedError rather than guessing; the first one
+has largest index 5 (first kind) or 4 (second kind), so its reach is index
+4 resp. 3.  Every reported solution re-substitutes to zero.
 """
 
 from __future__ import annotations
@@ -350,7 +347,6 @@ class EquationReport:
     branches: list = field(default_factory=list)
     squeeze: list = field(default_factory=list)
     square_hits: tuple = ()
-    notes: list = field(default_factory=list)
 
 
 @dataclass
@@ -732,17 +728,6 @@ def _solve_b_univariate(a, bcs, filt, triple, source, report):
     return sporadics, []
 
 
-def _constant_trick(bcs, report):
-    """Window A | E(0, B) when that value is a nonzero constant, else None."""
-    at_zero = _trim([bc[0] if bc else 0 for bc in bcs])
-    if len(at_zero) != 1:
-        return None
-    c = at_zero[0]
-    report.notes.append(f"E(0, B) = {c}: any solution has A | {abs(c)}")
-    report.candidates = tuple(sorted(sign * d for d in divisors(c) for sign in (1, -1)))
-    return set(report.candidates)
-
-
 def _closure(eq: CaseEquation, filt: DomainFilter, report):
     """(window, curves): every admitted solution off the curve families has
     A in the finite window.  Fills the report's strategy and evidence."""
@@ -766,9 +751,11 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
         return window, curves
 
     if deg_b == 2:
-        # where e2 vanishes the equation drops to B-degree <= 1; no closure
-        # below loses those A: the branch denominators vanish there, Delta =
-        # e1^2 is a square there, and the constant trick bounds every A
+        # where e_d vanishes the equation drops in B-degree; every window
+        # below keeps those A: the branch denominators vanish there, Delta =
+        # e1^2 is a square there so the squeeze counts them as square hits,
+        # and e_d is the top x-coefficient that root location proves
+        # positive beyond its cut
         report.strategy = "quadratic_in_b"
         e2, e1, e0 = bcs[2], bcs[1], bcs[0]
         delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
@@ -792,33 +779,17 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
                 report.candidates = tuple(sorted(cands))
                 return window, curves
             cuts = {side: _squeeze_side(R, G, t, side, report) for side in (1, -1)}
-        elif filt.dominant:
-            report.strategy = "quadratic_in_b_root_location"
-            cuts = _root_location(bcs, report)
-        else:
-            trick = _constant_trick(bcs, report)
-            if trick is None:
-                raise SqueezeUnresolvedError(
-                    f"triple {eq.triple} variant {eq.variant}: discriminant "
-                    f"{p_str(delta)} admits no squeeze, root location or constant trick"
-                )
-            report.strategy = "quadratic_in_b_constant_trick"
-            return trick, []
-        report.square_hits = tuple(
-            a for a in range(-cuts[-1], cuts[1] + 1)
-            if (da := p_eval(delta, a)) >= 0 and isqrt(da) ** 2 == da
-        )
-        return set(report.square_hits), []
-
-    report.strategy = "cubic_in_b"
-    trick = _constant_trick(bcs, report)
-    if trick is not None:
-        report.strategy += "_constant_trick"
-        return trick, []
+            report.square_hits = tuple(
+                a for a in range(-cuts[-1], cuts[1] + 1)
+                if (da := p_eval(delta, a)) >= 0 and isqrt(da) ** 2 == da
+            )
+            return set(report.square_hits), []
+    else:
+        report.strategy = "cubic_in_b"
     if not filt.dominant:
         raise SqueezeUnresolvedError(
-            f"B-degree {deg_b} for triple {eq.triple} variant {eq.variant}: "
-            "outside the squeeze, root-location and constant-trick toolbox"
+            f"triple {eq.triple} variant {eq.variant}: B-degree {deg_b} past the "
+            "square-root analysis has no closure without the dominant filter"
         )
     report.strategy += "_root_location"
     cuts = _root_location(bcs, report)
@@ -835,10 +806,9 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSoluti
 
     Raises SqueezeUnresolvedError when no closure applies.  Under the
     dominant filter that never happens for an equation case_equations
-    produces (the root-location closure covers the cubic B-degrees).
-    Without it, first kind raises from largest index 5 (first at triple
-    (0, 1, 5)) and second kind from 4 (at (0, 1, 4)), wherever the
-    constant trick does not fire.
+    produces (root location covers every equation past the square-root
+    analysis).  Without it, first kind raises from largest index 5 (first
+    at triple (0, 1, 5)) and second kind from 4 (at (0, 1, 4)).
     """
     filt = filt or DomainFilter()
     report = EquationReport(eq.triple, eq.variant, len(eq.poly) - 1, "")

@@ -63,7 +63,27 @@ class TestGrowthException:
     def test_ratio_window_excludes_high_aps(self, rng):
         # testable form of the cutoff argument: when every term beyond n0
         # exceeds three times every earlier term, no progression can reach
-        # past n0
+        # past n0.  The box |A| <= 12, -A^2/4 < B <= 40 holds every listed
+        # pair with D > 0 and reaches the second-kind boundary (1, 14/15)
+        checked, listed = 0, {kind: 0 for kind in Kind}
+        for A in range(-12, 13):
+            for B in range(-(A * A) // 4 + 1, 41):
+                if A == 0 or B == 0 or degeneracy_order(A, B) is not None:
+                    continue
+                params = new_params(A, B)
+                for kind in Kind:
+                    if growth_exception(params, kind):
+                        listed[kind] += 1
+                        continue
+                    n0 = GROWTH_WINDOW[kind]
+                    ts = [abs(x) for x in terms(params, kind, 41)]
+                    top = max(ts[: n0 + 1])
+                    for n in range(n0 + 1, 41):
+                        assert ts[n] > 3 * top, ((A, B), kind, n)
+                        top = ts[n]
+                    checked += 1
+        assert checked == 2540 - 158
+        assert listed == {Kind.FIRST: 62, Kind.SECOND: 96}
         pairs = [p for p in dominant_pairs(10)]
         rng.shuffle(pairs)
         picked = 0

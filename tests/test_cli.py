@@ -29,6 +29,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_refused(capsys, monkeypatch, *argv):
+    """Run a command that must exit 1 before computing any term; its stderr."""
+    def no_work(*args):
+        raise AssertionError("work started for a refused input")
+
+    for name in ("find_aps", "detect_families", "_scan_pair"):
+        monkeypatch.setattr(cli, name, no_work)
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (1, "")
+    assert peak < 1_000_000
+    return err
+
+
 class TestClassify:
     def test_valid(self, capsys):
         code, out, _ = run(capsys, "classify", "--A", "1", "--B", "2")
@@ -87,6 +105,20 @@ class TestEnumerate:
             assert code == 1
             assert out == ""
             assert f"--max-index must be between 2 and {cli.MAX_INDEX}" in err
+
+    def test_term_bits_cap_is_usage_error(self, capsys, monkeypatch):
+        # |A| + |B| of 8 bits is the most --max-index 5000 allows
+        code, _, _ = run(
+            capsys, "enumerate", "--A", "128", "--B", "127", "--kind", "first",
+            "--max-index", "5000",
+        )
+        assert code == 0
+        for A, B, bits in ((128, 128, 9), (2**128, 1, 129)):
+            err = run_refused(
+                capsys, monkeypatch, "enumerate", "--A", str(A), "--B", str(B),
+                "--kind", "first", "--max-index", "5000",
+            )
+            assert f"--max-index 5000 with |A| + |B| of {bits} bits" in err
 
 
 class TestCertify:
@@ -157,6 +189,15 @@ class TestFamilies:
             assert code == 1
             assert out == ""
             assert "--max-exponent must be between 3 and" in err
+
+    def test_term_bits_cap_is_usage_error(self, capsys, monkeypatch):
+        for A, B, bits in ((8, 8, 5), (2**64, 1, 65)):
+            err = run_refused(
+                capsys, monkeypatch, "families", "--A", str(A), "--B", str(B),
+                "--kind", "first", "--max-exponent", "10000",
+            )
+            assert f"--max-exponent 10000 with |A| + |B| of {bits} bits" in err
+            assert f"at most {cli.MAX_TERM_BITS} are allowed" in err
 
 
 class TestSmallcases:
@@ -387,6 +428,21 @@ class TestScan:
         assert [cli._worker_count(j) for j in (1, 3, 4, 5, 1000)] == [1, 3, 4, 4, 4]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._worker_count(8) == 1
+
+    def test_term_cost_caps_are_usage_errors(self, capsys, tmp_path, monkeypatch):
+        # rows * max(--max-index, 30) and the term size are both bounded
+        out = tmp_path / "scan.csv"
+        err = run_refused(
+            capsys, monkeypatch, "scan", "--a-range=0..0", "--b-range=1..2000",
+            "--kind", "first", "--max-index", "5000", "--out", str(out),
+        )
+        assert "the scan box has 2000 rows; at most 1500 are allowed" in err
+        err = run_refused(
+            capsys, monkeypatch, "scan", "--a-range=-3..1", "--b-range=-253..-252",
+            "--max-index", "5000", "--out", str(out),
+        )
+        assert "--max-index 5000 with |A| + |B| of 9 bits" in err
+        assert not out.exists()
 
 
 class TestFactorTrinomial:

@@ -1,5 +1,7 @@
 """Symbolic case equations and the complete small-index solver."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -370,9 +372,17 @@ class TestSolveAll:
         assert counts[Kind.SECOND] == {
             "linear_in_b": 12,
             "quadratic_in_b_root_location": 48,
-            "cubic_in_b_constant_trick": 9,
-            "cubic_in_b_root_location": 99,
+            "cubic_in_b_root_location": 108,
         }
+
+    def test_documents_are_pinned(self):
+        # solve_all under the dominant filter for both kinds at caps 2..7,
+        # serialized once; any change to a solution moves the digest
+        docs = [solve_all(kind, cap).to_json_dict() for kind in Kind for cap in range(2, 8)]
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "92b326d35b5d4b3c7e1599bf18cf0440a016175491f115824689f73edb8d787b"
+        )
 
     def test_squeeze_shifts_at_cap_seven(self):
         # the shift follows from the sign of t^2 * Delta - G^2 on each side;
@@ -425,13 +435,15 @@ class TestSolveAll:
         with pytest.raises(SqueezeUnresolvedError):
             solve_case(eq, DomainFilter(dominant=False))
 
-    def test_constant_trick_rescues_second_kind_cap_seven(self):
-        # only the smallest even index 0 appears, so E(0, B) is constant
+    def test_cubic_cap_seven_second_kind_needs_dominant_filter(self):
         eq = CaseEquation(
             Kind.SECOND, (0, 1, 7), 1, _variant_poly(Kind.SECOND, 0, 1, 7, 1)
         )
-        sol = solve_case(eq, DomainFilter(dominant=False))
-        assert "constant_trick" in sol.report.strategy
+        with pytest.raises(SqueezeUnresolvedError, match=r"^triple \(0, 1, 7\) variant 1: "):
+            solve_case(eq, DomainFilter(dominant=False))
+        sol = solve_case(eq)
+        assert sol.report.strategy == "cubic_in_b_root_location"
+        assert not sol.sporadics and not sol.b_families and not sol.curves
 
     def test_non_dominant_filter_linear_range(self):
         # complete without the discriminant filter up to index 4

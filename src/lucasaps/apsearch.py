@@ -68,22 +68,37 @@ def canonical_indices(k: int, l: int, m: int) -> tuple[int, int, int]:
 def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     """All canonical progressions with indices <= n_max, sorted by (m, k, l).
 
-    Write b(x) for the bit length of |x|.  If 2*x_l = x_k + x_m, then
-    either |b(x_k) - b(x_m)| <= 1, or the larger of b(x_k), b(x_m) lies in
-    [b(x_l), b(x_l) + 2]: with b_k >= b_m + 2,
-    2^(b_k - 2) < |x_k + x_m| < 2^(b_k + 1), and b(2*x_l) = b(x_l) + 1
-    (x_l = 0 forces x_k = -x_m, the first case).  So two routes over bit-length buckets find every triple:
+    Write b(x) for the bit length of |x|, b_i = b(x_i), and
+    key(x) = sign(x)*b(x) for the signed bit length.  If
+    2*x_l = x_k + x_m with distinct values, then
 
-    1. each pair of indices whose bit lengths differ by at most 1 probes
-       the value map for the middle, (x_k + x_m) / 2, when the sum is even;
-    2. each middle l and each j with b(x_j) in [b(x_l), b(x_l) + 2]
-       and x_j != x_l probes the value map for the other outer,
-       2*x_l - x_j (x_j = x_l could only find x_i = x_l, never distinct).
+    (R1) x_k and x_m have strictly opposite signs and |b_k - b_m| <= 1, or
+    (R2) the outer of larger |x| has the sign of x_l != 0 and its bit
+         length lies in [b_l, b_l + 2].
+
+    Proof.  If x_k*x_m >= 0, say |x_k| >= |x_m|, then 2*|x_l| =
+    |x_k| + |x_m| lies in [|x_k|, 2*|x_k|], so |x_k| lies in
+    [|x_l|, 2*|x_l|] and x_k has the sign of x_l (x_l = 0 would force
+    x_k = x_m = 0): R2 with b_k <= b_l + 1.  A zero outer is this case.
+    If the signs are strictly opposite and b_k >= b_m + 2, then
+    2^(b_k - 2) < |x_k + x_m| < 2^b_k, so b(2*x_l) = b_l + 1 lies in
+    [b_k - 1, b_k] and x_l has the sign of x_k: R2.  Otherwise R1 holds;
+    it covers x_l = 0, where x_k = -x_m.  So two routes over signed
+    bit-length buckets find every triple:
+
+    1. each positive outer k and each negative outer m with key(x_m) in
+       {-b_k - 1, -b_k, -b_k + 1} probe the value map for the middle,
+       (x_k + x_m) / 2, when the sum is even;
+    2. each middle l with x_l != 0 and each j with key(x_j) in
+       {c, c + s, c + 2s}, c = key(x_l), s = sign(x_l), and x_j != x_l
+       probe the value map for the other outer, 2*x_l - x_j
+       (x_j = x_l could only find x_i = x_l, never distinct).
 
     The result is exact on any sequence; only the speed depends on its
     growth.  On a geometrically growing sequence each bucket holds O(1)
-    indices, so both routes make O(n_max) probes instead of n_max^2.  A
-    repeated value fans out over its index list, whatever its length.
+    indices, so both routes make O(n_max) probes instead of n_max^2; on a
+    sequence of one sign route 1 makes none.  A repeated value fans out
+    over its index list, whatever its length.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -92,24 +107,32 @@ def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     bucket = defaultdict(list)
     for i, v in enumerate(vals):
         where[v].append(i)
-        bucket[abs(v).bit_length()].append(i)
+        bucket[v.bit_length() if v >= 0 else -v.bit_length()].append(i)
 
     found = set()
-    for b, same in bucket.items():
-        wider = bucket.get(b + 1, [])
-        for a, k in enumerate(same):
-            for m in same[a + 1:] + wider:
-                s = vals[k] + vals[m]
-                if not s & 1:
-                    for l in where.get(s >> 1, ()):
-                        found.add(canonical_indices(k, l, m))
-    for l, v in enumerate(vals):
-        b = abs(v).bit_length()
-        for j in bucket.get(b, []) + bucket.get(b + 1, []) + bucket.get(b + 2, []):
-            if vals[j] == v:
-                continue
-            for i in where.get(2 * v - vals[j], ()):
-                found.add(canonical_indices(i, l, j))
+    get, add = where.get, found.add
+    for c, same in bucket.items():
+        if c > 0:
+            others = bucket.get(-c, []) + bucket.get(-c - 1, [])
+            if c > 1:
+                others += bucket.get(1 - c, [])
+            for k in same:
+                vk = vals[k]
+                for m in others:
+                    s = vk + vals[m]
+                    if not s & 1:
+                        for l in get(s >> 1, ()):
+                            add(canonical_indices(k, l, m))
+        if c:
+            step = 1 if c > 0 else -1
+            outers = same + bucket.get(c + step, []) + bucket.get(c + 2 * step, [])
+            for l in same:
+                v = vals[l]
+                for j in outers:
+                    w = vals[j]
+                    if w != v:
+                        for i in get(2 * v - w, ()):
+                            add(canonical_indices(i, l, j))
 
     out = []
     for k, l, m in found:
@@ -257,26 +280,3 @@ def verify_family(
         else:
             degenerate.append(t)
     return FamilyReport(family, order, window, tuple(degenerate), ap_count)
-
-
-def family_instances(
-    family: APFamily, params: SeqParams, kind: Kind, n_max: int
-) -> list[APTriple]:
-    """Non-degenerate instances with all indices <= n_max, canonicalized."""
-    ts = terms(params, kind, n_max + 1)
-    out = []
-    t = family.t_min
-    while True:
-        k, l, m = family.instantiate(t)
-        if min(k, l, m) > n_max:
-            break
-        if max(k, l, m) <= n_max:
-            if min(k, l, m) < 0:
-                raise ValueError(f"negative index at t={t}")
-            if is_ap(ts[k], ts[l], ts[m]):
-                ck, cl, cm = canonical_indices(k, l, m)
-                out.append(APTriple(ck, cl, cm, (ts[ck], ts[cl], ts[cm])))
-        t += 1
-        if t > family.t_min + 4 * n_max + 8:
-            break
-    return out

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from multiprocessing import get_context
 
 from . import __version__
 from .apsearch import detect_families, find_aps
@@ -47,12 +46,12 @@ MAX_EXPONENT = 10_000
 # kind writes 8.5 MB of JSON at this cap in about 0.5 s and 54 MB peak.
 MAX_INDEX = 5000
 
-# A scan row costs about 0.36 ms at --max-index 30 and 450 bytes of peak
+# A scan row costs about 0.15 ms at --max-index 30 and 500 bytes of peak
 # memory (job, row and output text), so a box at this cap takes about
-# 1.5 minutes and 110 MB on one worker.  A row costs more as --max-index
-# grows (61 ms at 5000 with |A| + |B| of 8 bits), so rows times
+# 40 seconds and 120 MB on one worker.  A row costs more as --max-index
+# grows (63 ms at 5000 with |A| + |B| of 8 bits), so rows times
 # max(--max-index, 30) is capped at MAX_SCAN_ROWS * 30: 1500 such rows take
-# about 1.5 minutes too on a 2-vCPU Xeon VM.
+# about 1.5 minutes on a 2-vCPU Xeon VM.
 MAX_SCAN_ROWS = 250_000
 
 # verify-tables checks O(b_cap) pairs in constant memory: a run at this cap
@@ -373,6 +372,9 @@ def _cmd_scan(args) -> int:
     ]
     workers = _worker_count(args.jobs)
     if workers > 1:
+        # imported here: every other command starts without multiprocessing
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(workers) as pool:
             rows = pool.map(_scan_pair, jobs)
     else:

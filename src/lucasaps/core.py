@@ -174,9 +174,6 @@ class Surd:
             n >>= 1
         return out
 
-    def conjugate(self) -> Surd:
-        return Surd(self.p, -self.q, self.d)
-
     def norm(self) -> Fraction:
         """Field norm (p^2 - q^2 d)/4; equals |x|^2 when d < 0."""
         return Fraction(self.p * self.p - self.q * self.q * self.d, 4)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import pytest
 
+from helpers import family_instances
 from lucasaps.apsearch import (
     APFamily,
     canonical_indices,
     detect_families,
-    family_instances,
     find_aps,
     is_ap,
     verify_family,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import family_instances
 from lucasaps.apsearch import (
     APFamily,
     APTriple,
     CertificateFailureError,
     canonical_indices,
     detect_families,
-    family_instances,
     find_aps,
     is_ap,
     verify_family,
@@ -118,6 +118,41 @@ class TestFindAPs:
         with mock.patch("lucasaps.apsearch.terms", lambda *_: vals):
             got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, len(vals) - 1)]
         assert got == _quadratic_aps(vals)
+
+    @given(st.data())
+    def test_exact_across_signed_buckets(self, data):
+        # values sit next to the bucket edges +-2^b or anywhere up to 2^80, and
+        # planted progressions mix their signs and bit lengths
+        edge = st.builds(
+            lambda sign, b, e: sign * ((1 << b) + e),
+            st.sampled_from((1, -1)), st.integers(0, 80), st.integers(-2, 2),
+        )
+        value = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80), edge)
+        vals = data.draw(st.lists(value, max_size=20))
+        for _ in range(data.draw(st.integers(1, 4))):
+            outer = data.draw(value)
+            other = data.draw(value)
+            other += (outer - other) & 1
+            for v in (outer, (outer + other) // 2, other):
+                vals.insert(data.draw(st.integers(0, len(vals))), v)
+        with mock.patch("lucasaps.apsearch.terms", lambda *_: vals):
+            got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, len(vals) - 1)]
+        assert got == _quadratic_aps(vals)
+
+    @pytest.mark.parametrize("vals", [
+        [64, 1, -62],   # route 1: opposite signs one bit apart, far above x_l
+        [-62, 1, 64],
+        [7, 0, -7],     # route 1: x_l = 0
+        [16, 5, -6],    # route 2: opposite signs two bits apart, at b_l + 2
+        [-16, -5, 6],
+        [0, 3, 6],      # route 2: a zero outer
+        [0, -3, -6],
+    ])
+    def test_each_route(self, vals):
+        # each triple is found by one route only
+        with mock.patch("lucasaps.apsearch.terms", lambda *_: vals):
+            got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, 2)]
+        assert got == [(0, 1, 2)]
 
 
 def _quadratic_aps(vals):

@@ -6,7 +6,8 @@ from importlib import resources as importlib_resources
 
 import pytest
 
-from lucasaps.apsearch import family_instances, find_aps, is_ap
+from helpers import family_instances
+from lucasaps.apsearch import find_aps, is_ap
 from lucasaps.certify import (
     CompletenessCertificate,
     EngineConfig,

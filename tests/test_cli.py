@@ -1,12 +1,16 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from importlib import resources as importlib_resources
 
 import jsonschema
 
+import lucasaps
 from lucasaps import cli, tables
 from lucasaps.apsearch import APFamily
 from lucasaps.core import Kind
@@ -359,6 +363,17 @@ class TestScan:
         assert lines[0] == "A,B,kind,classification,ap_count_window,family_count,certified,n0"
         assert any("degenerate_order_3" in line for line in lines)  # (1, -1)
         assert any("zero_coefficient" in line for line in lines)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only scan with more than one worker needs it; a fresh interpreter
+        # shows what importing the CLI loads
+        src = os.path.dirname(os.path.dirname(lucasaps.__file__))
+        probe = "import sys, lucasaps.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout == "False\n"
 
     def test_json_rows_validate(self, capsys, tmp_path):
         out = tmp_path / "scan.json"

@@ -45,6 +45,10 @@ def valid_pairs(max_abs=12):
 pair_strategy = st.sampled_from(valid_pairs())
 
 
+def conjugate(s: Surd) -> Surd:
+    return Surd(s.p, -s.q, s.d)
+
+
 class TestNewParams:
     def test_table_pair(self):
         p = new_params(1, 1)
@@ -241,7 +245,7 @@ class TestSurd:
 
     def test_pow_and_conjugate(self):
         al, be = alpha_beta(new_params(1, 1))
-        assert al.conjugate() == be
+        assert conjugate(al) == be
         assert al ** 3 == al * al * al
         assert al ** 0 == Surd.integer(1, 5)
 
@@ -254,7 +258,7 @@ class TestSurd:
         s3 = Surd(q3 * d + 2 * x3, q3, d)
         assert (s1 + s2) * s3 == s1 * s3 + s2 * s3
         assert (s1 * s2) * s3 == s1 * (s2 * s3)
-        assert (s1 * s2).conjugate() == s1.conjugate() * s2.conjugate()
+        assert conjugate(s1 * s2) == conjugate(s1) * conjugate(s2)
 
 
 class TestClosedForm:

@@ -84,12 +84,10 @@ class GapPattern:
     """One sub-case of the progression equation.
 
     minus_two_at places the -2 coefficient on the largest (0), middle (1)
-    or smallest (2) exponent; side_sign is +1 for the first kind and -1 for
-    the second.
+    or smallest (2) exponent.  The side sign eps comes from the kind.
     """
 
     minus_two_at: int
-    side_sign: int
     g1: Gap
     g2: Gap
 
@@ -173,7 +171,7 @@ def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
-def _fixed_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
+def _fixed_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnalysis:
     gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
     g1, g2 = pattern.g1.value, pattern.g2.value
@@ -198,7 +196,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
     for n3 in range(SEARCH_CAP):
         cmp = surd_cmp_abs(lhs, rhs)
         if cmp == 0:
-            if (lhs - rhs.times_int(pattern.side_sign)).is_zero():
+            if (lhs - rhs.times_int(eps)).is_zero():
                 sols.append(_exponents_to_triple(n3 + g1 + g2, n3 + g2, n3, pattern.minus_two_at))
             break
         if cmp > 0:
@@ -210,7 +208,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
     return PatternAnalysis(pattern, "resolved", solutions=tuple(sols))
 
 
-def _decoupled_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
+def _decoupled_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnalysis:
     """g1 fixed with c1*gamma^g1 + c2 = 0.
 
     Only gamma = 2 with g1 = 1 and the -2 coefficient in the middle can
@@ -233,7 +231,7 @@ def _decoupled_cell(pattern: GapPattern, params: SeqParams) -> PatternAnalysis:
     n3 = 0
     while (gi ** n3) * abs(c3) <= limit:
         for e in ((1,) if di == 1 else (1, -1)):
-            rhs = pattern.side_sign * (di ** n3) * (e * td + c3)
+            rhs = eps * (di ** n3) * (e * td + c3)
             if (gi ** n3) * c3 != rhs:
                 continue
             step = 1 if di == 1 else 2
@@ -260,10 +258,9 @@ def pattern_bound(
     case W * |gamma|^n1 <= 4 * |gamma|^(a+b) * max(1,|delta|)^n1 bounds the
     top exponent and the cell is exhausted up to it, or requests a split.
     """
-    if pattern.side_sign != (1 if kind is Kind.FIRST else -1):
-        raise ValueError("pattern side sign does not match the kind")
+    eps = 1 if kind is Kind.FIRST else -1
     if pattern.g1.fixed and pattern.g2.fixed:
-        return _fixed_cell(pattern, params)
+        return _fixed_cell(pattern, params, eps)
 
     gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
@@ -274,7 +271,7 @@ def pattern_bound(
     if pattern.g1.fixed:
         t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
         if t_gamma.is_zero():
-            return _decoupled_cell(pattern, params)
+            return _decoupled_cell(pattern, params, eps)
         margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
     else:
         margin = (
@@ -325,7 +322,8 @@ def _cell_solutions(pattern: GapPattern, params: SeqParams, kind: Kind, top: int
 
 @dataclass
 class CompletenessCertificate:
-    """Machine-checkable evidence that every progression has index <= n0."""
+    """Machine-checkable evidence that every progression has index <= n0;
+    patterns holds the node documents of PatternAnalysis.to_json_dict."""
 
     method: str
     n0: int
@@ -338,7 +336,7 @@ class CompletenessCertificate:
         return {
             "method": self.method,
             "n0": self.n0,
-            "patterns": [p.to_json_dict() for p in self.patterns],
+            "patterns": list(self.patterns),
             "aps": [t.to_json_dict() for t in self.aps],
             "toolVersion": self.tool_version,
             "note": self.note,
@@ -346,11 +344,8 @@ class CompletenessCertificate:
 
 
 def certificate_from_json(doc: dict) -> CompletenessCertificate:
-    """Rebuild a certificate from its JSON document for re-checking.
-
-    Pattern evidence is kept as raw dictionaries; re-validation only needs
-    the method, the bound and the progression list.
-    """
+    """Rebuild a certificate from its JSON document; the exact inverse of
+    CompletenessCertificate.to_json_dict."""
     aps = tuple(
         APTriple(t["k"], t["l"], t["m"], tuple(int(v) for v in t["values"]))
         for t in doc["aps"]
@@ -410,9 +405,8 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
                 return
         problems.append(f"gap cap exhausted at {pat.describe()}")
 
-    eps = 1 if kind is Kind.FIRST else -1
     for placement in (0, 1, 2):
-        analyze(GapPattern(placement, eps, Gap(False, 1), Gap(False, 1)))
+        analyze(GapPattern(placement, Gap(False, 1), Gap(False, 1)))
     return tuple(evidence), problems
 
 
@@ -475,7 +469,8 @@ def certified_enumerate(
         raise EngineMismatchError(
             f"gap engine and brute enumeration disagree for ({params.A}, {params.B})"
         )
-    cert = CompletenessCertificate("gap_pattern", n0, evidence, aps)
+    nodes = tuple(e.to_json_dict() for e in evidence)
+    cert = CompletenessCertificate("gap_pattern", n0, nodes, aps)
     return EnumerationResult("complete", aps, (), cert, (), evidence)
 
 

@@ -285,7 +285,7 @@ def _cmd_smallcases(args) -> int:
     doc = solset.to_json_dict()
     if args.grid_check:
         n = args.grid_check
-        sym = solset.grid_instances(-n, n, -n, n, max_index=args.max_index)
+        sym = solset.grid_instances(-n, n, -n, n)
         brute = set()
         for A in range(-n, n + 1):
             for B in range(-n, n + 1):
@@ -314,18 +314,16 @@ def _cmd_verify_tables(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+_SCAN_COLUMNS = [
+    "A", "B", "kind", "classification", "ap_count_window",
+    "family_count", "certified", "n0",
+]
+
+
 def _scan_pair(job):
     A, B, kind_name, max_index = job
-    row = {
-        "A": A,
-        "B": B,
-        "kind": kind_name,
-        "classification": "",
-        "ap_count_window": "",
-        "family_count": "",
-        "certified": "",
-        "n0": "",
-    }
+    row = dict.fromkeys(_SCAN_COLUMNS, "")
+    row.update(A=A, B=B, kind=kind_name)
     if A == 0 or B == 0:
         row["classification"] = "zero_coefficient"
         return row
@@ -345,12 +343,6 @@ def _scan_pair(job):
     return row
 
 
-_SCAN_COLUMNS = [
-    "A", "B", "kind", "classification", "ap_count_window",
-    "family_count", "certified", "n0",
-]
-
-
 def _cmd_scan(args) -> int:
     if not 2 <= args.max_index <= MAX_INDEX:
         raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
@@ -364,6 +356,10 @@ def _cmd_scan(args) -> int:
         "--max-index", args.max_index,
         max(abs(a_lo), abs(a_hi)) + max(abs(b_lo), abs(b_hi)),
     )
+    if os.path.isdir(args.out):
+        raise _UsageError(f"--out {args.out} is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise _UsageError(f"--out {args.out} lies in a missing directory")
     jobs = [
         (A, B, kind, args.max_index)
         for A in range(a_lo, a_hi + 1)
@@ -379,7 +375,6 @@ def _cmd_scan(args) -> int:
             rows = pool.map(_scan_pair, jobs)
     else:
         rows = [_scan_pair(job) for job in jobs]
-    rows.sort(key=lambda r: (r["A"], r["B"], r["kind"]))
 
     if args.format == "csv":
         buf = io.StringIO()

@@ -227,7 +227,10 @@ class CaseEquation:
     kind: Kind
     triple: tuple
     variant: int
-    poly: tuple  # B-coefficients of E, as poly_terms returns them
+    poly: tuple = field(init=False)  # B-coefficients of E, as poly_terms returns them
+
+    def __post_init__(self):
+        object.__setattr__(self, "poly", _variant_poly(self.kind, *self.triple, self.variant))
 
     def ap_roles(self) -> tuple:
         """Canonical progression-index triple (outer, doubled, outer)."""
@@ -255,7 +258,7 @@ def case_equations(kind: Kind, m_cap: int) -> list:
     if m_cap > 7:
         raise ValueError("index cap is 7")
     return [
-        CaseEquation(kind, (k, l, m), variant, _variant_poly(kind, k, l, m, variant))
+        CaseEquation(kind, (k, l, m), variant)
         for k, l, m in combinations(range(m_cap + 1), 3)
         for variant in (1, 2, 3)
     ]
@@ -316,17 +319,16 @@ class BFamilySolution:
 
 @dataclass(frozen=True)
 class CurveFamilySolution:
-    """B = num(A)/den on residue classes of A mod den."""
+    """B = num(A)/den on residue classes of A mod den, where the filter admits (A, B)."""
 
     num: tuple
     den: int
     residues: tuple
     triple: tuple
     source: tuple
-    a_exclusions: tuple = ()
 
     def admits_a(self, a: int) -> bool:
-        return a % self.den in self.residues and a not in self.a_exclusions
+        return a % self.den in self.residues
 
     def b_at(self, a: int) -> int:
         val = p_eval(self.num, a)
@@ -337,9 +339,10 @@ class CurveFamilySolution:
 
 @dataclass
 class EquationReport:
+    """The closure evidence and the complete solutions of one case equation."""
+
     triple: tuple
     variant: int
-    b_degree: int
     strategy: str
     candidates: tuple = ()
     delta: tuple = ()
@@ -347,14 +350,9 @@ class EquationReport:
     branches: list = field(default_factory=list)
     squeeze: list = field(default_factory=list)
     square_hits: tuple = ()
-
-
-@dataclass
-class CaseSolution:
-    sporadics: list
-    b_families: list
-    curves: list
-    report: EquationReport
+    sporadics: list = field(default_factory=list)
+    b_families: list = field(default_factory=list)
+    curves: list = field(default_factory=list)
 
 
 @dataclass
@@ -367,26 +365,20 @@ class SolutionSet:
     curves: tuple
     reports: tuple
 
-    def grid_instances(self, a_lo, a_hi, b_lo, b_hi, max_index=None):
+    def grid_instances(self, a_lo, a_hi, b_lo, b_hi):
         """All (A, B, triple) asserted inside the grid box."""
         filt = DomainFilter(self.dominant)
         out = set()
-
-        def keep(trip):
-            return max_index is None or max(trip) <= max_index
-
         for s in self.sporadics:
-            if a_lo <= s.A <= a_hi and b_lo <= s.B <= b_hi and keep(s.triple):
+            if a_lo <= s.A <= a_hi and b_lo <= s.B <= b_hi:
                 out.add((s.A, s.B, s.triple))
         for f in self.b_families:
-            if not (a_lo <= f.A <= a_hi) or not keep(f.triple):
+            if not a_lo <= f.A <= a_hi:
                 continue
             for B in range(b_lo, b_hi + 1):
                 if f.admits_b(B) and filt.admits(f.A, B):
                     out.add((f.A, B, f.triple))
         for c in self.curves:
-            if not keep(c.triple):
-                continue
             for a in range(a_lo, a_hi + 1):
                 if not c.admits_a(a):
                     continue
@@ -429,14 +421,11 @@ class SolutionSet:
 # Divisibility machinery: integer a with den(a) | num(a).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DivisibilityOutcome:
-    exact_quotient: list | None  # Fraction coefficients when den | num over Q
-    candidates: tuple = ()
-
-
-def divisibility_candidates(den, num) -> DivisibilityOutcome:
+def divisibility_candidates(den, num) -> tuple:
     """Complete candidate analysis for den(A) | num(A) at integers.
+
+    Returns (num/den as Fraction coefficients, ()) when den divides num over
+    Q, else (None, the sorted A at which den(A) | num(A) can hold).
 
     Every case equation yields a constant or linear denominator; a higher
     degree raises SqueezeUnresolvedError.  A constant divides num over Q.
@@ -453,7 +442,7 @@ def divisibility_candidates(den, num) -> DivisibilityOutcome:
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if p_deg(den) == 0:
-        return DivisibilityOutcome([Fraction(c, den[0]) for c in num])
+        return [Fraction(c, den[0]) for c in num], ()
     if p_deg(den) != 1:
         raise SqueezeUnresolvedError(
             f"denominator {p_str(den)} has degree {p_deg(den)}; only linear ones are resolved"
@@ -466,7 +455,7 @@ def divisibility_candidates(den, num) -> DivisibilityOutcome:
         for n in reversed(num[1:]):
             acc = acc * root + n
             quotient.append(acc / c1)
-        return DivisibilityOutcome(quotient[::-1])
+        return quotient[::-1], ()
     cands = set()
     for div in divisors(p_content(num) * res):
         for target in (div, -div):
@@ -476,7 +465,7 @@ def divisibility_candidates(den, num) -> DivisibilityOutcome:
         for div in divisors(num[0]):
             sharp.update((div, -div))
         cands &= sharp
-    return DivisibilityOutcome(None, tuple(sorted(cands)))
+    return None, tuple(sorted(cands))
 
 
 def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
@@ -501,9 +490,6 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
     if not all(degenerate):
         report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
         return set(), []
-    exclusions = set(integer_roots(wn)) | {0}
-    for f in degenerate:
-        exclusions.update(integer_roots(f))
     if filt.dominant:
         dnum = degenerate[3]  # t * (A^2 + 4B)
         # a finite admissible window needs even degree: an odd-degree
@@ -518,9 +504,7 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
         report.branches.append({"b": label, "outcome": "infinite curve family"})
     else:
         report.branches.append({"b": label, "outcome": "curve family"})
-    return set(), [
-        CurveFamilySolution(tuple(wn), t, residues, triple, source, tuple(sorted(exclusions)))
-    ]
+    return set(), [CurveFamilySolution(tuple(wn), t, residues, triple, source)]
 
 
 def _linear_branch(den, num, filt, triple, source, report):
@@ -532,11 +516,11 @@ def _linear_branch(den, num, filt, triple, source, report):
     candidates).
     """
     window = set(integer_roots(den))
-    out = divisibility_candidates(den, num)
-    if out.exact_quotient is not None:
-        w, curves = _curve_members(out.exact_quotient, filt, triple, source, report)
+    quotient, candidates = divisibility_candidates(den, num)
+    if quotient is not None:
+        w, curves = _curve_members(quotient, filt, triple, source, report)
         return window | w, curves, ()
-    return window | set(out.candidates), [], out.candidates
+    return window | set(candidates), [], candidates
 
 
 def _poly_sqrt(delta):
@@ -796,8 +780,9 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
     return set(range(-cuts[-1], cuts[1] + 1)), []
 
 
-def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSolution:
-    """Complete integer solutions of one case equation under the filter.
+def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationReport:
+    """Complete integer solutions of one case equation under the filter,
+    returned in its report with the closure evidence.
 
     The closure for the equation's B-degree bounds A: it returns a finite
     window of A values plus any curve families, and E(a, B) = 0 is then
@@ -811,15 +796,16 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> CaseSoluti
     at triple (0, 1, 5)) and second kind from 4 (at (0, 1, 4)).
     """
     filt = filt or DomainFilter()
-    report = EquationReport(eq.triple, eq.variant, len(eq.poly) - 1, "")
-    window, curves = _closure(eq, filt, report)
+    report = EquationReport(eq.triple, eq.variant, "")
+    window, report.curves = _closure(eq, filt, report)
     triple, source = eq.ap_roles(), (eq.triple, eq.variant)
-    sporadics, b_families = [], []
     for a in sorted(window):
         s, f = _solve_b_univariate(a, eq.poly, filt, triple, source, report)
-        sporadics += [x for x in s if not any(c.admits_a(a) and c.b_at(a) == x.B for c in curves)]
-        b_families += f
-    return CaseSolution(sporadics, b_families, curves, report)
+        report.sporadics += [
+            x for x in s if not any(c.admits_a(a) and c.b_at(a) == x.B for c in report.curves)
+        ]
+        report.b_families += f
+    return report
 
 
 def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> SolutionSet:
@@ -834,8 +820,8 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
     curves = []
     reports = []
     for eq in case_equations(kind, m_cap):
-        sol = solve_case(eq, filt)
-        reports.append(sol.report)
+        report = solve_case(eq, filt)
+        reports.append(report)
 
         def check(a, b):
             if b_eval(eq.poly, a, b):
@@ -843,10 +829,10 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
                     f"({a}, {b}) does not solve triple {eq.triple} variant {eq.variant}"
                 )
 
-        for s in sol.sporadics:
+        for s in report.sporadics:
             check(s.A, s.B)
             sporadics.setdefault((s.A, s.B, s.triple), s)
-        for f in sol.b_families:
+        for f in report.b_families:
             witnesses = []
             b = f.b_min if f.b_min is not None else -3
             while len(witnesses) < 3:
@@ -856,7 +842,7 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
             for b in witnesses:
                 check(f.A, b)
             b_families.setdefault((f.A, f.triple), f)
-        for c in sol.curves:
+        for c in report.curves:
             witnesses = []
             a = 1
             while len(witnesses) < 3 and a < 1000:

@@ -39,7 +39,7 @@ from lucasaps.core import (
     term,
     terms,
 )
-from lucasaps.smallcase import CaseEquation, _variant_poly, solve_all, solve_case
+from lucasaps.smallcase import CaseEquation, solve_all, solve_case
 from lucasaps.special import sunit_constant
 from lucasaps.tables import verify_tables
 
@@ -202,19 +202,19 @@ def test_criterion_3_worked_example_fidelity():
 def test_criterion_4_smallcase_solver():
     t0 = time.time()
     # linear worked equation: divisor candidates exactly A | 2, all rejected
-    eq1 = CaseEquation(Kind.FIRST, (1, 2, 4), 2, _variant_poly(Kind.FIRST, 1, 2, 4, 2))
+    eq1 = CaseEquation(Kind.FIRST, (1, 2, 4), 2)
     sol1 = solve_case(eq1)
-    assert sol1.report.candidates == (-2, -1, 1, 2)
+    assert sol1.candidates == (-2, -1, 1, 2)
     assert not sol1.sporadics and not sol1.b_families and not sol1.curves
 
     # quadratic worked equation: exact square discriminant, branch rejected
-    eq2 = CaseEquation(Kind.FIRST, (0, 3, 6), 3, _variant_poly(Kind.FIRST, 0, 3, 6, 3))
+    eq2 = CaseEquation(Kind.FIRST, (0, 3, 6), 3)
     sol2 = solve_case(eq2)
-    assert list(sol2.report.delta) == [1, 0, 0, 8, 0, 0, 16]  # (4A^3+1)^2
-    assert sol2.report.delta_square_root == ((1, 0, 0, 4), 1)
+    assert list(sol2.delta) == [1, 0, 0, 8, 0, 0, 16]  # (4A^3+1)^2
+    assert sol2.delta_square_root == ((1, 0, 0, 4), 1)
     assert any(
         b.get("b") == "-A^2" and b["outcome"].startswith("rejected")
-        for b in sol2.report.branches
+        for b in sol2.branches
     )
     assert not sol2.sporadics and not sol2.curves
 
@@ -222,21 +222,19 @@ def test_criterion_4_smallcase_solver():
     # belongs to the triple (1, 2, 6), first variant (the widely quoted
     # label (0, 2, 6) does not expand to it); squares occur only at
     # A in {0, 1} and A = 1 forces B = 0, which the filter rejects.
-    eq3 = CaseEquation(Kind.FIRST, (1, 2, 6), 1, _variant_poly(Kind.FIRST, 1, 2, 6, 1))
+    eq3 = CaseEquation(Kind.FIRST, (1, 2, 6), 1)
     sol3 = solve_case(eq3)
-    assert list(sol3.report.delta) == [0, -12, 24, 0, 0, 0, 4]  # 4*(A^6+6A^2-3A)
-    assert sol3.report.square_hits == (0, 1)
+    assert list(sol3.delta) == [0, -12, 24, 0, 0, 0, 4]  # 4*(A^6+6A^2-3A)
+    assert sol3.square_hits == (0, 1)
     assert not sol3.sporadics
     for variant in (1, 2, 3):
-        literal = CaseEquation(
-            Kind.FIRST, (0, 2, 6), variant, _variant_poly(Kind.FIRST, 0, 2, 6, variant)
-        )
+        literal = CaseEquation(Kind.FIRST, (0, 2, 6), variant)
         assert not solve_case(literal).sporadics
 
     # grid oracle: exact match with brute force, no unresolved squeezes
     for kind in Kind:
         solset = solve_all(kind, 6)  # raises SqueezeUnresolvedError on failure
-        symbolic = solset.grid_instances(-40, 40, -40, 40, max_index=6)
+        symbolic = solset.grid_instances(-40, 40, -40, 40)
         brute = set()
         for A, B in _dominant_pairs(40):
             params = new_params(A, B)

@@ -33,6 +33,20 @@ def dominant_pairs(box):
     return out
 
 
+def listed_pairs():
+    """(params, kind) for the 158 growth-lemma exceptional pair/kinds with D > 0."""
+    out = []
+    for A in range(-7, 8):
+        for B in range(-14, 15):
+            if A == 0 or B == 0 or degeneracy_order(A, B) is not None:
+                continue
+            if A * A + 4 * B <= 0:
+                continue
+            params = new_params(A, B)
+            out += [(params, kind) for kind in Kind if growth_exception(params, kind)]
+    return out
+
+
 class TestGrowthException:
     @pytest.mark.parametrize(
         "pair,kind,expected",
@@ -109,7 +123,7 @@ class TestGrowthException:
 class TestPatternBound:
     def test_family_cell(self):
         # fixed gaps (1, 2) with the doubled middle term: whole-cell family
-        pat = GapPattern(1, 1, Gap(True, 1), Gap(True, 2))
+        pat = GapPattern(1, Gap(True, 1), Gap(True, 2))
         res = pattern_bound(pat, new_params(1, 1), Kind.FIRST)
         assert res.status == "family"
         fams = [f.normalized() for f in res.families]
@@ -117,7 +131,7 @@ class TestPatternBound:
 
     def test_worked_margin(self):
         # sorted exponents with both gaps >= (2, 1): margin 4 + 3*sqrt(2)
-        pat = GapPattern(1, 1, Gap(False, 2), Gap(False, 1))
+        pat = GapPattern(1, Gap(False, 2), Gap(False, 1))
         res = pattern_bound(pat, new_params(2, 1), Kind.FIRST)
         assert res.status == "bounded"
         assert res.margin == Surd(8, 3, 8)
@@ -126,25 +140,20 @@ class TestPatternBound:
     def test_single_candidate_checked(self):
         # fixed gaps (1, 1) with the doubled largest term: one candidate,
         # exactly refuted
-        pat = GapPattern(0, 1, Gap(True, 1), Gap(True, 1))
+        pat = GapPattern(0, Gap(True, 1), Gap(True, 1))
         res = pattern_bound(pat, new_params(1, 1), Kind.FIRST)
         assert res.status == "resolved"
         assert res.solutions == ()
 
     def test_fixed_cell_solution(self):
-        pat = GapPattern(1, 1, Gap(True, 1), Gap(True, 1))
+        pat = GapPattern(1, Gap(True, 1), Gap(True, 1))
         res = pattern_bound(pat, new_params(2, 1), Kind.FIRST)
         assert res.status == "resolved"
         assert res.solutions == ((0, 1, 2),)
 
-    def test_side_sign_must_match_kind(self):
-        pat = GapPattern(1, -1, Gap(True, 1), Gap(True, 1))
-        with pytest.raises(ValueError):
-            pattern_bound(pat, new_params(2, 1), Kind.FIRST)
-
     def test_fixed_second_gap_free_first_gap(self):
         # not produced by the engine's own recursion, but a legal pattern
-        pat = GapPattern(1, 1, Gap(False, 2), Gap(True, 1))
+        pat = GapPattern(1, Gap(False, 2), Gap(True, 1))
         res = pattern_bound(pat, new_params(2, 1), Kind.FIRST)
         assert res.status == "bounded"
         assert res.margin == Surd(8, 3, 8)
@@ -354,6 +363,15 @@ class TestCertificateJson:
         assert {t.indices for t in again.aps} == {t.indices for t in r.certificate.aps}
         assert check_certificate(again, params, Kind.FIRST)
 
+    def test_read_back_certificate_writes_the_same_document(self):
+        # every certificate of the listed pairs, pattern nodes included,
+        # read back from JSON text and written out again
+        results = [certified_enumerate(params, kind) for params, kind in listed_pairs()]
+        docs = [r.certificate.to_json_dict() for r in results if r.certificate is not None]
+        assert len(docs) == 151
+        for doc in docs:
+            assert certificate_from_json(json.loads(json.dumps(doc))).to_json_dict() == doc
+
     def test_schema_validates(self):
         import jsonschema
 
@@ -379,23 +397,14 @@ class TestCertificateJson:
         # exceptional pairs with D > 0, serialized once; any change to the
         # bytes of a pattern node or certificate moves the digest
         docs = []
-        for A in range(-7, 8):
-            for B in range(-14, 15):
-                if A == 0 or B == 0 or degeneracy_order(A, B) is not None:
-                    continue
-                if A * A + 4 * B <= 0:
-                    continue
-                params = new_params(A, B)
-                for kind in Kind:
-                    if not growth_exception(params, kind):
-                        continue
-                    r = certified_enumerate(params, kind)
-                    docs.append({
-                        "pair": [A, B, kind.value],
-                        "status": r.status,
-                        "certificate": r.certificate and r.certificate.to_json_dict(),
-                        "evidence": [e.to_json_dict() for e in r.evidence],
-                    })
+        for params, kind in listed_pairs():
+            r = certified_enumerate(params, kind)
+            docs.append({
+                "pair": [params.A, params.B, kind.value],
+                "status": r.status,
+                "certificate": r.certificate and r.certificate.to_json_dict(),
+                "evidence": [e.to_json_dict() for e in r.evidence],
+            })
         assert len(docs) == 158
         text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,25 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines[0] == "k,l,m,value_k,value_l,value_m"
         assert lines[1] == "0,1,2,0,1,2"
+
+    def test_text(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--A", "1", "--B", "1", "--kind", "first",
+            "--max-index", "8", "--format", "text",
+        )
+        assert code == 0
+        assert out == (
+            "(0, 1, 3) -> (0, 1, 2)\n"
+            "(0, 2, 3) -> (0, 1, 2)\n"
+            "(1, 3, 4) -> (1, 2, 3)\n"
+            "(2, 3, 4) -> (1, 2, 3)\n"
+            "(1, 4, 5) -> (1, 3, 5)\n"
+            "(2, 4, 5) -> (1, 3, 5)\n"
+            "(3, 5, 6) -> (2, 5, 8)\n"
+            "(4, 6, 7) -> (3, 8, 13)\n"
+            "(5, 7, 8) -> (5, 13, 21)\n"
+            "9 progression(s) with indices <= 8\n"
+        )
 
     def test_bad_window(self, capsys):
         code, _, err = run(
@@ -363,6 +383,32 @@ class TestScan:
         assert lines[0] == "A,B,kind,classification,ap_count_window,family_count,certified,n0"
         assert any("degenerate_order_3" in line for line in lines)  # (1, -1)
         assert any("zero_coefficient" in line for line in lines)
+
+    def test_text_is_pinned(self, capsys, tmp_path):
+        out = tmp_path / "scan.txt"
+        code, stdout, _ = run(
+            capsys, "scan", "--a-range=-2..2", "--b-range=-2..2", "--format", "text",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (0, f"wrote 50 rows to {out}\n")
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "A   B   kind    classification      ap_count_window  family_count  certified  n0"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f07d270a28652eb3581994b34917fbbd662a35e240aa880858d2d927d6d4dd15"
+        )
+
+    def test_unusable_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # checked before the first row is computed
+        missing = tmp_path / "missing" / "scan.csv"
+        for out, why in ((tmp_path, "is a directory"), (missing, "lies in a missing directory")):
+            err = run_refused(
+                capsys, monkeypatch, "scan", "--a-range=-2..2", "--b-range=-2..2",
+                "--out", str(out),
+            )
+            assert err == f"error: --out {out} {why}\n"
+        assert not missing.parent.exists()
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # only scan with more than one worker needs it; a fresh interpreter

@@ -90,9 +90,9 @@ class TestCaseEquations:
             assert len(set(polys) | {b_add((), p, -1) for p in polys}) == 2 * 168
 
     def test_ap_roles(self):
-        eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2, _variant_poly(Kind.FIRST, 1, 2, 4, 2))
+        eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2)
         assert eq.ap_roles() == (2, 1, 4)
-        eq3 = CaseEquation(Kind.FIRST, (0, 3, 6), 3, _variant_poly(Kind.FIRST, 0, 3, 6, 3))
+        eq3 = CaseEquation(Kind.FIRST, (0, 3, 6), 3)
         assert eq3.ap_roles() == (0, 6, 3)
 
     def test_index_cap(self):
@@ -102,49 +102,49 @@ class TestCaseEquations:
 
 class TestWorkedEquations:
     def test_linear_divisor_candidates(self):
-        eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2, _variant_poly(Kind.FIRST, 1, 2, 4, 2))
+        eq = CaseEquation(Kind.FIRST, (1, 2, 4), 2)
         sol = solve_case(eq)
-        assert sol.report.strategy == "linear_in_b"
-        assert sol.report.candidates == (-2, -1, 1, 2)
+        assert sol.strategy == "linear_in_b"
+        assert sol.candidates == (-2, -1, 1, 2)
         assert not sol.sporadics and not sol.b_families and not sol.curves
 
     def test_square_discriminant_with_rejected_branch(self):
-        eq = CaseEquation(Kind.FIRST, (0, 3, 6), 3, _variant_poly(Kind.FIRST, 0, 3, 6, 3))
+        eq = CaseEquation(Kind.FIRST, (0, 3, 6), 3)
         sol = solve_case(eq)
         # Delta = (4A^3 + 1)^2
-        assert list(sol.report.delta) == [1, 0, 0, 8, 0, 0, 16]
-        assert sol.report.delta_square_root == ((1, 0, 0, 4), 1)
-        rejected = [b for b in sol.report.branches if b.get("b") == "-A^2"]
+        assert list(sol.delta) == [1, 0, 0, 8, 0, 0, 16]
+        assert sol.delta_square_root == ((1, 0, 0, 4), 1)
+        rejected = [b for b in sol.branches if b.get("b") == "-A^2"]
         assert rejected and rejected[0]["outcome"].startswith("rejected")
         assert not sol.sporadics and not sol.curves
 
     def test_squeezed_discriminant_square_only_at_one(self):
         # the sextic discriminant 4*(A^6 + 6A^2 - 3A): a square only at
         # A in {0, 1}; A = 1 forces B = 0 which the filter rejects
-        eq = CaseEquation(Kind.FIRST, (1, 2, 6), 1, _variant_poly(Kind.FIRST, 1, 2, 6, 1))
+        eq = CaseEquation(Kind.FIRST, (1, 2, 6), 1)
         sol = solve_case(eq)
-        assert list(sol.report.delta) == [0, -12, 24, 0, 0, 0, 4]
-        assert sol.report.square_hits == (0, 1)
-        assert sol.report.squeeze and all(e["cut"] >= 3 for e in sol.report.squeeze)
+        assert list(sol.delta) == [0, -12, 24, 0, 0, 0, 4]
+        assert sol.square_hits == (0, 1)
+        assert sol.squeeze and all(e["cut"] >= 3 for e in sol.squeeze)
         assert not sol.sporadics
 
     def test_curve_point_not_repeated_as_sporadic(self):
         # Delta is a square: one branch is the curve B = A - A^2, the other
         # has divisor candidates, and the exact solve at those candidates
         # also finds the curve's points, which the curve already reports
-        eq = CaseEquation(Kind.FIRST, (4, 5, 6), 1, _variant_poly(Kind.FIRST, 4, 5, 6, 1))
+        eq = CaseEquation(Kind.FIRST, (4, 5, 6), 1)
         sol = solve_case(eq, DomainFilter(dominant=False))
-        assert sol.report.delta_square_root == ((0, 2, -4, 2), 1)
-        assert sol.report.candidates == (-10, -2, 0, 1, 2, 6, 22)
+        assert sol.delta_square_root == ((0, 2, -4, 2), 1)
+        assert sol.candidates == (-10, -2, 0, 1, 2, 6, 22)
         assert [(c.num, c.den, c.residues) for c in sol.curves] == [((0, 1, -1), 1, (0,))]
         assert not sol.sporadics and not sol.b_families
 
     def test_squeeze_root_on_each_side(self):
         # Delta(-x) has the root (-1)^3 * G(-x) for G = 2A^3 + 2, so side -1
         # squeezes around 2A^3 - 2
-        eq = CaseEquation(Kind.FIRST, (1, 3, 6), 1, _variant_poly(Kind.FIRST, 1, 3, 6, 1))
+        eq = CaseEquation(Kind.FIRST, (1, 3, 6), 1)
         sol = solve_case(eq)
-        assert sol.report.squeeze == [
+        assert sol.squeeze == [
             {"side": 1, "cut": 4, "shift": -1, "squareRoot": "2*A^3+2"},
             {"side": -1, "cut": 4, "shift": 0, "squareRoot": "2*A^3-2"},
         ]
@@ -152,7 +152,7 @@ class TestWorkedEquations:
     def test_root_location_failure_raises(self):
         # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives
         # P(1 + x) = 4 + 4x - 4A^2, whose constant is eventually negative
-        report = EquationReport((0, 1, 2), 1, 1, "")
+        report = EquationReport((0, 1, 2), 1, "")
         for bcs in (((-1, 0, 1), (4,)), ((), (4,))):
             with pytest.raises(EngineMismatchError, match="root location fails on side 1"):
                 _root_location(bcs, report)
@@ -175,10 +175,10 @@ class TestWorkedEquations:
             if len(bcs) - 1 != 1 or not bcs[0]:
                 continue
             e1, e0 = bcs[1], [-c for c in bcs[0]]
-            out = divisibility_candidates(e1, e0)
-            if out.exact_quotient is not None:
+            quotient, candidates = divisibility_candidates(e1, e0)
+            if quotient is not None:
                 continue
-            cands = set(out.candidates)
+            cands = set(candidates)
             for a in range(-10000, 10001):
                 d = p_eval(e1, a)
                 if d and p_eval(e0, a) % d == 0:
@@ -288,8 +288,7 @@ def oracle_divisibility(den, num):
 
 class TestDivisibilityOracle:
     def assert_matches(self, den, num):
-        out = divisibility_candidates(den, num)
-        assert (out.exact_quotient, out.candidates) == oracle_divisibility(den, num), (den, num)
+        assert divisibility_candidates(den, num) == oracle_divisibility(den, num), (den, num)
 
     def test_case_equations(self):
         count = 0
@@ -384,6 +383,18 @@ class TestSolveAll:
             "92b326d35b5d4b3c7e1599bf18cf0440a016175491f115824689f73edb8d787b"
         )
 
+    def test_unfiltered_documents_are_pinned(self):
+        # solve_all without the dominant filter at its reach (first kind caps
+        # 2..4, second kind 2..3), serialized as above: 25 curve families,
+        # 26 sporadics and 8 B-families
+        filt = DomainFilter(dominant=False)
+        docs = [solve_all(Kind.FIRST, cap, filt).to_json_dict() for cap in range(2, 5)]
+        docs += [solve_all(Kind.SECOND, cap, filt).to_json_dict() for cap in range(2, 4)]
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a91c64348d46415b2c7114d7415e59a85dc9f05edf376442923955ab127ef86a"
+        )
+
     def test_squeeze_shifts_at_cap_seven(self):
         # the shift follows from the sign of t^2 * Delta - G^2 on each side;
         # second kind never squeezes, first kind the same with either filter
@@ -391,7 +402,7 @@ class TestSolveAll:
             shifts, cuts = Counter(), 0
             for eq in case_equations(Kind.FIRST, 7):
                 try:
-                    report = solve_case(eq, DomainFilter(dominant)).report
+                    report = solve_case(eq, DomainFilter(dominant))
                 except SqueezeUnresolvedError:
                     continue
                 for entry in report.squeeze:
@@ -417,7 +428,7 @@ class TestSolveAll:
     def test_grid_oracle_small(self):
         for kind in Kind:
             ss = solve_all(kind, 6)
-            sym = ss.grid_instances(-15, 15, -15, 15, max_index=6)
+            sym = ss.grid_instances(-15, 15, -15, 15)
             brute = set()
             filt = DomainFilter()
             for A in range(-15, 16):
@@ -431,24 +442,22 @@ class TestSolveAll:
             assert sym == brute, kind
 
     def test_cubic_cap_seven_raises_for_first_kind(self):
-        eq = CaseEquation(Kind.FIRST, (0, 1, 7), 1, _variant_poly(Kind.FIRST, 0, 1, 7, 1))
+        eq = CaseEquation(Kind.FIRST, (0, 1, 7), 1)
         with pytest.raises(SqueezeUnresolvedError):
             solve_case(eq, DomainFilter(dominant=False))
 
     def test_cubic_cap_seven_second_kind_needs_dominant_filter(self):
-        eq = CaseEquation(
-            Kind.SECOND, (0, 1, 7), 1, _variant_poly(Kind.SECOND, 0, 1, 7, 1)
-        )
+        eq = CaseEquation(Kind.SECOND, (0, 1, 7), 1)
         with pytest.raises(SqueezeUnresolvedError, match=r"^triple \(0, 1, 7\) variant 1: "):
             solve_case(eq, DomainFilter(dominant=False))
         sol = solve_case(eq)
-        assert sol.report.strategy == "cubic_in_b_root_location"
+        assert sol.strategy == "cubic_in_b_root_location"
         assert not sol.sporadics and not sol.b_families and not sol.curves
 
     def test_non_dominant_filter_linear_range(self):
         # complete without the discriminant filter up to index 4
         ss = solve_all(Kind.FIRST, 4, DomainFilter(dominant=False))
-        sym = ss.grid_instances(-12, 12, -12, 12, max_index=4)
+        sym = ss.grid_instances(-12, 12, -12, 12)
         brute = set()
         filt = DomainFilter(dominant=False)
         for A in range(-12, 13):

@@ -13,7 +13,8 @@ import argparse
 from collections import Counter
 
 from lucasaps.apsearch import detect_families, find_aps
-from lucasaps.core import Kind, degeneracy_order, new_params
+from lucasaps.core import Kind, new_params
+from lucasaps.smallcase import DomainFilter
 
 
 def main():
@@ -28,9 +29,7 @@ def main():
     worst = 0
     for A in range(-args.box, args.box + 1):
         for B in range(-args.box, args.box + 1):
-            if not A or not B or degeneracy_order(A, B) is not None:
-                continue
-            if A * A + 4 * B >= 0:
+            if not DomainFilter(dominant=False).admits(A, B) or A * A + 4 * B >= 0:
                 continue
             params = new_params(A, B)
             for kind in Kind:

@@ -65,6 +65,12 @@ def canonical_indices(k: int, l: int, m: int) -> tuple[int, int, int]:
     return (k, l, m) if k < m else (m, l, k)
 
 
+def doubled_at(indices, pos: int) -> tuple[int, int, int]:
+    """Canonical (k, l, m) for three distinct indices whose term at pos is doubled."""
+    k, m = (n for i, n in enumerate(indices) if i != pos)
+    return canonical_indices(k, indices[pos], m)
+
+
 def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     """All canonical progressions with indices <= n_max, sorted by (m, k, l).
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .apsearch import APFamily, APTriple, detect_families, find_aps, is_ap
+from .apsearch import APFamily, APTriple, detect_families, doubled_at, find_aps, is_ap
 from .core import (
     Classification,
     EngineMismatchError,
@@ -157,17 +157,8 @@ class EngineConfig:
 SEARCH_CAP = 2000
 
 
-def _exponents_to_triple(n1: int, n2: int, n3: int, minus_two_at: int):
-    """Canonical (k, l, m) index triple for sorted exponents n1 > n2 > n3."""
-    exps = (n1, n2, n3)
-    l = exps[minus_two_at]
-    outer = sorted(e for i, e in enumerate(exps) if i != minus_two_at)
-    return (outer[0], l, outer[1])
-
-
 def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
-    n1, n2, n3 = g1 + g2, g2, 0
-    k, l, m = _exponents_to_triple(n1, n2, n3, minus_two_at)
+    k, l, m = doubled_at((g1 + g2, g2, 0), minus_two_at)
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
@@ -197,7 +188,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnal
         cmp = surd_cmp_abs(lhs, rhs)
         if cmp == 0:
             if (lhs - rhs.times_int(eps)).is_zero():
-                sols.append(_exponents_to_triple(n3 + g1 + g2, n3 + g2, n3, pattern.minus_two_at))
+                sols.append(doubled_at((n3 + g1 + g2, n3 + g2, n3), pattern.minus_two_at))
             break
         if cmp > 0:
             break
@@ -316,7 +307,7 @@ def _cell_solutions(pattern: GapPattern, params: SeqParams, kind: Kind, top: int
                 n2 = n3 + g2
                 n1 = n2 + g1
                 if c1 * ts[n1] + c2 * ts[n2] + c3 * ts[n3] == 0:
-                    out.append(_exponents_to_triple(n1, n2, n3, pattern.minus_two_at))
+                    out.append(doubled_at((n1, n2, n3), pattern.minus_two_at))
     return tuple(out)
 
 

@@ -103,10 +103,10 @@ def _worker_count(jobs: int) -> int:
 
 
 def _range_arg(value: str):
-    lo, sep, hi = value.partition("..")
-    if not sep:
+    try:
+        lo, hi = map(int, value.split(".."))
+    except ValueError:
         raise argparse.ArgumentTypeError("range must look like LO..HI")
-    lo, hi = int(lo), int(hi)
     if lo > hi:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
@@ -356,6 +356,8 @@ def _cmd_scan(args) -> int:
         "--max-index", args.max_index,
         max(abs(a_lo), abs(a_hi)) + max(abs(b_lo), abs(b_hi)),
     )
+    if not args.out:
+        raise _UsageError("--out names no file")
     if os.path.isdir(args.out):
         raise _UsageError(f"--out {args.out} is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):

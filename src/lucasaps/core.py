@@ -46,7 +46,8 @@ class DegenerateError(ValueError):
         )
 
 
-# A^2 == -k*B  maps to the order of alpha/beta as a root of unity.
+# A^2 == -k*B  maps to the order of alpha/beta as a root of unity; the keys
+# are the one list of degenerate k that every module reads.
 _UNITY_ORDER = {1: 3, 2: 4, 3: 6, 4: 1}
 
 

@@ -44,7 +44,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 
-from .core import EngineMismatchError, Kind, degeneracy_order
+from .apsearch import doubled_at
+from .core import _UNITY_ORDER, EngineMismatchError, Kind, degeneracy_order
 
 
 class SqueezeUnresolvedError(ArithmeticError):
@@ -230,26 +231,13 @@ class CaseEquation:
     poly: tuple = field(init=False)  # B-coefficients of E, as poly_terms returns them
 
     def __post_init__(self):
-        object.__setattr__(self, "poly", _variant_poly(self.kind, *self.triple, self.variant))
+        k, l, m = self.ap_roles()
+        u = poly_terms(self.kind, max(self.triple) + 1)
+        object.__setattr__(self, "poly", b_add(b_add(u[k], u[l], -2), u[m]))
 
     def ap_roles(self) -> tuple:
         """Canonical progression-index triple (outer, doubled, outer)."""
-        k, l, m = self.triple
-        if self.variant == 1:
-            return (k, l, m)
-        if self.variant == 2:
-            return (l, k, m)
-        return (k, m, l)
-
-
-def _variant_poly(kind: Kind, k: int, l: int, m: int, variant: int) -> tuple:
-    u = poly_terms(kind, max(k, l, m) + 1)
-    uk, ul, um = u[k], u[l], u[m]
-    if variant == 1:
-        return b_add(b_add(uk, ul, -2), um)
-    if variant == 2:
-        return b_add(b_add(ul, uk, -2), um)
-    return b_add(b_add(uk, um, -2), ul)
+        return doubled_at(self.triple, (1, 0, 2)[self.variant - 1])
 
 
 def case_equations(kind: Kind, m_cap: int) -> list:
@@ -287,7 +275,7 @@ class DomainFilter:
             b_min = -(A * A) // 4 + 1 or 1  # least nonzero B with A^2 + 4B > 0
             return b_min, (0,) if b_min < 0 else ()
         excl = {0}
-        for kk in (1, 2, 3, 4):
+        for kk in _UNITY_ORDER:
             if (A * A) % kk == 0:
                 excl.add(-(A * A) // kk)
         return None, tuple(sorted(excl))
@@ -303,18 +291,11 @@ class SporadicSolution:
 
 @dataclass(frozen=True)
 class BFamilySolution:
-    """A fixed, B free subject to b_min and exclusions."""
+    """A fixed, B free where the filter admits (A, B)."""
 
     A: int
-    b_min: int | None
-    exclusions: tuple
     triple: tuple
     source: tuple
-
-    def admits_b(self, B: int) -> bool:
-        if B in self.exclusions:
-            return False
-        return self.b_min is None or B >= self.b_min
 
 
 @dataclass(frozen=True)
@@ -376,7 +357,7 @@ class SolutionSet:
             if not a_lo <= f.A <= a_hi:
                 continue
             for B in range(b_lo, b_hi + 1):
-                if f.admits_b(B) and filt.admits(f.A, B):
+                if filt.admits(f.A, B):
                     out.add((f.A, B, f.triple))
         for c in self.curves:
             for a in range(a_lo, a_hi + 1):
@@ -388,6 +369,7 @@ class SolutionSet:
         return out
 
     def to_json_dict(self):
+        b_conditions = [DomainFilter(self.dominant).b_condition(f.A) for f in self.b_families]
         return {
             "kind": self.kind.value,
             "maxIndex": self.m_cap,
@@ -396,13 +378,8 @@ class SolutionSet:
                 {"A": s.A, "B": s.B, "triple": list(s.triple)} for s in self.sporadics
             ],
             "bFamilies": [
-                {
-                    "A": f.A,
-                    "bMin": f.b_min,
-                    "bExclusions": list(f.exclusions),
-                    "triple": list(f.triple),
-                }
-                for f in self.b_families
+                {"A": f.A, "bMin": b_min, "bExclusions": list(excl), "triple": list(f.triple)}
+                for f, (b_min, excl) in zip(self.b_families, b_conditions)
             ],
             "curveFamilies": [
                 {
@@ -485,13 +462,13 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
     if not residues:
         report.branches.append({"b": label, "outcome": "rejected: never an integer"})
         return set(), []
-    # t * (A^2 + k*B) for k = 1..4: degenerate pairs lie on their roots
-    degenerate = [p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)) for kk in (1, 2, 3, 4)]
-    if not all(degenerate):
+    # t * (A^2 + k*B) for each degeneracy k: degenerate pairs lie on their roots
+    degenerate = {kk: p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)) for kk in _UNITY_ORDER}
+    if not all(degenerate.values()):
         report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
         return set(), []
     if filt.dominant:
-        dnum = degenerate[3]  # t * (A^2 + 4B)
+        dnum = degenerate[4]  # t * (A^2 + 4B)
         # a finite admissible window needs even degree: an odd-degree
         # discriminant polynomial is positive toward one infinity
         if dnum and dnum[-1] < 0 and p_deg(dnum) % 2 == 0:
@@ -580,14 +557,15 @@ def _squeeze_side(R, G, t, side, report):
 
 
 def _root_location(bcs, report):
-    """Dominant-filter cutoffs {side: cut} from the C = A^2 + 4B substitution.
+    """Dominant-filter cutoff on |A| from the C = A^2 + 4B substitution.
 
     The dominant domain is C >= 1.  Substituting B = (x + 1 - A^2)/4 turns
     4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain.
     It suffices that on a side of A every x-coefficient of s * P(1 + x) (s
     the eventual sign of e_d there) is eventually positive; the root bound of
     each coefficient (root_bound) makes "eventually" an explicit cutoff, and
-    below it the caller exhausts.  A coefficient that is zero (C = 1 solves
+    below it the caller exhausts.  root_bound reads only |coefficients|, so
+    one cut serves both sides.  A coefficient that is zero (C = 1 solves
     the equation for every A when it is the constant one) or eventually
     negative leaves the proof open.  No case equation does that under the
     dominant filter, so it raises EngineMismatchError.
@@ -600,22 +578,19 @@ def _root_location(bcs, report):
         for r in range(j, -1, -1):
             q[r] = p_add(q[r], p_scale(piece, comb(j, r)))
             piece = p_mul(piece, [1, 0, -1])
-    cuts = {}
+    cut = max(root_bound(qr) for qr in q if qr)  # a zero q_r fails on side 1
     for side in (1, -1):
         s = 1 if _substitute_side(bcs[d], side)[-1] > 0 else -1
-        cut = 0
         for r, qr in enumerate(q):
-            qs = _substitute_side(p_scale(qr, s), side)
-            if not qs or qs[-1] <= 0:
+            # the leading coefficient of s * q_r(side * x)
+            if not qr or s * side ** p_deg(qr) * qr[-1] <= 0:
                 raise EngineMismatchError(
                     f"root location fails on side {side}: coefficient {r} of P(1 + x) is {p_str(qr)}"
                 )
-            cut = max(cut, positive_cut(qs))
         report.squeeze.append(
             {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
         )
-        cuts[side] = cut
-    return cuts
+    return cut
 
 
 def _bisect_int_roots(f, lo, hi):
@@ -695,23 +670,6 @@ def integer_roots(coeffs):
     return sorted(roots)
 
 
-def _solve_b_univariate(a, bcs, filt, triple, source, report):
-    """All admitted (a, B) for one fixed A = a; returns (sporadics, families)."""
-    coeffs = _trim([p_eval(bc, a) for bc in bcs])
-    if not coeffs:
-        if a == 0:
-            return [], []
-        b_min, excl = filt.b_condition(a)
-        report.branches.append({"a": a, "outcome": "B free (equation vanishes)"})
-        return [], [BFamilySolution(a, b_min, excl, triple, source)]
-    sporadics = []
-    for B in integer_roots(coeffs):
-        if filt.admits(a, B):
-            sporadics.append(SporadicSolution(a, B, triple, source))
-            report.branches.append({"a": a, "B": B, "outcome": "admitted"})
-    return sporadics, []
-
-
 def _closure(eq: CaseEquation, filt: DomainFilter, report):
     """(window, curves): every admitted solution off the curve families has
     A in the finite window.  Fills the report's strategy and evidence."""
@@ -776,8 +734,8 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
             "square-root analysis has no closure without the dominant filter"
         )
     report.strategy += "_root_location"
-    cuts = _root_location(bcs, report)
-    return set(range(-cuts[-1], cuts[1] + 1)), []
+    cut = _root_location(bcs, report)
+    return set(range(-cut, cut + 1)), []
 
 
 def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationReport:
@@ -800,11 +758,17 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     window, report.curves = _closure(eq, filt, report)
     triple, source = eq.ap_roles(), (eq.triple, eq.variant)
     for a in sorted(window):
-        s, f = _solve_b_univariate(a, eq.poly, filt, triple, source, report)
+        coeffs = _trim([p_eval(bc, a) for bc in eq.poly])
+        if not coeffs:
+            if a:
+                report.b_families.append(BFamilySolution(a, triple, source))
+            continue
         report.sporadics += [
-            x for x in s if not any(c.admits_a(a) and c.b_at(a) == x.B for c in report.curves)
+            SporadicSolution(a, B, triple, source)
+            for B in integer_roots(coeffs)
+            if filt.admits(a, B)
+            and not any(c.admits_a(a) and c.b_at(a) == B for c in report.curves)
         ]
-        report.b_families += f
     return report
 
 
@@ -834,9 +798,10 @@ def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> Solut
             sporadics.setdefault((s.A, s.B, s.triple), s)
         for f in report.b_families:
             witnesses = []
-            b = f.b_min if f.b_min is not None else -3
+            b = filt.b_condition(f.A)[0]
+            b = -3 if b is None else b
             while len(witnesses) < 3:
-                if f.admits_b(b):
+                if filt.admits(f.A, b):
                     witnesses.append(b)
                 b += 1
             for b in witnesses:

@@ -29,6 +29,7 @@ from importlib import resources as importlib_resources
 from .apsearch import APFamily, canonical_indices
 from .certify import certified_enumerate
 from .core import Kind, degeneracy_order, new_params
+from .smallcase import DomainFilter
 from .special import companion_candidates_complex
 
 
@@ -174,9 +175,7 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
     for kind in (Kind.FIRST, Kind.SECOND):
         for A in range(-off_grid, off_grid + 1):
             for B in range(-off_grid, off_grid + 1):
-                if A == 0 or B == 0 or degeneracy_order(A, B) is not None:
-                    continue
-                if A * A + 4 * B <= 0 or pair_in_tables(A, B, kind):
+                if not DomainFilter().admits(A, B) or pair_in_tables(A, B, kind):
                     continue
                 report.checked_pairs += 1
                 params = new_params(A, B)

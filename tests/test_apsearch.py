@@ -1,6 +1,7 @@
 """Progression predicate, windowed search, families and certificates."""
 
 from collections import defaultdict
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -14,11 +15,13 @@ from lucasaps.apsearch import (
     CertificateFailureError,
     canonical_indices,
     detect_families,
+    doubled_at,
     find_aps,
     is_ap,
     verify_family,
 )
 from lucasaps.core import Kind, degeneracy_order, new_params, term, terms
+from lucasaps.smallcase import CaseEquation
 
 
 class TestIsAP:
@@ -48,6 +51,37 @@ class TestCanonical:
     def test_collapses_reversal(self):
         assert canonical_indices(5, 3, 1) == (1, 3, 5)
         assert canonical_indices(1, 3, 5) == (1, 3, 5)
+
+
+def _exponents_to_triple(n1, n2, n3, minus_two_at):
+    """The gap engine's former roles map, for exponents n1 > n2 > n3."""
+    exps = (n1, n2, n3)
+    l = exps[minus_two_at]
+    outer = sorted(e for i, e in enumerate(exps) if i != minus_two_at)
+    return (outer[0], l, outer[1])
+
+
+def _variant_roles(triple, variant):
+    """The small-index solver's former roles map, for k < l < m."""
+    k, l, m = triple
+    if variant == 1:
+        return (k, l, m)
+    if variant == 2:
+        return (l, k, m)
+    return (k, m, l)
+
+
+class TestDoubledAt:
+    def test_matches_gap_engine_encoding(self):
+        for exps in permutations(range(10), 3):
+            for pos in range(3):
+                assert doubled_at(exps, pos) == _exponents_to_triple(*exps, pos), (exps, pos)
+
+    def test_matches_case_equation_encoding(self):
+        for triple in combinations(range(10), 3):
+            for variant in (1, 2, 3):
+                roles = CaseEquation(Kind.FIRST, triple, variant).ap_roles()
+                assert roles == _variant_roles(triple, variant), (triple, variant)
 
 
 class TestAPTriple:

@@ -402,12 +402,16 @@ class TestScan:
     def test_unusable_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
         # checked before the first row is computed
         missing = tmp_path / "missing" / "scan.csv"
-        for out, why in ((tmp_path, "is a directory"), (missing, "lies in a missing directory")):
+        for out, why in (
+            (tmp_path, f"--out {tmp_path} is a directory"),
+            (missing, f"--out {missing} lies in a missing directory"),
+            ("", "--out names no file"),
+        ):
             err = run_refused(
                 capsys, monkeypatch, "scan", "--a-range=-2..2", "--b-range=-2..2",
-                "--out", str(out),
+                f"--out={out}",
             )
-            assert err == f"error: --out {out} {why}\n"
+            assert err == f"error: {why}\n"
         assert not missing.parent.exists()
 
     def test_import_leaves_multiprocessing_unloaded(self):
@@ -536,6 +540,20 @@ class TestGrammar:
             capsys, "scan", "--a-range", "nope", "--b-range", "1..2", "--out", "x"
         )
         assert code == 1
+
+    def test_bad_argument_values_name_the_option(self, capsys, monkeypatch):
+        for argv, why in (
+            (("--a-range=x..2",), "argument --a-range: range must look like LO..HI"),
+            (("--a-range=1..2..3",), "argument --a-range: range must look like LO..HI"),
+            (("--a-range=3..1",), "argument --a-range: empty range"),
+        ):
+            err = run_refused(capsys, monkeypatch, "scan", *argv, "--b-range=1..2", "--out=x")
+            assert err.endswith(f"\nerror: {why}\n"), argv
+        err = run_refused(
+            capsys, monkeypatch, "enumerate", "--A", "1", "--B", "1", "--kind", "third",
+            "--max-index", "5",
+        )
+        assert err.endswith("\nerror: argument --kind: kind must be 'first' or 'second'\n")
 
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "classify", "--A", "1")

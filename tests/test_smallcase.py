@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lucasaps.cli import main
 from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params, term
@@ -18,7 +20,6 @@ from lucasaps.smallcase import (
     SqueezeUnresolvedError,
     _frac_to_int,
     _root_location,
-    _variant_poly,
     b_add,
     b_eval,
     b_str,
@@ -70,16 +71,16 @@ class TestPolyTerm:
 
 class TestCaseEquations:
     def test_known_linear_equation_expansion(self):
-        poly = _variant_poly(Kind.FIRST, 1, 2, 4, 2)
+        poly = CaseEquation(Kind.FIRST, (1, 2, 4), 2).poly
         assert poly == ((-2, 1, 0, 1), (0, 2))
         assert b_str(poly) == "2*A*B+A^3+A-2"
 
     def test_known_quadratic_equation_expansion(self):
-        poly = _variant_poly(Kind.FIRST, 0, 3, 6, 3)
+        poly = CaseEquation(Kind.FIRST, (0, 3, 6), 3).poly
         assert poly == ((0, 0, 1, 0, 0, -2), (1, 0, 0, -8), (0, -6))
 
     def test_trivial_equation(self):
-        assert _variant_poly(Kind.FIRST, 0, 1, 2, 1) == ((-2, 1),)
+        assert CaseEquation(Kind.FIRST, (0, 1, 2), 1).poly == ((-2, 1),)
 
     def test_no_sign_duplicates_in_output(self):
         # case_equations keeps no sign dedup: at the cap all 168 equations
@@ -336,7 +337,7 @@ class TestDivisibilityOracle:
 class TestSolveAll:
     def test_first_kind_families(self):
         ss = solve_all(Kind.FIRST, 6)
-        rows = {(f.A, f.b_min, f.triple) for f in ss.b_families}
+        rows = {(f.A, DomainFilter().b_condition(f.A)[0], f.triple) for f in ss.b_families}
         assert (2, 1, (0, 1, 2)) in rows
         assert (1, 1, (1, 3, 4)) in rows and (1, 1, (2, 3, 4)) in rows
         assert (-1, 1, (1, 0, 2)) in rows
@@ -422,7 +423,7 @@ class TestSolveAll:
             ss = solve_all(kind, 6)
             for s in ss.sporadics:
                 for (trip, variant) in [s.source]:
-                    poly = _variant_poly(kind, *trip, variant)
+                    poly = CaseEquation(kind, trip, variant).poly
                     assert b_eval(poly, s.A, s.B) == 0
 
     def test_grid_oracle_small(self):
@@ -500,6 +501,13 @@ class TestRootBound:
                 cut = positive_cut(g)
                 assert all(p_eval(g, x) > 0 for x in range(cut + 1, cut + 65)), (g, cut)
 
+    @given(st.lists(st.integers(), max_size=8), st.integers().filter(bool))
+    def test_bound_reads_only_absolute_values(self, lower, lc):
+        # so one root location cut serves s * q(side * x) for both signs
+        f = lower + [lc]
+        assert root_bound(f) == root_bound([c * (-1) ** i for i, c in enumerate(f)])
+        assert root_bound(f) == root_bound([-c for c in f])
+
     def test_small_cases(self):
         assert root_bound([5]) == 0
         assert root_bound([0, 0, 0, -5]) == 0
@@ -561,13 +569,13 @@ class TestIntegerRoots:
 
 class TestBivarPoly:
     def test_b_coefficients(self):
-        poly = _variant_poly(Kind.FIRST, 0, 3, 6, 3)
+        poly = CaseEquation(Kind.FIRST, (0, 3, 6), 3).poly
         e0, e1, e2 = poly
         assert e2 == (0, -6)
         assert e1 == (1, 0, 0, -8)
         assert e0 == (0, 0, 1, 0, 0, -2)
 
     def test_str_and_eval(self):
-        poly = _variant_poly(Kind.FIRST, 1, 2, 4, 2)
+        poly = CaseEquation(Kind.FIRST, (1, 2, 4), 2).poly
         assert b_eval(poly, 2, -1) == 8 - 4 + 2 - 2
         assert p_str([-2, 0, 1]) == "A^2-2"

@@ -100,6 +100,11 @@ def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
        probe the value map for the other outer, 2*x_l - x_j
        (x_j = x_l could only find x_i = x_l, never distinct).
 
+    Both routes yield pairwise distinct values, so no filter follows: in
+    route 1 the middle lies strictly between a positive and a negative
+    outer, and in route 2 x_j != x_l makes 2*x_l - x_j differ from both.
+    Distinct values imply distinct indices.
+
     The result is exact on any sequence; only the speed depends on its
     growth.  On a geometrically growing sequence each bucket holds O(1)
     indices, so both routes make O(n_max) probes instead of n_max^2; on a
@@ -140,13 +145,7 @@ def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
                         for i in get(2 * v - w, ()):
                             add(canonical_indices(i, l, j))
 
-    out = []
-    for k, l, m in found:
-        vk, vl, vm = vals[k], vals[l], vals[m]
-        # distinct values imply distinct indices
-        if vk == vl or vl == vm or vk == vm:
-            continue
-        out.append(APTriple(k, l, m, (vk, vl, vm)))
+    out = [APTriple(k, l, m, (vals[k], vals[l], vals[m])) for k, l, m in found]
     out.sort(key=lambda t: (t.m, t.k, t.l))
     return out
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -356,12 +355,6 @@ def _cmd_scan(args) -> int:
         "--max-index", args.max_index,
         max(abs(a_lo), abs(a_hi)) + max(abs(b_lo), abs(b_hi)),
     )
-    if not args.out:
-        raise _UsageError("--out names no file")
-    if os.path.isdir(args.out):
-        raise _UsageError(f"--out {args.out} is a directory")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise _UsageError(f"--out {args.out} lies in a missing directory")
     jobs = [
         (A, B, kind, args.max_index)
         for A in range(a_lo, a_hi + 1)
@@ -369,31 +362,33 @@ def _cmd_scan(args) -> int:
         for kind in kinds
     ]
     workers = _worker_count(args.jobs)
-    if workers > 1:
-        # imported here: every other command starts without multiprocessing
-        from multiprocessing import get_context
+    # opened after every other check, so a refused run leaves no file, and
+    # before the first row, so an unusable --out costs no work
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {args.out!r}: {exc.strerror}") from None
+    with fh:
+        if workers > 1:
+            # imported here: every other command starts without multiprocessing
+            from multiprocessing import get_context
 
-        with get_context("fork").Pool(workers) as pool:
-            rows = pool.map(_scan_pair, jobs)
-    else:
-        rows = [_scan_pair(job) for job in jobs]
+            with get_context("fork").Pool(workers) as pool:
+                rows = pool.map(_scan_pair, jobs)
+        else:
+            rows = [_scan_pair(job) for job in jobs]
 
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_SCAN_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    elif args.format == "json":
-        text = json.dumps({"rows": rows}, indent=2) + "\n"
-    else:
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _SCAN_COLUMNS}
-        lines = ["  ".join(c.ljust(widths[c]) for c in _SCAN_COLUMNS)]
-        for r in rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in _SCAN_COLUMNS))
-        text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
+        if args.format == "csv":
+            writer = csv.DictWriter(fh, fieldnames=_SCAN_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        elif args.format == "json":
+            fh.write(json.dumps({"rows": rows}, indent=2) + "\n")
+        else:
+            widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _SCAN_COLUMNS}
+            fh.write("  ".join(c.ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
+            for r in rows:
+                fh.write("  ".join(str(r[c]).ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

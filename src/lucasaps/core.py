@@ -303,7 +303,6 @@ def linear_terms(A: int, B: int, x0: int, x1: int, count: int) -> list:
 class ClosedFormReport:
     ok: bool
     checked: int
-    first_failure: int | None = None
 
 
 def closed_form_check(params: SeqParams, kind: Kind, n_max: int) -> ClosedFormReport:
@@ -322,7 +321,7 @@ def closed_form_check(params: SeqParams, kind: Kind, n_max: int) -> ClosedFormRe
         else:
             ok = (pa + pb) == Surd.integer(t, params.D)
         if not ok:
-            return ClosedFormReport(False, n, n)
+            return ClosedFormReport(False, n)
         pa = pa * a
         pb = pb * b
     return ClosedFormReport(True, n_max + 1)

@@ -158,8 +158,6 @@ def positive_cut(f) -> int:
 
 def _frac_to_int(poly):
     """Clear denominators: returns (int_poly, t) with int_poly = t * poly."""
-    if not poly:
-        return [], 1
     t = 1
     for c in poly:
         t = lcm(t, Fraction(c).denominator)
@@ -286,7 +284,6 @@ class SporadicSolution:
     A: int
     B: int
     triple: tuple  # canonical progression roles (outer, doubled, outer)
-    source: tuple  # (sorted triple, variant)
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,6 @@ class BFamilySolution:
 
     A: int
     triple: tuple
-    source: tuple
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,6 @@ class CurveFamilySolution:
     den: int
     residues: tuple
     triple: tuple
-    source: tuple
 
     def admits_a(self, a: int) -> bool:
         return a % self.den in self.residues
@@ -445,13 +440,13 @@ def divisibility_candidates(den, num) -> tuple:
     return None, tuple(sorted(cands))
 
 
-def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
+def _curve_members(w_frac, filt: DomainFilter, report):
     """Resolve B = w(A) (w with rational coefficients) under the filter.
 
-    Returns (window, curve_families).  Under the dominant filter the
-    admissible A region is finite whenever t*A^2 + 4*num has negative
-    leading coefficient, and that region is the window; otherwise the curve
-    is kept as an infinite family object.
+    Returns (window, curves), each curve as (num, den, residues).  Under the
+    dominant filter the admissible A region is finite whenever
+    t*A^2 + 4*num has negative leading coefficient, and that region is the
+    window; otherwise the curve is kept as an infinite family.
     """
     wn, t = _frac_to_int(w_frac)
     label = p_str(wn) + (f"/{t}" if t > 1 else "")
@@ -481,10 +476,10 @@ def _curve_members(w_frac, filt: DomainFilter, triple, source, report):
         report.branches.append({"b": label, "outcome": "infinite curve family"})
     else:
         report.branches.append({"b": label, "outcome": "curve family"})
-    return set(), [CurveFamilySolution(tuple(wn), t, residues, triple, source)]
+    return set(), [(tuple(wn), t, residues)]
 
 
-def _linear_branch(den, num, filt, triple, source, report):
+def _linear_branch(den, num, filt, report):
     """Window for B = num(A)/den(A), den a nonzero polynomial.
 
     The window holds the roots of den, where the exact solve finds B free or
@@ -495,7 +490,7 @@ def _linear_branch(den, num, filt, triple, source, report):
     window = set(integer_roots(den))
     quotient, candidates = divisibility_candidates(den, num)
     if quotient is not None:
-        w, curves = _curve_members(quotient, filt, triple, source, report)
+        w, curves = _curve_members(quotient, filt, report)
         return window | w, curves, ()
     return window | set(candidates), [], candidates
 
@@ -671,12 +666,11 @@ def integer_roots(coeffs):
 
 
 def _closure(eq: CaseEquation, filt: DomainFilter, report):
-    """(window, curves): every admitted solution off the curve families has
-    A in the finite window.  Fills the report's strategy and evidence."""
+    """(window, curves): every admitted solution off the curves, each
+    (num, den, residues), has A in the finite window.  Fills the report's
+    strategy and evidence."""
     bcs = eq.poly
     deg_b = len(bcs) - 1
-    triple = eq.ap_roles()
-    source = (eq.triple, eq.variant)
     if deg_b < 0:
         raise ValueError("identically zero case equation")
 
@@ -688,7 +682,7 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
     if deg_b == 1:
         report.strategy = "linear_in_b"
         window, curves, report.candidates = _linear_branch(
-            bcs[1], p_scale(bcs[0], -1), filt, triple, source, report
+            bcs[1], p_scale(bcs[0], -1), filt, report
         )
         return window, curves
 
@@ -714,7 +708,7 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
                 window, curves, cands = set(), [], set()
                 for sign_branch in (1, -1):
                     num = p_add(p_scale(e1, -t), p_scale(G, sign_branch))
-                    w, c, cs = _linear_branch(p_scale(e2, 2 * t), num, filt, triple, source, report)
+                    w, c, cs = _linear_branch(p_scale(e2, 2 * t), num, filt, report)
                     window |= w
                     curves += c
                     cands.update(cs)
@@ -755,16 +749,17 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     """
     filt = filt or DomainFilter()
     report = EquationReport(eq.triple, eq.variant, "")
-    window, report.curves = _closure(eq, filt, report)
-    triple, source = eq.ap_roles(), (eq.triple, eq.variant)
+    window, curves = _closure(eq, filt, report)
+    triple = eq.ap_roles()
+    report.curves = [CurveFamilySolution(*c, triple) for c in curves]
     for a in sorted(window):
         coeffs = _trim([p_eval(bc, a) for bc in eq.poly])
         if not coeffs:
             if a:
-                report.b_families.append(BFamilySolution(a, triple, source))
+                report.b_families.append(BFamilySolution(a, triple))
             continue
         report.sporadics += [
-            SporadicSolution(a, B, triple, source)
+            SporadicSolution(a, B, triple)
             for B in integer_roots(coeffs)
             if filt.admits(a, B)
             and not any(c.admits_a(a) and c.b_at(a) == B for c in report.curves)

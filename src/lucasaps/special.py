@@ -45,6 +45,14 @@ class TrinomialShape(Enum):
     DOUBLED_LEAD = "2x^a-x^b-1"
 
 
+# (c_a, c_b, c_0) of c_a*X^a + c_b*X^b + c_0 for each shape
+_SHAPE_COEFFICIENTS = {
+    TrinomialShape.UNIT_CONSTANT: (1, -2, 1),
+    TrinomialShape.MINUS_TWO_CONSTANT: (1, 1, -2),
+    TrinomialShape.DOUBLED_LEAD: (2, -1, -1),
+}
+
+
 @dataclass(frozen=True)
 class TrinomialSpec:
     """One of the three normalized trinomial shapes with exponents a > b >= 1."""
@@ -59,23 +67,13 @@ class TrinomialSpec:
 
     def coefficients(self) -> list:
         c = [0] * (self.a + 1)
-        if self.shape is TrinomialShape.UNIT_CONSTANT:
-            c[self.a], c[self.b], c[0] = 1, -2, 1
-        elif self.shape is TrinomialShape.MINUS_TWO_CONSTANT:
-            c[self.a], c[self.b], c[0] = 1, 1, -2
-        else:
-            c[self.a], c[self.b], c[0] = 2, -1, -1
+        c[self.a], c[self.b], c[0] = _SHAPE_COEFFICIENTS[self.shape]
         return c
 
     def describe(self) -> str:
         xa = f"X^{self.a}" if self.a > 1 else "X"
         xb = f"X^{self.b}" if self.b > 1 else "X"
-        names = {
-            TrinomialShape.UNIT_CONSTANT: f"{xa}-2{xb}+1",
-            TrinomialShape.MINUS_TWO_CONSTANT: f"{xa}+{xb}-2",
-            TrinomialShape.DOUBLED_LEAD: f"2{xa}-{xb}-1",
-        }
-        return names[self.shape]
+        return self.shape.value.replace("x^a", xa).replace("x^b", xb)
 
 
 # Largest trinomial exponent quad_factors accepts.
@@ -100,8 +98,7 @@ def quad_factors(spec: TrinomialSpec) -> list:
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
     a, b = spec.a, spec.b
-    coeffs = spec.coefficients()
-    ca, cb, c0 = coeffs[a], coeffs[b], coeffs[0]
+    ca, cb, c0 = _SHAPE_COEFFICIENTS[spec.shape]
     found = []
     qs = [q for q in (-2, -1, 1, 2) if c0 % q == 0]
     points = [(m, ca * m**a + cb * m**b + c0) for m in (2, 3, -2, -3)]

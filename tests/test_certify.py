@@ -7,6 +7,7 @@ from importlib import resources as importlib_resources
 import pytest
 
 from helpers import family_instances
+from lucasaps import certify
 from lucasaps.apsearch import find_aps, is_ap
 from lucasaps.certify import (
     CompletenessCertificate,
@@ -21,6 +22,7 @@ from lucasaps.certify import (
     growth_exception,
     pattern_bound,
 )
+from lucasaps.cli import main
 from lucasaps.core import Kind, Surd, degeneracy_order, new_params, term, terms
 
 
@@ -207,6 +209,17 @@ class TestCertifiedEnumerate:
         r = certified_enumerate(new_params(2, 1), Kind.FIRST, EngineConfig(gap_cap=0))
         assert r.status == "inconclusive"
         assert any("gap cap" in d for d in r.diagnostics)
+
+    def test_top_bound_search_cap_is_inconclusive(self, monkeypatch, capsys):
+        # a margin search that runs out of steps proves nothing, and the
+        # certify command says so with exit 2
+        monkeypatch.setattr(certify, "SEARCH_CAP", 1)
+        r = certified_enumerate(new_params(2, 1), Kind.FIRST)
+        assert r.status == "inconclusive"
+        assert "-2@n1 g1>=1 g2>=1: top bound search cap hit" in r.diagnostics
+        assert main(["certify", "--A", "2", "--B", "1", "--kind", "first"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["diagnostics"]) == ("inconclusive", list(r.diagnostics))
 
     def test_exhausted_gap_cap_keeps_every_analyzed_node(self):
         # with cap 1 the middle placement runs out twice, once per free gap;

@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -400,19 +401,25 @@ class TestScan:
         )
 
     def test_unusable_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
-        # checked before the first row is computed
+        # --out is opened before the first row is computed
         missing = tmp_path / "missing" / "scan.csv"
-        for out, why in (
-            (tmp_path, f"--out {tmp_path} is a directory"),
-            (missing, f"--out {missing} lies in a missing directory"),
-            ("", "--out names no file"),
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(missing)
+        long_name = tmp_path / ("x" * 300 + ".csv")
+        for out, errno_code in (
+            (tmp_path, errno.EISDIR),
+            (missing, errno.ENOENT),
+            ("", errno.ENOENT),
+            (dangling, errno.ENOENT),
+            (long_name, errno.ENAMETOOLONG),
         ):
             err = run_refused(
                 capsys, monkeypatch, "scan", "--a-range=-2..2", "--b-range=-2..2",
                 f"--out={out}",
             )
-            assert err == f"error: {why}\n"
+            assert err == f"error: cannot open --out {str(out)!r}: {os.strerror(errno_code)}\n"
         assert not missing.parent.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["dangling.csv"]
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # only scan with more than one worker needs it; a fresh interpreter
@@ -518,6 +525,7 @@ class TestFactorTrinomial:
         assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, schema_for("factorTrinomial"))
+        assert doc["trinomial"] == "X^3+X-2"
         assert doc["factors"] == [
             {"p": 1, "q": 2, "poly": "X^2+X+2", "discriminant": -7}
         ]

@@ -46,6 +46,13 @@ def poly_term(kind, n):
     return poly_terms(kind, n + 1)[n]
 
 
+def equation_of(kind, roles):
+    """The case equation whose canonical roles (outer, doubled, outer) are
+    roles: the sorted triple, and the variant of the doubled position."""
+    srt = tuple(sorted(roles))
+    return CaseEquation(kind, srt, (2, 1, 3)[srt.index(roles[1])])
+
+
 class TestPolyTerm:
     def test_first_kind_examples(self):
         assert poly_term(Kind.FIRST, 4) == ((0, 0, 0, 1), (0, 2))
@@ -95,6 +102,13 @@ class TestCaseEquations:
         assert eq.ap_roles() == (2, 1, 4)
         eq3 = CaseEquation(Kind.FIRST, (0, 3, 6), 3)
         assert eq3.ap_roles() == (0, 6, 3)
+
+    def test_roles_recover_the_equation(self):
+        # a solution records only the canonical roles; they name one equation
+        for kind in Kind:
+            for eq in case_equations(kind, 7):
+                back = equation_of(kind, eq.ap_roles())
+                assert (back.triple, back.variant) == (eq.triple, eq.variant)
 
     def test_index_cap(self):
         with pytest.raises(ValueError):
@@ -422,9 +436,15 @@ class TestSolveAll:
         for kind in Kind:
             ss = solve_all(kind, 6)
             for s in ss.sporadics:
-                for (trip, variant) in [s.source]:
-                    poly = CaseEquation(kind, trip, variant).poly
-                    assert b_eval(poly, s.A, s.B) == 0
+                eq = equation_of(kind, s.triple)
+                assert eq.ap_roles() == s.triple
+                assert b_eval(eq.poly, s.A, s.B) == 0
+
+    def test_grid_skips_b_families_outside_the_a_range(self):
+        ss = solve_all(Kind.FIRST, 5)
+        assert {f.A for f in ss.b_families} == {-1, 1, 2}
+        assert ss.grid_instances(3, 5, 1, 5) == set()
+        assert {a for a, _, _ in ss.grid_instances(-5, 5, 1, 5)} >= {-1, 1, 2}
 
     def test_grid_oracle_small(self):
         for kind in Kind:

@@ -76,6 +76,24 @@ def mult_independence_check(params, bound=12):
     return True
 
 
+class TestTrinomialSpec:
+    def test_describe_and_coefficients(self):
+        U, M, D = (
+            TrinomialShape.UNIT_CONSTANT,
+            TrinomialShape.MINUS_TWO_CONSTANT,
+            TrinomialShape.DOUBLED_LEAD,
+        )
+        assert [TrinomialSpec(s, 2, 1).describe() for s in (U, M, D)] == [
+            "X^2-2X+1", "X^2+X-2", "2X^2-X-1",
+        ]
+        assert [TrinomialSpec(s, 5, 3).describe() for s in (U, M, D)] == [
+            "X^5-2X^3+1", "X^5+X^3-2", "2X^5-X^3-1",
+        ]
+        assert [TrinomialSpec(s, 5, 3).coefficients() for s in (U, M, D)] == [
+            [1, 0, 0, -2, 0, 1], [-2, 0, 0, 1, 0, 1], [-1, 0, 0, -1, 0, 2],
+        ]
+
+
 class TestQuadFactors:
     def test_known_factorizations(self):
         assert quad_factors(TrinomialSpec(TrinomialShape.MINUS_TWO_CONSTANT, 3, 1)) == [(1, 2)]

@@ -7,7 +7,7 @@ from importlib import resources as importlib_resources
 import pytest
 
 from lucasaps.apsearch import APFamily, detect_families, is_ap, verify_family
-from lucasaps.certify import certified_enumerate, growth_exception
+from lucasaps.certify import EnumerationResult, certified_enumerate, growth_exception
 from lucasaps.core import Kind, degeneracy_order, new_params, term
 from lucasaps import tables
 from lucasaps.tables import (
@@ -87,6 +87,19 @@ class TestVerifyTables:
         assert report.ok, report.mismatches
         assert report.checked_pairs == 642
         assert len(report.completions_used) == 2
+
+    def test_inconclusive_catalog_pair_is_a_mismatch(self, monkeypatch):
+        # a catalog pair the engine cannot settle is reported, not compared
+        real = tables.certified_enumerate
+
+        def stalled(params, kind):
+            if (params.A, params.B, kind) == (1, 1, Kind.FIRST):
+                return EnumerationResult("inconclusive", diagnostics=("guard tripped",))
+            return real(params, kind)
+
+        monkeypatch.setattr(tables, "certified_enumerate", stalled)
+        report = verify_tables()
+        assert report.mismatches == ["first (1, 1): enumeration inconclusive: ('guard tripped',)"]
 
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):

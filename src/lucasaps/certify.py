@@ -373,28 +373,22 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
     """
     evidence, problems = [], []
 
-    def record(res: PatternAnalysis):
+    def analyze(pat: GapPattern):
+        # a split fixes the free gap at v, then raises it to >= v + 1; each
+        # recursion fixes one more gap and a pattern with both gaps fixed
+        # never asks for a split, so the recursion is at most 2 deep
+        free = pat
+        while (res := pattern_bound(free, params, kind)).status == "fix_next_gap":
+            which = "g1" if not free.g1.fixed else "g2"
+            v = getattr(free, which).value
+            if v > gap_cap:
+                problems.append(f"gap cap exhausted at {pat.describe()}")
+                return
+            analyze(replace(free, **{which: Gap(True, v)}))
+            free = replace(free, **{which: Gap(False, v + 1)})
         if res.status == "inconclusive":
             problems.append(f"{res.pattern.describe()}: {res.note}")
         evidence.append(res)
-
-    def analyze(pat: GapPattern):
-        # each recursion fixes one more gap and a pattern with both gaps
-        # fixed never asks for a split, so the recursion is at most 2 deep
-        res = pattern_bound(pat, params, kind)
-        if res.status != "fix_next_gap":
-            record(res)
-            return
-        which = "g1" if not pat.g1.fixed else "g2"
-        lb = getattr(pat, which).value
-        for v in range(lb, gap_cap + 1):
-            analyze(replace(pat, **{which: Gap(True, v)}))
-            raised = replace(pat, **{which: Gap(False, v + 1)})
-            res2 = pattern_bound(raised, params, kind)
-            if res2.status != "fix_next_gap":
-                record(res2)
-                return
-        problems.append(f"gap cap exhausted at {pat.describe()}")
 
     for placement in (0, 1, 2):
         analyze(GapPattern(placement, Gap(False, 1), Gap(False, 1)))

@@ -248,12 +248,12 @@ def _cmd_certify(args) -> int:
         cert = result.certificate.to_json_dict()
         cert["complete"] = True
         doc["certificate"] = cert
+    code = EXIT_OK
     if result.status == "inconclusive":
         doc["diagnostics"] = list(result.diagnostics)
-        _emit(doc)
-        return EXIT_INCONCLUSIVE
+        code = EXIT_INCONCLUSIVE
     _emit(doc)
-    return EXIT_OK
+    return code
 
 
 def _cmd_families(args) -> int:
@@ -282,6 +282,7 @@ def _cmd_smallcases(args) -> int:
     filt = DomainFilter(dominant=not args.no_dominant_filter)
     solset = solve_all(args.kind, args.max_index, filt)
     doc = solset.to_json_dict()
+    code = EXIT_OK
     if args.grid_check:
         n = args.grid_check
         sym = solset.grid_instances(-n, n, -n, n)
@@ -299,10 +300,10 @@ def _cmd_smallcases(args) -> int:
             "bruteForce": len(brute),
             "equal": sym == brute,
         }
-        _emit(doc)
-        return EXIT_OK if sym == brute else EXIT_MISMATCH
+        if sym != brute:
+            code = EXIT_MISMATCH
     _emit(doc)
-    return EXIT_OK
+    return code
 
 
 def _cmd_verify_tables(args) -> int:
@@ -378,17 +379,23 @@ def _cmd_scan(args) -> int:
         else:
             rows = [_scan_pair(job) for job in jobs]
 
-        if args.format == "csv":
-            writer = csv.DictWriter(fh, fieldnames=_SCAN_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        elif args.format == "json":
-            fh.write(json.dumps({"rows": rows}, indent=2) + "\n")
-        else:
-            widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _SCAN_COLUMNS}
-            fh.write("  ".join(c.ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
-            for r in rows:
-                fh.write("  ".join(str(r[c]).ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
+        # a full disk shows at a write or at the closing flush; either is one
+        # error line, and the partial file stays
+        try:
+            if args.format == "csv":
+                writer = csv.DictWriter(fh, fieldnames=_SCAN_COLUMNS, lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+            elif args.format == "json":
+                fh.write(json.dumps({"rows": rows}, indent=2) + "\n")
+            else:
+                widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _SCAN_COLUMNS}
+                fh.write("  ".join(c.ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
+                for r in rows:
+                    fh.write("  ".join(str(r[c]).ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
+            fh.close()
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

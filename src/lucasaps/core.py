@@ -20,7 +20,7 @@ No floating point appears in any correctness-critical path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -80,7 +80,7 @@ class SeqParams:
 
     A: int
     B: int
-    D: int
+    D: int = field(init=False)
 
     def __post_init__(self):
         if self.A == 0 or self.B == 0:
@@ -88,16 +88,15 @@ class SeqParams:
         order = degeneracy_order(self.A, self.B)
         if order is not None:
             raise DegenerateError(self.A, self.B, order)
-        if self.D != self.A * self.A + 4 * self.B:
-            raise ValueError("D does not match A^2 + 4B")
+        object.__setattr__(self, "D", self.A * self.A + 4 * self.B)
 
 
 def new_params(A: int, B: int) -> SeqParams:
-    """Validate (A, B) and compute the discriminant.
+    """Validate (A, B); the pair derives its discriminant.
 
     Raises ZeroCoefficientError or DegenerateError on bad input.
     """
-    return SeqParams(A, B, A * A + 4 * B)
+    return SeqParams(A, B)
 
 
 def classify(params: SeqParams) -> Classification:

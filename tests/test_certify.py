@@ -237,6 +237,39 @@ class TestCertifiedEnumerate:
             ("-2@n3 g1>=2 g2>=1", "bounded"),
         ]
 
+    def test_monotone_search_cap_is_inconclusive(self, monkeypatch):
+        # a fixed cell whose moduli never cross within the cap proves nothing
+        monkeypatch.setattr(certify, "SEARCH_CAP", 1)
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST)
+        assert r.status == "inconclusive"
+        assert "-2@n2 g1=1 g2=1: monotone search cap hit" in r.diagnostics
+
+    @pytest.mark.parametrize(
+        "gap_cap,status,diagnostics,evidence",
+        [
+            (0, "inconclusive",
+             ("gap cap exhausted at -2@n2 g1>=1 g2>=1",
+              "gap cap exhausted at -2@n3 g1>=1 g2>=1"),
+             ["-2@n1 g1>=1 g2>=1 bounded"]),
+        ] + [
+            (cap, "has_families", (),
+             ["-2@n1 g1>=1 g2>=1 bounded", "-2@n2 g1=1 g2=1 resolved",
+              "-2@n2 g1=1 g2=2 family", "-2@n2 g1=1 g2>=3 bounded",
+              "-2@n2 g1=2 g2=1 resolved", "-2@n2 g1=2 g2>=2 bounded",
+              "-2@n2 g1>=3 g2>=1 bounded", "-2@n3 g1=1 g2>=1 bounded",
+              "-2@n3 g1>=2 g2>=1 bounded"])
+            for cap in (2, 3)
+        ],
+        ids=["cap-0", "cap-2", "cap-3"],
+    )
+    def test_gap_cap_splits_are_pinned(self, gap_cap, status, diagnostics, evidence):
+        # each split analyzes the fixed cell, then the raised free gap, and
+        # a cap runs out once per free pattern, named as it was first seen;
+        # test_exhausted_gap_cap_keeps_every_analyzed_node pins cap 1
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST, EngineConfig(gap_cap=gap_cap))
+        assert (r.status, r.diagnostics) == (status, diagnostics)
+        assert [f"{e.pattern.describe()} {e.status}" for e in r.evidence] == evidence
+
     def test_every_exception_pair_resolves(self):
         # the finite exception lists of the ratio criterion, in full
         def exception_pairs(kind):

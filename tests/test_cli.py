@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from dataclasses import replace
 from importlib import resources as importlib_resources
 
 import jsonschema
+import pytest
 
 import lucasaps
 from lucasaps import cli, tables
@@ -420,6 +422,32 @@ class TestScan:
             assert err == f"error: cannot open --out {str(out)!r}: {os.strerror(errno_code)}\n"
         assert not missing.parent.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["dangling.csv"]
+
+    def test_failed_write_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # every row is computed before the write fails; the run still ends
+        # in one error line, and the partial file stays
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "scan.csv"
+        for fmt in ("csv", "json", "text"):
+            monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(), raising=False)
+            code, stdout, err = run(
+                capsys, "scan", "--a-range=1..2", "--b-range=1..2", "--format", fmt,
+                "--out", str(out),
+            )
+            assert (code, stdout) == (1, "")
+            assert err == f"error: cannot write --out {str(out)!r}: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_one_error_line(self, capsys):
+        # the rows fit the write buffer, so the error surfaces at the close
+        code, stdout, err = run(
+            capsys, "scan", "--a-range=1..2", "--b-range=1..2", "--out", "/dev/full",
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot write --out '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # only scan with more than one worker needs it; a fresh interpreter

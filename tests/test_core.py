@@ -1,6 +1,7 @@
 """Parameter validation, exact surd arithmetic, and term generation."""
 
 import ast
+import dataclasses
 import gc
 import sys
 from pathlib import Path
@@ -53,6 +54,15 @@ class TestNewParams:
     def test_table_pair(self):
         p = new_params(1, 1)
         assert p.D == 5
+
+    def test_discriminant_is_derived(self):
+        for A, B in valid_pairs(6):
+            assert new_params(A, B).D == A * A + 4 * B
+        # replace builds from (A, B) alone, so D follows and B is re-validated
+        p = dataclasses.replace(new_params(1, 1), B=3)
+        assert (p.A, p.B, p.D) == (1, 3, 13)
+        with pytest.raises(DegenerateError):
+            dataclasses.replace(new_params(1, 1), B=-1)
 
     def test_degenerate_order_three(self):
         with pytest.raises(DegenerateError) as exc:

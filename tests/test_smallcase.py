@@ -19,6 +19,7 @@ from lucasaps.smallcase import (
     EquationReport,
     SqueezeUnresolvedError,
     _frac_to_int,
+    _poly_sqrt,
     _root_location,
     b_add,
     b_eval,
@@ -163,6 +164,12 @@ class TestWorkedEquations:
             {"side": 1, "cut": 4, "shift": -1, "squareRoot": "2*A^3+2"},
             {"side": -1, "cut": 4, "shift": 0, "squareRoot": "2*A^3-2"},
         ]
+
+    def test_poly_sqrt_needs_a_square_leading_coefficient(self):
+        # 4A^2 + 1 has the root 2A; 2A^2 + 1 and -A^2 + 1 have none
+        assert _poly_sqrt([1, 0, 4]) == [0, 2]
+        assert _poly_sqrt([1, 0, 2]) is None
+        assert _poly_sqrt([1, 0, -1]) is None
 
     def test_root_location_failure_raises(self):
         # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives

@@ -101,6 +101,20 @@ class TestVerifyTables:
         report = verify_tables()
         assert report.mismatches == ["first (1, 1): enumeration inconclusive: ('guard tripped',)"]
 
+    def test_inconclusive_absent_pair_is_a_mismatch(self, monkeypatch):
+        # a pair absent from the catalog is an empty row under the same rule
+        real = tables.certified_enumerate
+
+        def stalled(params, kind):
+            if (params.A, params.B, kind) == (5, 1, Kind.FIRST):
+                return EnumerationResult("inconclusive", diagnostics=("guard tripped",))
+            return real(params, kind)
+
+        monkeypatch.setattr(tables, "certified_enumerate", stalled)
+        assert not pair_in_tables(5, 1, Kind.FIRST)
+        report = verify_tables()
+        assert report.mismatches == ["first (5, 1): enumeration inconclusive: ('guard tripped',)"]
+
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):
             verify_tables(5)
@@ -136,11 +150,11 @@ class TestVerifyTablesDetectsBrokenCatalogs:
             (_first_one_one, lambda e: replace(e, triples=e.triples[1:]),
              "first (1, 1): triples differ: catalog-only [] engine-only [(0, 1, 3)]"),
             (_first_b_row(2), lambda e: replace(e, b_min=2),
-             "first (2, 1): expected a certified empty enumeration"),
+             "first (2, 1): triples differ: catalog-only [] engine-only [(0, 1, 2)]"),
             (_first_b_row(1), lambda e: replace(e, b_min=2),
              "first (1, 2): families differ"),
             (_first_one_one, None,
-             "first (1, 1): expected a certified empty enumeration"),
+             "first (1, 1): families differ: catalog [] vs engine ['(t, t+2, t+3), t>=0']"),
             (_first_one_one, lambda e: replace(e, families=()),
              "first (1, 1): families differ"),
             (_first_one_one, lambda e: replace(e, completions=()),

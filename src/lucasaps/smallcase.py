@@ -34,7 +34,8 @@ With the dominant filter the solver is complete for every equation
 case_equations can produce.  Without it, an equation past the square-root
 analysis raises SqueezeUnresolvedError rather than guessing; the first one
 has largest index 5 (first kind) or 4 (second kind), so its reach is index
-4 resp. 3.  Every reported solution re-substitutes to zero.
+4 resp. 3.  solve_case re-substitutes every sporadic and three points of
+each family it reports; solve_all is its reports for every equation.
 """
 
 from __future__ import annotations
@@ -315,10 +316,9 @@ class CurveFamilySolution:
 
 @dataclass
 class EquationReport:
-    """The closure evidence and the complete solutions of one case equation."""
+    """The one record of a case equation: closure evidence and checked solutions."""
 
-    triple: tuple
-    variant: int
+    equation: CaseEquation
     strategy: str
     candidates: tuple = ()
     delta: tuple = ()
@@ -333,13 +333,27 @@ class EquationReport:
 
 @dataclass
 class SolutionSet:
+    """The report of every case equation up to m_cap, in equation order; the
+    solutions are read from them."""
+
     kind: Kind
     m_cap: int
     dominant: bool
-    sporadics: tuple
-    b_families: tuple
-    curves: tuple
     reports: tuple
+
+    @property
+    def sporadics(self) -> tuple:
+        found = [s for r in self.reports for s in r.sporadics]
+        return tuple(sorted(found, key=lambda s: (s.A, s.B, s.triple)))
+
+    @property
+    def b_families(self) -> tuple:
+        found = [f for r in self.reports for f in r.b_families]
+        return tuple(sorted(found, key=lambda f: (f.A, f.triple)))
+
+    @property
+    def curves(self) -> tuple:
+        return tuple(c for r in self.reports for c in r.curves)
 
     def grid_instances(self, a_lo, a_hi, b_lo, b_hi):
         """All (A, B, triple) asserted inside the grid box."""
@@ -364,7 +378,8 @@ class SolutionSet:
         return out
 
     def to_json_dict(self):
-        b_conditions = [DomainFilter(self.dominant).b_condition(f.A) for f in self.b_families]
+        b_families = self.b_families
+        b_conditions = [DomainFilter(self.dominant).b_condition(f.A) for f in b_families]
         return {
             "kind": self.kind.value,
             "maxIndex": self.m_cap,
@@ -374,7 +389,7 @@ class SolutionSet:
             ],
             "bFamilies": [
                 {"A": f.A, "bMin": b_min, "bExclusions": list(excl), "triple": list(f.triple)}
-                for f, (b_min, excl) in zip(self.b_families, b_conditions)
+                for f, (b_min, excl) in zip(b_families, b_conditions)
             ],
             "curveFamilies": [
                 {
@@ -739,7 +754,9 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     The closure for the equation's B-degree bounds A: it returns a finite
     window of A values plus any curve families, and E(a, B) = 0 is then
     solved exactly in B at each a of the window.  A root that lies on a
-    returned curve is left to the curve.
+    returned curve is left to the curve.  Every sporadic solution and three
+    witnesses per family re-substitute to zero before the report is
+    returned; one that does not raises EngineMismatchError.
 
     Raises SqueezeUnresolvedError when no closure applies.  Under the
     dominant filter that never happens for an equation case_equations
@@ -748,7 +765,7 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     at triple (0, 1, 5)) and second kind from 4 (at (0, 1, 4)).
     """
     filt = filt or DomainFilter()
-    report = EquationReport(eq.triple, eq.variant, "")
+    report = EquationReport(eq, "")
     window, curves = _closure(eq, filt, report)
     triple = eq.ap_roles()
     report.curves = [CurveFamilySolution(*c, triple) for c in curves]
@@ -764,61 +781,40 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
             if filt.admits(a, B)
             and not any(c.admits_a(a) and c.b_at(a) == B for c in report.curves)
         ]
+
+    def check(a, b):
+        if b_eval(eq.poly, a, b):
+            raise EngineMismatchError(
+                f"({a}, {b}) does not solve triple {eq.triple} variant {eq.variant}"
+            )
+
+    for s in report.sporadics:
+        check(s.A, s.B)
+    for f in report.b_families:
+        witnesses = []
+        b = filt.b_condition(f.A)[0]
+        b = -3 if b is None else b
+        while len(witnesses) < 3:
+            if filt.admits(f.A, b):
+                witnesses.append(b)
+            b += 1
+        for b in witnesses:
+            check(f.A, b)
+    for c in report.curves:
+        witnesses = []
+        a = 1
+        while len(witnesses) < 3 and a < 1000:
+            for cand in (a, -a):
+                if c.admits_a(cand):
+                    witnesses.append(cand)
+            a += 1
+        for cand in witnesses:
+            check(cand, c.b_at(cand))
     return report
 
 
 def solve_all(kind: Kind, m_cap: int, filt: DomainFilter | None = None) -> SolutionSet:
-    """Merge the complete solutions of every case equation up to m_cap.
-
-    Every sporadic solution and three witnesses per family re-substitute to
-    zero in their source equation before the set is returned.
-    """
+    """The checked report of every case equation up to m_cap."""
     filt = filt or DomainFilter()
-    sporadics = {}
-    b_families = {}
-    curves = []
-    reports = []
-    for eq in case_equations(kind, m_cap):
-        report = solve_case(eq, filt)
-        reports.append(report)
-
-        def check(a, b):
-            if b_eval(eq.poly, a, b):
-                raise EngineMismatchError(
-                    f"({a}, {b}) does not solve triple {eq.triple} variant {eq.variant}"
-                )
-
-        for s in report.sporadics:
-            check(s.A, s.B)
-            sporadics.setdefault((s.A, s.B, s.triple), s)
-        for f in report.b_families:
-            witnesses = []
-            b = filt.b_condition(f.A)[0]
-            b = -3 if b is None else b
-            while len(witnesses) < 3:
-                if filt.admits(f.A, b):
-                    witnesses.append(b)
-                b += 1
-            for b in witnesses:
-                check(f.A, b)
-            b_families.setdefault((f.A, f.triple), f)
-        for c in report.curves:
-            witnesses = []
-            a = 1
-            while len(witnesses) < 3 and a < 1000:
-                for cand in (a, -a):
-                    if c.admits_a(cand):
-                        witnesses.append(cand)
-                a += 1
-            for cand in witnesses:
-                check(cand, c.b_at(cand))
-            curves.append(c)
-    return SolutionSet(
-        kind,
-        m_cap,
-        filt.dominant,
-        tuple(sorted(sporadics.values(), key=lambda s: (s.A, s.B, s.triple))),
-        tuple(sorted(b_families.values(), key=lambda f: (f.A, f.triple))),
-        tuple(curves),
-        tuple(reports),
-    )
+    reports = tuple(solve_case(eq, filt) for eq in case_equations(kind, m_cap))
+    return SolutionSet(kind, m_cap, filt.dominant, reports)

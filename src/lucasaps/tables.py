@@ -29,7 +29,7 @@ from importlib import resources as importlib_resources
 
 from .apsearch import APFamily, canonical_indices
 from .certify import certified_enumerate
-from .core import Kind, degeneracy_order, new_params
+from .core import Kind, new_params
 from .smallcase import DomainFilter
 from .special import companion_candidates_complex
 
@@ -124,9 +124,12 @@ class TablesReport:
 
 
 def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: int):
-    params = new_params(entry.a, B)
     kind = entry.kind
     label = f"{kind.value} ({entry.a}, {B})"
+    if not DomainFilter().admits(entry.a, B):
+        report.mismatches.append(f"{label}: inadmissible pair")
+        return
+    params = new_params(entry.a, B)
     result = certified_enumerate(params, kind)
     if result.status == "inconclusive":
         report.mismatches.append(f"{label}: enumeration inconclusive: {result.diagnostics}")
@@ -160,7 +163,8 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
 
     Checks every fixed pair and every B-free row up to b_cap, then every
     admitted pair inside the off_grid box that is absent from the catalog,
-    as an empty row: one rule for every pair.
+    as an empty row: one rule for every pair.  A catalog pair that
+    DomainFilter does not admit is a mismatch.
     """
     if b_cap < 10:
         raise ValueError("b_cap must be at least 10")
@@ -168,8 +172,6 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
 
     for entry in _table_entries():
         for B in range(entry.b_min, b_cap + 1) if entry.is_b_row else (entry.b,):
-            if degeneracy_order(entry.a, B) is not None:
-                continue
             report.checked_pairs += 1
             _check_fixed_pair(entry, B, report, window)
 

@@ -175,7 +175,7 @@ class TestCertify:
         assert json.loads(out)["status"] == "inconclusive"
 
     def test_nonpositive_gap_cap_is_usage_error(self, capsys):
-        for cap in ("0", "-3"):
+        for cap in ("0", "-3", "two"):
             code, out, err = run(
                 capsys, "certify", "--A", "2", "--B", "1", "--kind", "first",
                 "--gap-cap", cap,
@@ -259,7 +259,7 @@ class TestSmallcases:
 
     def test_nonpositive_grid_check_is_usage_error(self, capsys):
         # an empty box would pass vacuously
-        for n in ("0", "-3"):
+        for n in ("0", "-3", "two"):
             code, out, err = run(
                 capsys, "smallcases", "--kind", "first", "--max-index", "4",
                 "--grid-check", n,
@@ -267,6 +267,15 @@ class TestSmallcases:
             assert code == 1
             assert out == ""
             assert err.startswith("usage: lucasaps smallcases")
+
+    def test_grid_check_disagreement_exits_three(self, capsys, monkeypatch):
+        # CI's solver-against-brute-force step reads this exit code
+        monkeypatch.setattr(cli, "find_aps", lambda *args: [])
+        code, out, _ = run(
+            capsys, "smallcases", "--kind", "second", "--max-index", "6", "--grid-check", "8",
+        )
+        assert code == 3
+        assert json.loads(out)["gridCheck"]["equal"] is False
 
     def test_grid_check_cap_is_usage_error(self, capsys, monkeypatch):
         # brute force runs on (2N + 1)^2 pairs; the cap is checked before solving
@@ -476,7 +485,7 @@ class TestScan:
 
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
-        for jobs in ("0", "-2"):
+        for jobs in ("0", "-2", "two"):
             code, _, err = run(
                 capsys, "scan", "--a-range", "1..2", "--b-range", "1..2",
                 "--out", str(out), "--jobs", jobs,

@@ -18,6 +18,7 @@ from lucasaps.smallcase import (
     DomainFilter,
     EquationReport,
     SqueezeUnresolvedError,
+    _curve_members,
     _frac_to_int,
     _poly_sqrt,
     _root_location,
@@ -170,11 +171,23 @@ class TestWorkedEquations:
         assert _poly_sqrt([1, 0, 4]) == [0, 2]
         assert _poly_sqrt([1, 0, 2]) is None
         assert _poly_sqrt([1, 0, -1]) is None
+        assert _poly_sqrt([1, 0, 0, 4]) is None  # odd degree, square lead 4
+
+    def test_curve_members_without_a_window(self):
+        # B = 0 is never admitted; B = A^2 gives A^2 + 4B = 5A^2 > 0 for
+        # every A, so the dominant filter leaves an infinite curve family
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
+        assert _curve_members([], DomainFilter(), report) == (set(), [])
+        assert _curve_members([0, 0, 1], DomainFilter(), report) == (set(), [((0, 0, 1), 1, (0,))])
+        assert report.branches == [
+            {"b": "0", "outcome": "rejected: B = 0"},
+            {"b": "A^2", "outcome": "infinite curve family"},
+        ]
 
     def test_root_location_failure_raises(self):
         # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives
         # P(1 + x) = 4 + 4x - 4A^2, whose constant is eventually negative
-        report = EquationReport((0, 1, 2), 1, "")
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
         for bcs in (((-1, 0, 1), (4,)), ((), (4,))):
             with pytest.raises(EngineMismatchError, match="root location fails on side 1"):
                 _root_location(bcs, report)
@@ -378,6 +391,27 @@ class TestSolveAll:
             solve_all(Kind.FIRST, 2)
         assert main(["smallcases", "--kind", "first", "--max-index", "2"]) == 3
         assert "internal verification mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,roles,filt,point",
+        [
+            (Kind.SECOND, (1, 0, 2), DomainFilter(), (-2, 1)),
+            (Kind.FIRST, (0, 1, 2), DomainFilter(), (2, 1)),  # first B-family witness
+            (Kind.FIRST, (4, 5, 6), DomainFilter(dominant=False), (-1, -2)),  # B = A - A^2
+        ],
+        ids=["sporadic", "b-family", "curve"],
+    )
+    def test_solve_case_checks_what_it_solves(self, monkeypatch, kind, roles, filt, point):
+        # solve_case re-substitutes before it returns, with no solve_all
+        # around it: a point that does not solve its equation raises there
+        eq = equation_of(kind, roles)
+        solve_case(eq, filt)
+        monkeypatch.setattr("lucasaps.smallcase.b_eval", lambda f, a, b: (a, b) == point)
+        with pytest.raises(EngineMismatchError) as failure:
+            solve_case(eq, filt)
+        assert str(failure.value) == (
+            f"{point} does not solve triple {eq.triple} variant {eq.variant}"
+        )
 
     def test_strategy_counts_at_cap_seven(self):
         # a quadratic whose cutoff came from root location says so, as the

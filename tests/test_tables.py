@@ -165,9 +165,13 @@ class TestVerifyTablesDetectsBrokenCatalogs:
              "vs engine ['(t, t+2, t+3), t>=0']"),
             (_first_one_one, lambda e: replace(e, triples=((0, 1, 2),) + e.triples[1:]),
              "first (1, 1): triples differ: catalog-only [(0, 1, 2)] engine-only [(0, 1, 3)]"),
+            # B = -1 is degenerate at A = 2 and B = 0 is no pair at all
+            (_first_b_row(2), lambda e: replace(e, b_min=-1),
+             "first (2, -1): inadmissible pair"),
         ],
         ids=["drop-triple", "raise-bmin", "lower-bmin", "drop-entry",
-             "drop-family", "drop-completion", "shift-family", "non-progression-triple"],
+             "drop-family", "drop-completion", "shift-family", "non-progression-triple",
+             "inadmissible-pair"],
     )
     def test_mutant_fails(self, monkeypatch, pick, change, first_mismatch):
         mutant = _mutant(pick, change)

@@ -8,20 +8,18 @@ mutant is killed when pytest reports a failing test (exit 1).
 
 Entries whose id starts with "inert-" change nothing that runs and must
 survive: that shows a kill comes from a test, not from a broken run.  Before
-any mutant runs, the named tests of every selected entry must pass on the
-unchanged copy, and that copy must be the one Python imports.
+any mutant runs, the named tests of every entry must pass on the unchanged
+copy, and that copy must be the one Python imports.
 
 The script fails when an old text does not occur exactly once in its file
 (a refactor then has to update the entry, not drop it), when a mutant
 survives, when an inert entry is killed, and on any other pytest exit.
 
-    python scripts/mutants.py            # every entry, a few minutes
-    python scripts/mutants.py ID [ID..]  # only these entries
+    python scripts/mutants.py    # about 30 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -87,8 +85,8 @@ MUTANTS = [
      [T_TABLES + "TestVerifyTables::test_inconclusive_catalog_pair_is_a_mismatch",
       T_TABLES + "TestVerifyTables::test_inconclusive_absent_pair_is_a_mismatch"]),
     ("tables-catalog-admission", TABLES,
-     '        report.mismatches.append(f"{label}: inadmissible pair")\n        return\n',
-     "        return\n",
+     '                report.mismatches.append(f"{entry.kind.value} ({entry.a}, {B}): inadmissible pair")\n',
+     "",
      [T_TABLES + "TestVerifyTablesDetectsBrokenCatalogs::test_mutant_fails[inadmissible-pair]"]),
     # smallcase: the solver's branches and its own re-substitution check
     ("grid-instances-a-range-skip", SMALLCASE,
@@ -162,19 +160,13 @@ def _tail(proc: subprocess.CompletedProcess) -> str:
     return "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-15:])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="run only these entries")
-    args = parser.parse_args(argv)
-    known = {entry[0] for entry in MUTANTS}
-    if len(known) != len(MUTANTS):
-        parser.error("duplicate entry ids")
-    if unknown := sorted(set(args.ids) - known):
-        parser.error(f"unknown entries: {', '.join(unknown)}")
-    entries = [entry for entry in MUTANTS if not args.ids or entry[0] in args.ids]
+def main() -> int:
+    if len({entry[0] for entry in MUTANTS}) != len(MUTANTS):
+        print("duplicate entry ids")
+        return 1
 
     failures = []
-    for ident, path, old, _, _ in entries:
+    for ident, path, old, _, _ in MUTANTS:
         count = (ROOT / path).read_text().count(old)
         if count != 1:
             failures.append(f"{ident}: old text occurs {count} times in {path}")
@@ -191,14 +183,14 @@ def main(argv=None) -> int:
         if not probe.stdout.strip().startswith(str(base)):
             print(f"the copy is not the package Python imports: {probe.stdout or probe.stderr}")
             return 1
-        tests = sorted({t for entry in entries for t in entry[4]})
+        tests = sorted({t for entry in MUTANTS for t in entry[4]})
         proc = _pytest(base, tests)
         if proc.returncode != 0:
             print(f"the named tests fail on the unchanged copy:\n{_tail(proc)}")
             return 1
         print(f"baseline: {len(tests)} named tests pass on the unchanged copy")
 
-        for ident, path, old, new, tests in entries:
+        for ident, path, old, new, tests in MUTANTS:
             work = _copy(Path(tmp) / ident)
             target = work / path
             target.write_text(target.read_text().replace(old, new))
@@ -214,7 +206,7 @@ def main(argv=None) -> int:
                 failures.append(ident)
                 print(_tail(proc))
 
-    print(f"{len(entries) - len(failures)} of {len(entries)} entries as expected")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} entries as expected")
     return 1 if failures else 0
 
 

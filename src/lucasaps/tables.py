@@ -124,12 +124,9 @@ class TablesReport:
 
 
 def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: int):
+    params = new_params(entry.a, B)
     kind = entry.kind
     label = f"{kind.value} ({entry.a}, {B})"
-    if not DomainFilter().admits(entry.a, B):
-        report.mismatches.append(f"{label}: inadmissible pair")
-        return
-    params = new_params(entry.a, B)
     result = certified_enumerate(params, kind)
     if result.status == "inconclusive":
         report.mismatches.append(f"{label}: enumeration inconclusive: {result.diagnostics}")
@@ -173,6 +170,9 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
     for entry in _table_entries():
         for B in range(entry.b_min, b_cap + 1) if entry.is_b_row else (entry.b,):
             report.checked_pairs += 1
+            if not DomainFilter().admits(entry.a, B):
+                report.mismatches.append(f"{entry.kind.value} ({entry.a}, {B}): inadmissible pair")
+                continue
             _check_fixed_pair(entry, B, report, window)
 
     for kind in (Kind.FIRST, Kind.SECOND):

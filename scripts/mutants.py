@@ -118,6 +118,15 @@ MUTANTS = [
      "        if b_eval(eq.poly, a, b):",
      "        if False:",
      [T_SMALLCASE + "TestSolveAll::test_solve_case_checks_what_it_solves"]),
+    # cli: a certified scan row counts from its certificate, every other row searches
+    ("scan-row-window-strict", CLI,
+     "t.max_index <= max_index",
+     "t.max_index < max_index",
+     [T_CLI + "TestScan::test_rows_match_brute_force"]),
+    ("scan-row-family-pairs-certified", CLI,
+     'if result.status == "complete":',
+     'if result.status != "inconclusive":',
+     [T_CLI + "TestScan::test_rows_match_brute_force"]),
     # cli: exit codes and option parsing
     ("grid-check-exit-code", CLI,
      "        if sym != brute:\n            code = EXIT_MISMATCH",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -45,12 +46,13 @@ MAX_EXPONENT = 10_000
 # kind writes 8.5 MB of JSON at this cap in about 0.5 s and 54 MB peak.
 MAX_INDEX = 5000
 
-# A scan row costs about 0.15 ms at --max-index 30 and 500 bytes of peak
-# memory (job, row and output text), so a box at this cap takes about
-# 40 seconds and 120 MB on one worker.  A row costs more as --max-index
-# grows (63 ms at 5000 with |A| + |B| of 8 bits), so rows times
+# A scan row costs about 0.05 ms at --max-index 30 and 400 bytes of peak
+# memory (job, row and output text), so a box at this cap took 9.5 seconds
+# and 107 MB on one worker.  A certified row counts from its certificate at
+# any --max-index, but a D < 0, family or inconclusive row searches the
+# window (41 ms at 5000 with |A| + |B| of 8 bits), so rows times
 # max(--max-index, 30) is capped at MAX_SCAN_ROWS * 30: 1500 such rows take
-# about 1.5 minutes on a 2-vCPU Xeon VM.
+# about a minute on a 2-vCPU Xeon VM.
 MAX_SCAN_ROWS = 250_000
 
 # verify-tables checks O(b_cap) pairs in constant memory: a run at this cap
@@ -135,7 +137,9 @@ def _emit(doc):
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first call, not at import, and shared by every later one
     parser = _Parser(prog="lucasaps", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lucasaps {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,12 +338,17 @@ def _scan_pair(job):
     params = new_params(A, B)
     kind = Kind(kind_name)
     row["classification"] = classify(params).value
-    row["ap_count_window"] = len(find_aps(params, kind, max_index))
-    row["family_count"] = len(detect_families(params, kind, 12))
     result = certified_enumerate(params, kind)
-    row["certified"] = "true" if result.status == "complete" else "false"
-    if result.certificate is not None:
+    if result.status == "complete":
+        # the certificate lists every progression, so no family and no search
+        row["ap_count_window"] = sum(t.max_index <= max_index for t in result.aps)
+        row["family_count"] = 0
+        row["certified"] = "true"
         row["n0"] = result.certificate.n0
+    else:
+        row["ap_count_window"] = len(find_aps(params, kind, max_index))
+        row["family_count"] = len(detect_families(params, kind, 12))
+        row["certified"] = "false"
     return row
 
 

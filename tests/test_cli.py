@@ -16,8 +16,8 @@ import pytest
 
 import lucasaps
 from lucasaps import cli, tables
-from lucasaps.apsearch import APFamily
-from lucasaps.core import Kind
+from lucasaps.apsearch import APFamily, detect_families, find_aps
+from lucasaps.core import Kind, degeneracy_order, new_params
 from lucasaps.cli import main
 
 SCHEMA = json.loads(
@@ -483,6 +483,42 @@ class TestScan:
         assert certified[(2, 1)] == "true"
         assert certified[(1, 1)] == "false"  # families, no finite certificate
 
+    def test_rows_match_brute_force(self):
+        # a complete row counts from its certificate; every row must still
+        # agree with the window search and the family search it replaces
+        def check(box, windows):
+            for A in range(-box, box + 1):
+                for B in range(-box, box + 1):
+                    if not A or not B or degeneracy_order(A, B) is not None:
+                        continue
+                    params = new_params(A, B)
+                    for kind in Kind:
+                        families = len(detect_families(params, kind, 12))
+                        for n in windows:
+                            row = cli._scan_pair((A, B, kind.value, n))
+                            assert row["ap_count_window"] == len(find_aps(params, kind, n)), (A, B, kind, n)
+                            assert row["family_count"] == families, (A, B, kind)
+
+        check(10, (2, 3, 4, 5, 6, 7, 8, 13, 30))
+        check(4, (200,))
+        # step-2 families are not unit-step: the (1, 2) first-kind cell stays 0
+        assert cli._scan_pair((1, 2, "first", 30))["family_count"] == 0
+
+    def test_certified_rows_run_no_search(self, capsys, tmp_path, monkeypatch):
+        # growth-lemma pairs: a deep window costs no find_aps or detect_families
+        def no_search(*args):
+            raise AssertionError("a certified row searched")
+
+        monkeypatch.setattr(cli, "find_aps", no_search)
+        monkeypatch.setattr(cli, "detect_families", no_search)
+        out = tmp_path / "scan.csv"
+        code, _, _ = run(
+            capsys, "scan", "--a-range=3..5", "--b-range=1..3", "--max-index", "2000",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert all(",true," in line for line in out.read_text().splitlines()[1:])
+
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         for jobs in ("0", "-2", "two"):
@@ -603,3 +639,20 @@ class TestGrammar:
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "classify", "--A", "1")
         assert code == 1
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        # every call reuses the first call's parser and answers as it did
+        calls = [
+            ("classify", "--A", "1", "--B", "2"),
+            ("classify", "--A", "1"),
+            ("enumerate", "--A", "1", "--B", "1", "--kind", "third", "--max-index", "5"),
+            ("enumerate", "--A", "1", "--B", "1", "--kind", "first", "--max-index", "5"),
+            ("certify", "--A", "2", "--B", "1", "--kind", "first", "--gap-cap", "0"),
+        ]
+        cli._build_parser.cache_clear()
+        first = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 1, 1, 0, 1]
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in calls] == first
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * len(calls) - 1)

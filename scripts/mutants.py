@@ -15,7 +15,7 @@ The script fails when an old text does not occur exactly once in its file
 (a refactor then has to update the entry, not drop it), when a mutant
 survives, when an inert entry is killed, and on any other pytest exit.
 
-    python scripts/mutants.py    # about 30 s on a 2-vCPU VM
+    python scripts/mutants.py    # about 55 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -36,12 +36,23 @@ APSEARCH = "src/lucasaps/apsearch.py"
 CERTIFY = "src/lucasaps/certify.py"
 TABLES = "src/lucasaps/tables.py"
 CLI = "src/lucasaps/cli.py"
+CORE = "src/lucasaps/core.py"
 
 T_SMALLCASE = "tests/test_smallcase.py::"
 T_APSEARCH = "tests/test_apsearch.py::TestFindAPs::"
 T_CERTIFY = "tests/test_certify.py::"
 T_TABLES = "tests/test_tables.py::"
 T_CLI = "tests/test_cli.py::"
+T_GUARD = "tests/test_core.py::TestInputGuards::test_documented_exception"
+
+
+def _drop_raise(ident, path, guard):
+    """A mutant that deletes the raise of a public-input guard: `guard` is
+    its if line and its raise line, and the raise becomes a pass."""
+    cond, raise_line = guard.split("\n")
+    indent = raise_line[: len(raise_line) - len(raise_line.lstrip())]
+    return (ident, path, guard, f"{cond}\n{indent}pass", [f"{T_GUARD}[{ident}]"])
+
 
 MUTANTS = [
     # find_aps: route 1 pairs opposite-sign outers, route 2 probes from the middle
@@ -76,6 +87,55 @@ MUTANTS = [
      "(A == 1 and 0 < B <= 13)",
      [T_CERTIFY + "TestGrowthException::test_ratio_window_excludes_high_aps",
       T_TABLES + "TestExceptionalPairs::test_every_exceptional_pair_agrees_with_the_catalog"]),
+    # certify: a certificate document without a required key is refused
+    ("certificate-json-patterns-default", CERTIFY,
+     'tuple(doc["patterns"])',
+     'tuple(doc.get("patterns", ()))',
+     [T_CERTIFY + "TestCertificateJson::test_required_key_missing_raises[patterns]"]),
+    ("certificate-json-tool-version-default", CERTIFY,
+     'doc["toolVersion"]',
+     'doc.get("toolVersion", __version__)',
+     [T_CERTIFY + "TestCertificateJson::test_required_key_missing_raises[toolVersion]"]),
+    # the public-input guards: each id names its case of the guard test
+    _drop_raise("aptriple-repeated-index", APSEARCH,
+                "        if len({self.k, self.l, self.m}) != 3:\n"
+                '            raise ValueError(f"indices must be distinct: {self.indices}")'),
+    _drop_raise("instantiate-below-t-min", APSEARCH,
+                "        if t < self.t_min:\n"
+                '            raise ValueError(f"t={t} below t_min={self.t_min}")'),
+    _drop_raise("detect-families-e-max", APSEARCH,
+                "    if e_max < 3:\n"
+                '        raise ValueError("e_max must be at least 3")'),
+    _drop_raise("verify-family-negative-index", APSEARCH,
+                "    if min(ends) < 0:\n"
+                '        raise ValueError(f"negative index for t in [{family.t_min}, {t_last}]")'),
+    _drop_raise("gap-below-one", CERTIFY,
+                "        if self.value < 1:\n"
+                '            raise ValueError("gaps are at least 1")'),
+    _drop_raise("surd-parity", CORE,
+                "        if (self.p - self.q * self.d) % 2 != 0:\n"
+                '            raise ValueError(f"parity invariant violated: ({self.p}, {self.q}, {self.d})")'),
+    _drop_raise("surd-mixed-discriminants", CORE,
+                "        if self.d != other.d:\n"
+                '            raise ValueError("mixed discriminants")'),
+    _drop_raise("surd-negative-power", CORE,
+                "        if n < 0:\n"
+                '            raise ValueError("negative powers are not representable in this ring")'),
+    _drop_raise("surd-as-integer", CORE,
+                "        if not self.is_integer():\n"
+                '            raise ValueError(f"{self!r} is not a rational integer")'),
+    _drop_raise("surd-complex-sign", CORE,
+                "        if self.d < 0:\n"
+                '            raise ValueError("sign of a complex surd is undefined")'),
+    _drop_raise("surd-complex-abs", CORE,
+                "        if self.d < 0:\n"
+                '            raise ValueError("use norm() for complex absolute values")'),
+    _drop_raise("cmp-abs-mixed-discriminants", CORE,
+                "    if x.d != y.d:\n"
+                '        raise ValueError("mixed discriminants")'),
+    _drop_raise("divisors-of-zero", SMALLCASE,
+                "    if n == 0:\n"
+                '        raise ValueError("zero has no divisor list")'),
     # tables: an inconclusive pair and a catalog pair the filter refuses are mismatches
     ("tables-inconclusive-branch", TABLES,
      '    if result.status == "inconclusive":\n'

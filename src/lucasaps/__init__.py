@@ -33,7 +33,6 @@ from .apsearch import (
 )
 from .certify import (
     CompletenessCertificate,
-    EngineConfig,
     EnumerationResult,
     GapPattern,
     certified_enumerate,
@@ -54,7 +53,6 @@ __all__ = [
     "CompletenessCertificate",
     "DegenerateError",
     "DomainFilter",
-    "EngineConfig",
     "EnumerationResult",
     "GapPattern",
     "Kind",

@@ -148,12 +148,9 @@ class PatternAnalysis:
         return doc
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    gap_cap: int = 12
-
-
 # Steps of the exact monotone searches for a fixed-cell exponent and a top bound.
+# A termination guard, not a tuned size: over the 158 growth-exception pair/kinds
+# the largest top bound is 8 and a fixed-cell search takes at most 3 steps.
 SEARCH_CAP = 2000
 
 
@@ -342,8 +339,8 @@ def certificate_from_json(doc: dict) -> CompletenessCertificate:
         for t in doc["aps"]
     )
     return CompletenessCertificate(
-        doc["method"], doc["n0"], tuple(doc.get("patterns", ())), aps,
-        doc.get("toolVersion", __version__), doc.get("note", ""),
+        doc["method"], doc["n0"], tuple(doc["patterns"]), aps,
+        doc["toolVersion"], doc.get("note", ""),
     )
 
 
@@ -395,17 +392,19 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
     return tuple(evidence), problems
 
 
-def certified_enumerate(
-    params: SeqParams, kind: Kind, config: EngineConfig | None = None
-) -> EnumerationResult:
+def certified_enumerate(params: SeqParams, kind: Kind, gap_cap: int = 12) -> EnumerationResult:
     """Enumerate every progression of the sequence with proof of completeness.
 
     Non-exceptional dominant pairs use the ratio growth criterion with
     n0 = 7 (first kind) or 6 (second kind).  Exceptional pairs run the gap
-    pattern engine.  Negative discriminants are inconclusive by design: no
+    pattern engine, which is inconclusive when it would fix a free gap above
+    gap_cap.  Negative discriminants are inconclusive by design: no
     effective completeness method is implemented there.
+
+    gap_cap is a termination guard, not a tuned size: over the 158
+    growth-exception pair/kinds the engine fixes a free gap at most at 2 (the
+    largest gap in any node is 3), so every cap from 2 up gives the same result.
     """
-    cfg = config or EngineConfig()
     if classify(params) is not Classification.REAL_DOMINANT:
         return EnumerationResult(
             "inconclusive",
@@ -420,7 +419,7 @@ def certified_enumerate(
         )
         return EnumerationResult("complete", aps, (), cert)
 
-    evidence, problems = _gap_engine(params, kind, cfg.gap_cap)
+    evidence, problems = _gap_engine(params, kind, gap_cap)
     if problems:
         return EnumerationResult(
             "inconclusive", diagnostics=tuple(problems), evidence=evidence

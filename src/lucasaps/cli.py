@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .apsearch import detect_families, find_aps
-from .certify import EngineConfig, certified_enumerate
+from .certify import certified_enumerate
 from .core import (
     DegenerateError,
     EngineMismatchError,
@@ -28,7 +28,7 @@ from .core import (
     degeneracy_order,
     new_params,
 )
-from .smallcase import DomainFilter, SqueezeUnresolvedError, solve_all
+from .smallcase import MAX_CASE_INDEX, DomainFilter, SqueezeUnresolvedError, solve_all
 from .special import TrinomialShape, TrinomialSpec, quad_factors, sunit_constant
 from .tables import verify_tables
 
@@ -113,6 +113,12 @@ def _range_arg(value: str):
     return lo, hi
 
 
+def _check_bounds(option: str, n: int, lo: int, hi: int) -> None:
+    """Usage error unless lo <= n <= hi."""
+    if not lo <= n <= hi:
+        raise _UsageError(f"{option} must be between {lo} and {hi}")
+
+
 def _check_term_bits(option: str, n: int, coeff_sum: int) -> None:
     """Usage error when n times the bit length of |A| + |B| exceeds MAX_TERM_BITS."""
     bits = coeff_sum.bit_length()
@@ -139,43 +145,49 @@ def _emit(doc):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    # built on the first call, not at import, and shared by every later one
+    # built on the first call, not at import, and shared by every later one;
+    # each subcommand names its handler, which main runs as args.run(args)
     parser = _Parser(prog="lucasaps", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lucasaps {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="validate a pair and classify its discriminant")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--A", type=int, required=True)
+    pair.add_argument("--B", type=int, required=True)
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--kind", type=_kind_arg, required=True)
 
-    p = sub.add_parser("enumerate", help="all progressions with indices below a window")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--kind", type=_kind_arg, required=True)
+    p = sub.add_parser("classify", parents=[pair],
+                       help="validate a pair and classify its discriminant")
+    p.set_defaults(run=_cmd_classify)
+
+    p = sub.add_parser("enumerate", parents=[pair, kind],
+                       help="all progressions with indices below a window")
     p.add_argument("--max-index", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("certify", help="certified complete enumeration (positive discriminant)")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--kind", type=_kind_arg, required=True)
+    p = sub.add_parser("certify", parents=[pair, kind],
+                       help="certified complete enumeration (positive discriminant)")
     p.add_argument("--gap-cap", type=_positive_int, default=12)
+    p.set_defaults(run=_cmd_certify)
 
-    p = sub.add_parser("families", help="unit-step families by companion divisibility")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--kind", type=_kind_arg, required=True)
+    p = sub.add_parser("families", parents=[pair, kind],
+                       help="unit-step families by companion divisibility")
     p.add_argument("--max-exponent", type=int, required=True)
+    p.set_defaults(run=_cmd_families)
 
-    p = sub.add_parser("smallcases", help="symbolic solver for small largest index")
-    p.add_argument("--kind", type=_kind_arg, required=True)
+    p = sub.add_parser("smallcases", parents=[kind],
+                       help="symbolic solver for small largest index")
     p.add_argument("--max-index", type=int, default=6)
     p.add_argument("--no-dominant-filter", action="store_true")
     p.add_argument("--grid-check", type=_positive_int, metavar="N",
                    help="cross-check against brute enumeration on the |A|,|B| <= N grid")
+    p.set_defaults(run=_cmd_smallcases)
 
     p = sub.add_parser("verify-tables", help="cross-verify the progression catalog")
     p.add_argument("--b-cap", type=int, default=25)
+    p.set_defaults(run=_cmd_verify_tables)
 
     p = sub.add_parser("scan", help="batch scan over a coefficient grid")
     p.add_argument("--a-range", type=_range_arg, required=True)
@@ -185,13 +197,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
     p.add_argument("--jobs", type=_positive_int, default=1)
+    p.set_defaults(run=_cmd_scan)
 
     p = sub.add_parser("factor-trinomial", help="monic quadratic factors of a gap trinomial")
     p.add_argument("--shape", choices=[s.value for s in TrinomialShape], required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
+    p.set_defaults(run=_cmd_factor_trinomial)
 
-    sub.add_parser("sunit-bound", help="exact progression-count bound")
+    p = sub.add_parser("sunit-bound", help="exact progression-count bound")
+    p.set_defaults(run=_cmd_sunit_bound)
     return parser
 
 
@@ -209,8 +224,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if not 2 <= args.max_index <= MAX_INDEX:
-        raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
+    _check_bounds("--max-index", args.max_index, 2, MAX_INDEX)
     _check_term_bits("--max-index", args.max_index, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
     aps = find_aps(params, args.kind, args.max_index)
@@ -238,7 +252,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_certify(args) -> int:
     params = new_params(args.A, args.B)
-    result = certified_enumerate(params, args.kind, EngineConfig(gap_cap=args.gap_cap))
+    result = certified_enumerate(params, args.kind, gap_cap=args.gap_cap)
     doc = {
         "A": params.A,
         "B": params.B,
@@ -261,8 +275,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    if not 3 <= args.max_exponent <= MAX_EXPONENT:
-        raise _UsageError(f"--max-exponent must be between 3 and {MAX_EXPONENT}")
+    _check_bounds("--max-exponent", args.max_exponent, 3, MAX_EXPONENT)
     _check_term_bits("--max-exponent", args.max_exponent, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
     fams = detect_families(params, args.kind, args.max_exponent)
@@ -279,8 +292,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_smallcases(args) -> int:
-    if args.max_index < 2:
-        raise _UsageError("--max-index must be at least 2")
+    _check_bounds("--max-index", args.max_index, 2, MAX_CASE_INDEX)
     if args.grid_check and args.grid_check > MAX_GRID_CHECK:
         raise _UsageError(f"--grid-check must be at most {MAX_GRID_CHECK}")
     filt = DomainFilter(dominant=not args.no_dominant_filter)
@@ -353,8 +365,7 @@ def _scan_pair(job):
 
 
 def _cmd_scan(args) -> int:
-    if not 2 <= args.max_index <= MAX_INDEX:
-        raise _UsageError(f"--max-index must be between 2 and {MAX_INDEX}")
+    _check_bounds("--max-index", args.max_index, 2, MAX_INDEX)
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
     (a_lo, a_hi), (b_lo, b_hi) = args.a_range, args.b_range
     count = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(kinds)
@@ -444,24 +455,11 @@ def _cmd_sunit_bound(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "certify": _cmd_certify,
-    "families": _cmd_families,
-    "smallcases": _cmd_smallcases,
-    "verify-tables": _cmd_verify_tables,
-    "scan": _cmd_scan,
-    "factor-trinomial": _cmd_factor_trinomial,
-    "sunit-bound": _cmd_sunit_bound,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

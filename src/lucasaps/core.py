@@ -167,7 +167,7 @@ class Surd:
             raise ValueError("negative powers are not representable in this ring")
         out = Surd.integer(1, self.d)
         base = self
-        while n:
+        while n > 0:
             if n & 1:
                 out = out * base
             base = base * base

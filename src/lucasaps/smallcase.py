@@ -239,11 +239,15 @@ class CaseEquation:
         return doubled_at(self.triple, (1, 0, 2)[self.variant - 1])
 
 
+# The largest index of a case equation: up to it no two equations agree up
+# to sign, so none is redundant.
+MAX_CASE_INDEX = 7
+
+
 def case_equations(kind: Kind, m_cap: int) -> list:
-    """All equations for triples k < l < m <= m_cap (for m_cap <= 7 no two
-    agree up to sign, so none is redundant)."""
-    if m_cap > 7:
-        raise ValueError("index cap is 7")
+    """All equations for triples k < l < m <= m_cap <= MAX_CASE_INDEX."""
+    if m_cap > MAX_CASE_INDEX:
+        raise ValueError(f"index cap is {MAX_CASE_INDEX}")
     return [
         CaseEquation(kind, (k, l, m), variant)
         for k, l, m in combinations(range(m_cap + 1), 3)

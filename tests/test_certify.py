@@ -11,7 +11,6 @@ from lucasaps import certify
 from lucasaps.apsearch import find_aps, is_ap
 from lucasaps.certify import (
     CompletenessCertificate,
-    EngineConfig,
     Gap,
     GapPattern,
     GROWTH_WINDOW,
@@ -206,7 +205,7 @@ class TestCertifiedEnumerate:
 
     def test_exhausted_gap_cap_is_inconclusive_not_wrong(self):
         # an unusable cap must surface as a first-class inconclusive result
-        r = certified_enumerate(new_params(2, 1), Kind.FIRST, EngineConfig(gap_cap=0))
+        r = certified_enumerate(new_params(2, 1), Kind.FIRST, gap_cap=0)
         assert r.status == "inconclusive"
         assert any("gap cap" in d for d in r.diagnostics)
 
@@ -224,7 +223,7 @@ class TestCertifiedEnumerate:
     def test_exhausted_gap_cap_keeps_every_analyzed_node(self):
         # with cap 1 the middle placement runs out twice, once per free gap;
         # the evidence still lists every node analyzed, in recursion order
-        r = certified_enumerate(new_params(1, 1), Kind.FIRST, EngineConfig(gap_cap=1))
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST, gap_cap=1)
         assert r.status == "inconclusive"
         assert r.diagnostics == (
             "gap cap exhausted at -2@n2 g1=1 g2>=1",
@@ -266,7 +265,7 @@ class TestCertifiedEnumerate:
         # each split analyzes the fixed cell, then the raised free gap, and
         # a cap runs out once per free pattern, named as it was first seen;
         # test_exhausted_gap_cap_keeps_every_analyzed_node pins cap 1
-        r = certified_enumerate(new_params(1, 1), Kind.FIRST, EngineConfig(gap_cap=gap_cap))
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST, gap_cap=gap_cap)
         assert (r.status, r.diagnostics) == (status, diagnostics)
         assert [f"{e.pattern.describe()} {e.status}" for e in r.evidence] == evidence
 
@@ -417,6 +416,15 @@ class TestCertificateJson:
         assert len(docs) == 151
         for doc in docs:
             assert certificate_from_json(json.loads(json.dumps(doc))).to_json_dict() == doc
+
+    @pytest.mark.parametrize("key", ["patterns", "toolVersion"])
+    def test_required_key_missing_raises(self, key):
+        # the schema requires both; a default would turn a truncated
+        # gap-pattern document into a certificate with no nodes
+        doc = certified_enumerate(new_params(2, 1), Kind.FIRST).certificate.to_json_dict()
+        del doc[key]
+        with pytest.raises(KeyError):
+            certificate_from_json(doc)
 
     def test_schema_validates(self):
         import jsonschema

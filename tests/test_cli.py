@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
+import argparse
 import errno
 import hashlib
 import io
@@ -291,13 +292,18 @@ class TestSmallcases:
             assert (code, out) == (1, "")
             assert f"--grid-check must be at most {cli.MAX_GRID_CHECK}" in err
 
-    def test_index_below_two_is_usage_error(self, capsys):
-        # no triple fits below index 2, so the result would be vacuous
-        for n in ("1", "0", "-1"):
+    def test_index_below_two_is_usage_error(self, capsys, monkeypatch):
+        # no triple fits below index 2, so the result would be vacuous; above
+        # the case-equation cap there is no equation list; both before solving
+        def no_work(*args):
+            raise AssertionError("smallcases work started for a refused --max-index")
+
+        monkeypatch.setattr(cli, "solve_all", no_work)
+        for n in ("1", "0", "-1", "8", str(10**9)):
             code, out, err = run(capsys, "smallcases", "--kind", "first", "--max-index", n)
             assert code == 1
             assert out == ""
-            assert "--max-index must be at least 2" in err
+            assert err == "error: --max-index must be between 2 and 7\n"
 
     def test_cap_seven_unfiltered_is_inconclusive(self, capsys):
         code, _, err = run(
@@ -639,6 +645,22 @@ class TestGrammar:
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "classify", "--A", "1")
         assert code == 1
+
+    def test_every_subcommand_has_a_schema_and_help(self, capsys):
+        # the schema is the one other list of subcommands: verify-tables is
+        # its verifyTables entry
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        commands = list(subparsers.choices)
+        assert len(commands) == 9
+        for command in commands:
+            head, *rest = command.split("-")
+            assert head + "".join(w.title() for w in rest) in SCHEMA["$defs"], command
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out.startswith(f"usage: lucasaps {command} ")
 
     def test_parser_is_built_once_per_process(self, capsys):
         # every call reuses the first call's parser and answers as it did

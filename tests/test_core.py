@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import lucasaps
 from lucasaps import certify
-from lucasaps.apsearch import find_aps
+from lucasaps.apsearch import APFamily, APTriple, detect_families, find_aps, verify_family
+from lucasaps.certify import Gap
 from lucasaps.core import (
     Classification,
     DegenerateError,
@@ -32,6 +33,7 @@ from lucasaps.core import (
     term,
     terms,
 )
+from lucasaps.smallcase import divisors
 
 
 def valid_pairs(max_abs=12):
@@ -317,3 +319,42 @@ class TestEngineChecks:
 
     def test_mismatch_error_lives_in_core(self):
         assert certify.EngineMismatchError is EngineMismatchError
+
+
+# Each public-input guard of the library and the exception it documents.
+INPUT_GUARDS = {
+    "aptriple-repeated-index": (lambda: APTriple(1, 1, 2, (1, 2, 3)), "indices must be distinct"),
+    "instantiate-below-t-min": (
+        lambda: APFamily((0, 1), (1, 1), (2, 1), 2).instantiate(1), "below t_min"
+    ),
+    "detect-families-e-max": (
+        lambda: detect_families(new_params(1, 1), Kind.FIRST, 2), "at least 3"
+    ),
+    "verify-family-negative-index": (
+        lambda: verify_family(APFamily((-1, 1), (0, 1), (1, 1)), new_params(1, 1), Kind.FIRST),
+        "negative index",
+    ),
+    "gap-below-one": (lambda: Gap(False, 0), "at least 1"),
+    "surd-parity": (lambda: Surd(1, 0, 5), "parity"),
+    "surd-mixed-discriminants": (
+        lambda: Surd.integer(1, 5) + Surd.integer(1, 8), "mixed discriminants"
+    ),
+    "surd-negative-power": (lambda: Surd.integer(2, 5) ** -1, "negative powers"),
+    "surd-as-integer": (lambda: Surd(2, 2, 5).as_integer(), "not a rational integer"),
+    "surd-complex-sign": (lambda: Surd.integer(1, -3).sign(), "sign of a complex surd"),
+    "surd-complex-abs": (lambda: abs(Surd.integer(1, -3)), "use norm"),
+    # complex operands, so only this guard can raise: the real branch would
+    # reach the mixed-discriminant check of the subtraction
+    "cmp-abs-mixed-discriminants": (
+        lambda: surd_cmp_abs(Surd.integer(1, -3), Surd.integer(1, -7)), "mixed discriminants"
+    ),
+    "divisors-of-zero": (lambda: divisors(0), "zero has no divisor list"),
+}
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("guard", sorted(INPUT_GUARDS))
+    def test_documented_exception(self, guard):
+        call, message = INPUT_GUARDS[guard]
+        with pytest.raises(ValueError, match=message):
+            call()

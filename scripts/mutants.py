@@ -70,8 +70,8 @@ MUTANTS = [
      [T_APSEARCH + "test_matches_quadratic_oracle", T_APSEARCH + "test_exact_across_signed_buckets"]),
     # certify: the search guards and the growth-lemma exception list
     ("certify-gap-cap-guard", CERTIFY,
-     "            if v > gap_cap:",
-     "            if v > gap_cap + 1:",
+     "            if v > GAP_CAP:",
+     "            if v > GAP_CAP + 1:",
      [T_CERTIFY + "TestCertifiedEnumerate::test_gap_cap_splits_are_pinned"]),
     ("certify-top-bound-search-cap", CERTIFY,
      '        return PatternAnalysis(pattern, "inconclusive", margin=margin,\n'
@@ -195,7 +195,19 @@ MUTANTS = [
     ("positive-int-non-integer", CLI,
      "    except ValueError:\n        n = 0",
      "    except ValueError:\n        n = 1",
-     [T_CLI + "TestCertify::test_nonpositive_gap_cap_is_usage_error"]),
+     [T_CLI + "TestScan::test_jobs_below_one_is_usage_error"]),
+    ("b-cap-lower-bound", CLI,
+     '_check_bounds("--b-cap", args.b_cap, MIN_B_CAP, MAX_B_CAP)',
+     '_check_bounds("--b-cap", args.b_cap, 0, MAX_B_CAP)',
+     [T_CLI + "TestVerifyTables::test_b_cap_is_usage_error"]),
+    ("trinomial-b-lower-bound", CLI,
+     '_check_bounds("--b", args.b, 1, EXPONENT_CAP - 1)',
+     '_check_bounds("--b", args.b, 0, EXPONENT_CAP - 1)',
+     [T_CLI + "TestFactorTrinomial::test_exponents_out_of_range_are_usage_errors"]),
+    ("trinomial-a-lower-bound", CLI,
+     '_check_bounds("--a", args.a, args.b + 1, EXPONENT_CAP)',
+     '_check_bounds("--a", args.a, args.b, EXPONENT_CAP)',
+     [T_CLI + "TestFactorTrinomial::test_exponents_out_of_range_are_usage_errors"]),
     # changes a comment only, so it must survive
     ("inert-comment", SMALLCASE,
      "# Dense univariate integer polynomials: list of coefficients, index = degree.",

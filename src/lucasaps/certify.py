@@ -153,17 +153,22 @@ class PatternAnalysis:
 # the largest top bound is 8 and a fixed-cell search takes at most 3 steps.
 SEARCH_CAP = 2000
 
+# Largest value at which the gap engine fixes a free gap before it reports
+# the pattern inconclusive.  Also a termination guard: over the same 158
+# pair/kinds the engine fixes a free gap at most at 2 (the largest gap in any
+# node is 3), so every cap from 2 up gives the same result.
+GAP_CAP = 12
+
 
 def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
     k, l, m = doubled_at((g1 + g2, g2, 0), minus_two_at)
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
-def _fixed_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnalysis:
-    gamma, delta = dominant_root(params)
+def _fixed_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:
     c1, c2, c3 = pattern.coefficients()
     g1, g2 = pattern.g1.value, pattern.g2.value
-    one = Surd.integer(1, params.D)
+    one = Surd.integer(1, gamma.d)
 
     def q_at(x: Surd) -> Surd:
         return (x ** (g1 + g2)).times_int(c1) + (x ** g2).times_int(c2) + one.times_int(c3)
@@ -196,7 +201,7 @@ def _fixed_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnal
     return PatternAnalysis(pattern, "resolved", solutions=tuple(sols))
 
 
-def _decoupled_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnalysis:
+def _decoupled_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:
     """g1 fixed with c1*gamma^g1 + c2 = 0.
 
     Only gamma = 2 with g1 = 1 and the -2 coefficient in the middle can
@@ -206,7 +211,6 @@ def _decoupled_cell(pattern: GapPattern, params: SeqParams, eps: int) -> Pattern
     so n3 is bounded outright and each residue class of g2 either fails or
     yields a whole family.
     """
-    gamma, delta = dominant_root(params)
     c1, c2, c3 = pattern.coefficients()
     a, b = pattern.g1.value, pattern.g2.value
     gi, di = gamma.as_integer(), delta.as_integer()
@@ -247,10 +251,10 @@ def pattern_bound(
     top exponent and the cell is exhausted up to it, or requests a split.
     """
     eps = 1 if kind is Kind.FIRST else -1
-    if pattern.g1.fixed and pattern.g2.fixed:
-        return _fixed_cell(pattern, params, eps)
-
     gamma, delta = dominant_root(params)
+    if pattern.g1.fixed and pattern.g2.fixed:
+        return _fixed_cell(pattern, gamma, delta, eps)
+
     c1, c2, c3 = pattern.coefficients()
     ag, ad = abs(gamma), abs(delta)
     one = Surd.integer(1, params.D)
@@ -259,7 +263,7 @@ def pattern_bound(
     if pattern.g1.fixed:
         t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
         if t_gamma.is_zero():
-            return _decoupled_cell(pattern, params, eps)
+            return _decoupled_cell(pattern, gamma, delta, eps)
         margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
     else:
         margin = (
@@ -362,7 +366,7 @@ class EnumerationResult:
     evidence: tuple = ()
 
 
-def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
+def _gap_engine(params: SeqParams, kind: Kind):
     """Run the gap patterns of every -2 placement; returns (evidence, problems).
 
     The evidence is every analysis that is not a split, as pattern_bound
@@ -378,7 +382,7 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
         while (res := pattern_bound(free, params, kind)).status == "fix_next_gap":
             which = "g1" if not free.g1.fixed else "g2"
             v = getattr(free, which).value
-            if v > gap_cap:
+            if v > GAP_CAP:
                 problems.append(f"gap cap exhausted at {pat.describe()}")
                 return
             analyze(replace(free, **{which: Gap(True, v)}))
@@ -392,18 +396,14 @@ def _gap_engine(params: SeqParams, kind: Kind, gap_cap: int):
     return tuple(evidence), problems
 
 
-def certified_enumerate(params: SeqParams, kind: Kind, gap_cap: int = 12) -> EnumerationResult:
+def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
     """Enumerate every progression of the sequence with proof of completeness.
 
     Non-exceptional dominant pairs use the ratio growth criterion with
     n0 = 7 (first kind) or 6 (second kind).  Exceptional pairs run the gap
     pattern engine, which is inconclusive when it would fix a free gap above
-    gap_cap.  Negative discriminants are inconclusive by design: no
+    GAP_CAP.  Negative discriminants are inconclusive by design: no
     effective completeness method is implemented there.
-
-    gap_cap is a termination guard, not a tuned size: over the 158
-    growth-exception pair/kinds the engine fixes a free gap at most at 2 (the
-    largest gap in any node is 3), so every cap from 2 up gives the same result.
     """
     if classify(params) is not Classification.REAL_DOMINANT:
         return EnumerationResult(
@@ -419,7 +419,7 @@ def certified_enumerate(params: SeqParams, kind: Kind, gap_cap: int = 12) -> Enu
         )
         return EnumerationResult("complete", aps, (), cert)
 
-    evidence, problems = _gap_engine(params, kind, gap_cap)
+    evidence, problems = _gap_engine(params, kind)
     if problems:
         return EnumerationResult(
             "inconclusive", diagnostics=tuple(problems), evidence=evidence

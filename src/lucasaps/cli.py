@@ -20,17 +20,10 @@ import sys
 from . import __version__
 from .apsearch import detect_families, find_aps
 from .certify import certified_enumerate
-from .core import (
-    DegenerateError,
-    EngineMismatchError,
-    Kind,
-    classify,
-    degeneracy_order,
-    new_params,
-)
+from .core import EngineMismatchError, Kind, classify, degeneracy_order, new_params
 from .smallcase import MAX_CASE_INDEX, DomainFilter, SqueezeUnresolvedError, solve_all
-from .special import TrinomialShape, TrinomialSpec, quad_factors, sunit_constant
-from .tables import verify_tables
+from .special import EXPONENT_CAP, TrinomialShape, TrinomialSpec, quad_factors, sunit_constant
+from .tables import MIN_B_CAP, verify_tables
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -169,7 +162,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", parents=[pair, kind],
                        help="certified complete enumeration (positive discriminant)")
-    p.add_argument("--gap-cap", type=_positive_int, default=12)
     p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("families", parents=[pair, kind],
@@ -252,7 +244,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_certify(args) -> int:
     params = new_params(args.A, args.B)
-    result = certified_enumerate(params, args.kind, gap_cap=args.gap_cap)
+    result = certified_enumerate(params, args.kind)
     doc = {
         "A": params.A,
         "B": params.B,
@@ -323,8 +315,7 @@ def _cmd_smallcases(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
-    if args.b_cap > MAX_B_CAP:
-        raise _UsageError(f"--b-cap must be at most {MAX_B_CAP}")
+    _check_bounds("--b-cap", args.b_cap, MIN_B_CAP, MAX_B_CAP)
     report = verify_tables(args.b_cap)
     _emit(report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_MISMATCH
@@ -421,6 +412,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_factor_trinomial(args) -> int:
+    _check_bounds("--b", args.b, 1, EXPONENT_CAP - 1)
+    _check_bounds("--a", args.a, args.b + 1, EXPONENT_CAP)
     spec = TrinomialSpec(TrinomialShape(args.shape), args.a, args.b)
     factors = quad_factors(spec)
     _emit(
@@ -462,13 +455,6 @@ def main(argv=None) -> int:
         return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except DegenerateError as exc:
-        print(
-            f"invalid input: degenerate pair ({exc.A}, {exc.B}); "
-            f"the root ratio alpha/beta has order {exc.order}",
-            file=sys.stderr,
-        )
         return EXIT_INVALID
     except SqueezeUnresolvedError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ class DegenerateError(ValueError):
         self.B = B
         self.order = order
         super().__init__(
-            f"pair ({A}, {B}) is degenerate: ratio alpha/beta has order {order}"
+            f"degenerate pair ({A}, {B}); the root ratio alpha/beta has order {order}"
         )
 
 

@@ -155,6 +155,11 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: i
         report.completions_used.append(f"{label}: {trip} ({note})")
 
 
+# Smallest b_cap that verify_tables accepts: each B-free row is checked from
+# its bMin through at least B = 10.
+MIN_B_CAP = 10
+
+
 def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> TablesReport:
     """Cross-verify the catalog against the certified enumeration.
 
@@ -163,8 +168,8 @@ def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> Tabl
     as an empty row: one rule for every pair.  A catalog pair that
     DomainFilter does not admit is a mismatch.
     """
-    if b_cap < 10:
-        raise ValueError("b_cap must be at least 10")
+    if b_cap < MIN_B_CAP:
+        raise ValueError(f"b_cap must be at least {MIN_B_CAP}")
     report = TablesReport(b_cap, window, off_grid)
 
     for entry in _table_entries():

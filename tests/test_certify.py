@@ -203,9 +203,10 @@ class TestCertifiedEnumerate:
         assert r.status == "inconclusive"
         assert r.diagnostics
 
-    def test_exhausted_gap_cap_is_inconclusive_not_wrong(self):
+    def test_exhausted_gap_cap_is_inconclusive_not_wrong(self, monkeypatch):
         # an unusable cap must surface as a first-class inconclusive result
-        r = certified_enumerate(new_params(2, 1), Kind.FIRST, gap_cap=0)
+        monkeypatch.setattr(certify, "GAP_CAP", 0)
+        r = certified_enumerate(new_params(2, 1), Kind.FIRST)
         assert r.status == "inconclusive"
         assert any("gap cap" in d for d in r.diagnostics)
 
@@ -220,10 +221,11 @@ class TestCertifiedEnumerate:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["status"], doc["diagnostics"]) == ("inconclusive", list(r.diagnostics))
 
-    def test_exhausted_gap_cap_keeps_every_analyzed_node(self):
+    def test_exhausted_gap_cap_keeps_every_analyzed_node(self, monkeypatch):
         # with cap 1 the middle placement runs out twice, once per free gap;
         # the evidence still lists every node analyzed, in recursion order
-        r = certified_enumerate(new_params(1, 1), Kind.FIRST, gap_cap=1)
+        monkeypatch.setattr(certify, "GAP_CAP", 1)
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST)
         assert r.status == "inconclusive"
         assert r.diagnostics == (
             "gap cap exhausted at -2@n2 g1=1 g2>=1",
@@ -261,13 +263,25 @@ class TestCertifiedEnumerate:
         ],
         ids=["cap-0", "cap-2", "cap-3"],
     )
-    def test_gap_cap_splits_are_pinned(self, gap_cap, status, diagnostics, evidence):
+    def test_gap_cap_splits_are_pinned(self, monkeypatch, gap_cap, status, diagnostics, evidence):
         # each split analyzes the fixed cell, then the raised free gap, and
         # a cap runs out once per free pattern, named as it was first seen;
         # test_exhausted_gap_cap_keeps_every_analyzed_node pins cap 1
-        r = certified_enumerate(new_params(1, 1), Kind.FIRST, gap_cap=gap_cap)
+        monkeypatch.setattr(certify, "GAP_CAP", gap_cap)
+        r = certified_enumerate(new_params(1, 1), Kind.FIRST)
         assert (r.status, r.diagnostics) == (status, diagnostics)
         assert [f"{e.pattern.describe()} {e.status}" for e in r.evidence] == evidence
+
+    def test_every_cap_from_two_gives_the_default_result(self, monkeypatch):
+        # GAP_CAP is a termination guard: no exceptional pair/kind fixes a
+        # free gap above 2, so caps 2 and 3 give the result of the default 12
+        assert certify.GAP_CAP == 12
+        pairs = listed_pairs()
+        default = [certified_enumerate(params, kind) for params, kind in pairs]
+        assert len(default) == 158
+        for cap in (2, 3):
+            monkeypatch.setattr(certify, "GAP_CAP", cap)
+            assert [certified_enumerate(params, kind) for params, kind in pairs] == default, cap
 
     def test_every_exception_pair_resolves(self):
         # the finite exception lists of the ratio criterion, in full

@@ -68,7 +68,9 @@ class TestClassify:
     def test_degenerate_reports_order(self, capsys):
         code, _, err = run(capsys, "classify", "--A", "1", "--B", "-1")
         assert code == 1
-        assert "order 3" in err
+        assert err == (
+            "invalid input: degenerate pair (1, -1); the root ratio alpha/beta has order 3\n"
+        )
 
     def test_zero_coefficient(self, capsys):
         code, _, err = run(capsys, "classify", "--A", "0", "--B", "5")
@@ -175,15 +177,17 @@ class TestCertify:
         assert code == 2
         assert json.loads(out)["status"] == "inconclusive"
 
-    def test_nonpositive_gap_cap_is_usage_error(self, capsys):
-        for cap in ("0", "-3", "two"):
+    def test_gap_cap_is_not_an_option(self, capsys):
+        # the gap cap is certify.GAP_CAP, so a certificate depends on the
+        # pair and the kind alone
+        for cap in ("0", "3", "12"):
             code, out, err = run(
                 capsys, "certify", "--A", "2", "--B", "1", "--kind", "first",
                 "--gap-cap", cap,
             )
-            assert code == 1
-            assert out == ""
-            assert err.startswith("usage: lucasaps certify")
+            assert (code, out) == (1, "")
+            assert err.startswith("usage: lucasaps [-h]")
+            assert err.endswith(f"\nerror: unrecognized arguments: --gap-cap {cap}\n")
 
 
 class TestFamilies:
@@ -377,13 +381,13 @@ class TestVerifyTables:
     def test_b_cap_is_usage_error(self, capsys, monkeypatch):
         # verify_tables checks O(b_cap) pairs; the cap is checked before it runs
         def no_work(*args):
-            raise AssertionError("verify_tables started for an oversized cap")
+            raise AssertionError("verify_tables started for a refused cap")
 
         monkeypatch.setattr(cli, "verify_tables", no_work)
-        for n in (cli.MAX_B_CAP + 1, 10**9):
+        for n in (cli.MAX_B_CAP + 1, 10**9, tables.MIN_B_CAP - 1, 5, -1):
             code, out, err = run(capsys, "verify-tables", "--b-cap", str(n))
             assert (code, out) == (1, "")
-            assert f"--b-cap must be at most {cli.MAX_B_CAP}" in err
+            assert err == f"error: --b-cap must be between 10 and {cli.MAX_B_CAP}\n"
 
 
 class TestScan:
@@ -609,6 +613,22 @@ class TestFactorTrinomial:
             {"p": 1, "q": 2, "poly": "X^2+X+2", "discriminant": -7}
         ]
 
+    def test_exponents_out_of_range_are_usage_errors(self, capsys, monkeypatch):
+        # --b in 1..EXPONENT_CAP - 1, then --a in b + 1..EXPONENT_CAP, before any work
+        def no_work(*args):
+            raise AssertionError("quad_factors started for refused exponents")
+
+        monkeypatch.setattr(cli, "quad_factors", no_work)
+        for a, b, why in (
+            (3, 3, "--a must be between 4 and 64"),
+            (65, 1, "--a must be between 2 and 64"),
+            (3, 0, "--b must be between 1 and 63"),
+        ):
+            code, out, err = run(
+                capsys, "factor-trinomial", "--shape", "x^a-2x^b+1", "--a", str(a), "--b", str(b)
+            )
+            assert (code, out, err) == (1, "", f"error: {why}\n"), (a, b)
+
 
 class TestSUnitBound:
     def test_output(self, capsys):
@@ -669,7 +689,7 @@ class TestGrammar:
             ("classify", "--A", "1"),
             ("enumerate", "--A", "1", "--B", "1", "--kind", "third", "--max-index", "5"),
             ("enumerate", "--A", "1", "--B", "1", "--kind", "first", "--max-index", "5"),
-            ("certify", "--A", "2", "--B", "1", "--kind", "first", "--gap-cap", "0"),
+            ("certify", "--A", "2", "--B", "1", "--kind", "third"),
         ]
         cli._build_parser.cache_clear()
         first = [run(capsys, *argv) for argv in calls]

@@ -37,12 +37,15 @@ CERTIFY = "src/lucasaps/certify.py"
 TABLES = "src/lucasaps/tables.py"
 CLI = "src/lucasaps/cli.py"
 CORE = "src/lucasaps/core.py"
+SPECIAL = "src/lucasaps/special.py"
 
 T_SMALLCASE = "tests/test_smallcase.py::"
 T_APSEARCH = "tests/test_apsearch.py::TestFindAPs::"
 T_CERTIFY = "tests/test_certify.py::"
 T_TABLES = "tests/test_tables.py::"
 T_CLI = "tests/test_cli.py::"
+T_CORE = "tests/test_core.py::"
+T_SPECIAL = "tests/test_special.py::TestQuadFactors::"
 T_GUARD = "tests/test_core.py::TestInputGuards::test_documented_exception"
 
 
@@ -136,6 +139,24 @@ MUTANTS = [
     _drop_raise("divisors-of-zero", SMALLCASE,
                 "    if n == 0:\n"
                 '        raise ValueError("zero has no divisor list")'),
+    # core: exact powers keep every product of square-and-multiply and its checks
+    ("surd-pow-skip-odd-bit", CORE,
+     "                p, q = _product(p, q, bp, bq, d)",
+     "                pass",
+     [T_CORE + "TestSurd::test_pow_matches_repeated_product"]),
+    ("surd-product-parity", CORE,
+     '        raise ValueError(f"parity invariant violated: ({p}, {q}, {d})")',
+     "        pass",
+     [T_CORE + "TestSurd::test_pow_raises_as_the_first_bad_product"]),
+    # special: a quad_factors hit passes the remainder test and the root checks
+    ("quad-factors-remainder-accepts", SPECIAL,
+     "        if not _remainder_vanishes(p, q, a, b, ca, cb, c0):",
+     "        if False:",
+     [T_SPECIAL + "test_matches_division_oracle"]),
+    ("quad-factors-double-root-derivative", SPECIAL,
+     '                raise EngineMismatchError("remainder and double-root derivative disagree")',
+     "                pass",
+     [T_SPECIAL + "test_double_root_needs_the_derivative"]),
     # tables: an inconclusive pair and a catalog pair the filter refuses are mismatches
     ("tables-inconclusive-branch", TABLES,
      '    if result.status == "inconclusive":\n'

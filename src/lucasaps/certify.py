@@ -259,6 +259,7 @@ def pattern_bound(
     ag, ad = abs(gamma), abs(delta)
     one = Surd.integer(1, params.D)
     a, b = pattern.g1.value, pattern.g2.value
+    grown = ag ** (a + b)
 
     if pattern.g1.fixed:
         t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
@@ -267,7 +268,7 @@ def pattern_bound(
         margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
     else:
         margin = (
-            (ag ** (a + b)).times_int(abs(c1))
+            grown.times_int(abs(c1))
             - (ag ** b).times_int(abs(c2))
             - one.times_int(abs(c3))
         )
@@ -277,7 +278,7 @@ def pattern_bound(
 
     eta = ad if surd_cmp_abs(ad, one) > 0 else one
     lhs = margin
-    rhs = (ag ** (a + b)).times_int(4)
+    rhs = grown.times_int(4)
     top = -1
     for n1 in range(SEARCH_CAP):
         if (rhs - lhs).sign() < 0:

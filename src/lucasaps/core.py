@@ -153,26 +153,26 @@ class Surd:
 
     def __mul__(self, other: Surd) -> Surd:
         self._check(other)
-        pp, rem1 = divmod(self.p * other.p + self.q * other.q * self.d, 2)
-        qq, rem2 = divmod(self.p * other.q + self.q * other.p, 2)
-        if rem1 or rem2:
-            raise EngineMismatchError("product left the half-integer ring")
-        return Surd(pp, qq, self.d)
+        return Surd(*_product(self.p, self.q, other.p, other.q, self.d), self.d)
 
     def times_int(self, n: int) -> Surd:
         return Surd(self.p * n, self.q * n, self.d)
 
     def __pow__(self, n: int) -> Surd:
+        """Square-and-multiply on the integer pair (p, q); every step makes
+        the checks of __mul__, and one Surd is built at the end."""
         if n < 0:
             raise ValueError("negative powers are not representable in this ring")
-        out = Surd.integer(1, self.d)
-        base = self
+        d = self.d
+        p, q = 2, 0
+        bp, bq = self.p, self.q
         while n > 0:
             if n & 1:
-                out = out * base
-            base = base * base
+                p, q = _product(p, q, bp, bq, d)
             n >>= 1
-        return out
+            if n:
+                bp, bq = _product(bp, bq, bp, bq, d)
+        return Surd(p, q, d)
 
     def norm(self) -> Fraction:
         """Field norm (p^2 - q^2 d)/4; equals |x|^2 when d < 0."""
@@ -221,6 +221,21 @@ class Surd:
         tail = f"{abs(qf)}*sqrt({d0})" if abs(qf) != 1 else f"sqrt({d0})"
         body = f"{head}{op}{tail}" if head else (f"-{tail}" if qf < 0 else tail)
         return f"({body}){den}" if den else body
+
+
+def _product(p1: int, q1: int, p2: int, q2: int, d: int) -> tuple[int, int]:
+    """(p, q) of the product of (p1 + q1*sqrt(d))/2 and (p2 + q2*sqrt(d))/2.
+
+    Raises EngineMismatchError when the product leaves the half-integer ring
+    and the ValueError of Surd when it breaks the parity invariant.
+    """
+    p, rem1 = divmod(p1 * p2 + q1 * q2 * d, 2)
+    q, rem2 = divmod(p1 * q2 + q1 * p2, 2)
+    if rem1 or rem2:
+        raise EngineMismatchError("product left the half-integer ring")
+    if (p - q * d) % 2:
+        raise ValueError(f"parity invariant violated: ({p}, {q}, {d})")
+    return p, q
 
 
 def _square_split(d: int) -> tuple[int, int]:

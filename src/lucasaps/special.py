@@ -17,6 +17,8 @@ g divides f in Z[X], so g(m) divides f(m) for every integer m; a candidate
 failing that at some m in {2, 3, -2, -3} with g(m) != 0 is dropped.  Each
 survivor is decided by the remainders of X^n modulo it, and every factor
 found is cross-checked by evaluating the trinomial at its roots exactly.
+A double root r = -p/2, of (X - 1)^2 or (X + 1)^2, is one root counted
+twice, so there the derivative c_a*a*r^(a-1) + c_b*b*r^(b-1) must vanish too.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations: with A(k, s) <= 2^(35*b^3) * d^(6*b^2), b = max(k+1, s) and
@@ -79,6 +81,26 @@ class TrinomialSpec:
 # Largest trinomial exponent quad_factors accepts.
 EXPONENT_CAP = 64
 
+# (p, q, g(2), g(3), g(-2), g(-3)) for each candidate g = X^2 + p*X + q with
+# q | 2 and |p| <= 1 + |q|, p outer and q inner: the order of quad_factors' list
+_CANDIDATES = tuple(
+    (p, q, *(m * m + p * m + q for m in (2, 3, -2, -3)))
+    for p in range(-3, 4)
+    for q in (-2, -1, 1, 2)
+    if abs(p) <= 1 + abs(q)
+)
+
+
+def _remainder_vanishes(p: int, q: int, a: int, b: int, ca: int, cb: int, c0: int) -> bool:
+    """True when X^2 + p*X + q divides c_a*X^a + c_b*X^b + c_0.
+
+    With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
+    modulo X^2 + p*X + q for n >= 1 (the identity detect_families uses), so
+    it divides exactly when both coefficients of the combined remainder vanish.
+    """
+    u = linear_terms(-p, -q, 0, 1, a + 1)
+    return not (ca * u[a] + cb * u[b] or c0 - q * (ca * u[a - 1] + cb * u[b - 1]))
+
 
 def quad_factors(spec: TrinomialSpec) -> list:
     """All monic quadratic integer factors X^2 + p*X + q of the trinomial.
@@ -88,34 +110,33 @@ def quad_factors(spec: TrinomialSpec) -> list:
     shapes).  A monic factor leaves an integer cofactor (Gauss's lemma), so
     g(m) | f(m) at every integer m; candidates failing that at some
     m in {2, 3, -2, -3} with g(m) != 0 are skipped before any recurrence.
-    With U the first-kind sequence of (A, B) = (-p, -q), X^n = U_n*X + B*U_{n-1}
-    modulo X^2 + p*X + q for n >= 1 (the identity detect_families uses), so
-    a survivor divides c_a*X^a + c_b*X^b + c_0 exactly when both
-    coefficients of the combined remainder vanish.  Every hit is
-    cross-checked independently: the trinomial must vanish at both roots of
-    the candidate in exact surd arithmetic.
+    A survivor is decided by its remainders (_remainder_vanishes).  Every
+    hit is cross-checked independently: the trinomial must vanish at both
+    roots of the candidate in exact surd arithmetic, and at a double root
+    r = -p/2 (zero discriminant) so must its derivative, in integers.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
     a, b = spec.a, spec.b
     ca, cb, c0 = _SHAPE_COEFFICIENTS[spec.shape]
+    f2, f3, fm2, fm3 = (ca * m**a + cb * m**b + c0 for m in (2, 3, -2, -3))
     found = []
-    qs = [q for q in (-2, -1, 1, 2) if c0 % q == 0]
-    points = [(m, ca * m**a + cb * m**b + c0) for m in (2, 3, -2, -3)]
-    for p in range(-3, 4):
-        for q in qs:
-            if abs(p) > 1 + abs(q):
-                continue
-            if any((g := m * m + p * m + q) and fm % g for m, fm in points):
-                continue
-            u = linear_terms(-p, -q, 0, 1, a + 1)
-            if ca * u[a] + cb * u[b] or c0 - q * (ca * u[a - 1] + cb * u[b - 1]):
-                continue
-            for x in roots_of(-p, -q):
-                value = (x**a).times_int(ca) + (x**b).times_int(cb) + Surd.integer(c0, x.d)
-                if not value.is_zero():
-                    raise EngineMismatchError("remainder and root evaluation disagree")
-            found.append((p, q))
+    for p, q, g2, g3, gm2, gm3 in _CANDIDATES:
+        if c0 % q:
+            continue
+        if (g2 and f2 % g2) or (g3 and f3 % g3) or (gm2 and fm2 % gm2) or (gm3 and fm3 % gm3):
+            continue
+        if not _remainder_vanishes(p, q, a, b, ca, cb, c0):
+            continue
+        for x in roots_of(-p, -q):
+            value = (x**a).times_int(ca) + (x**b).times_int(cb) + Surd.integer(c0, x.d)
+            if not value.is_zero():
+                raise EngineMismatchError("remainder and root evaluation disagree")
+        if p * p == 4 * q:
+            r = -p // 2
+            if ca * a * r ** (a - 1) + cb * b * r ** (b - 1):
+                raise EngineMismatchError("remainder and double-root derivative disagree")
+        found.append((p, q))
     return found
 
 

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import re
 import sys
 from pathlib import Path
 
@@ -261,6 +262,28 @@ class TestSurd:
         assert al ** 3 == al * al * al
         assert al ** 0 == Surd.integer(1, 5)
 
+    @pytest.mark.parametrize("d", [0, -3, -4, -7, 4, 5, 8, 9, 12])
+    def test_pow_matches_repeated_product(self, d):
+        for x, q in ((0, 1), (1, 1), (-2, 1), (1, -3), (2, 0), (-1, 0)):
+            s = Surd(q * d + 2 * x, q, d)
+            product = Surd.integer(1, d)
+            for n in range(71):
+                assert s ** n == product, (s, n)
+                product = product * s
+
+    def test_pow_raises_as_the_first_bad_product(self):
+        # for d = 3 (mod 4) the values (p + q*sqrt(d))/2 with p, q odd are no
+        # ring: x*x breaks the parity invariant, and so must every x**n, n >= 2,
+        # with the same error, even where a later step would fail differently
+        for s in (Surd(1, 1, 3), Surd(-1, 3, 7), Surd(3, -1, -5)):
+            assert s ** 0 == Surd.integer(1, s.d)
+            assert s ** 1 == s
+            with pytest.raises(ValueError) as square:
+                s * s
+            for n in range(2, 9):
+                with pytest.raises(ValueError, match=re.escape(str(square.value))):
+                    s ** n
+
     @given(st.sampled_from([5, 8, -7, 9, 12]), st.integers(-8, 8),
            st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
            st.integers(-8, 8), st.integers(-8, 8))
@@ -340,6 +363,7 @@ INPUT_GUARDS = {
         lambda: Surd.integer(1, 5) + Surd.integer(1, 8), "mixed discriminants"
     ),
     "surd-negative-power": (lambda: Surd.integer(2, 5) ** -1, "negative powers"),
+    "surd-pow-parity": (lambda: Surd(1, 1, 3) ** 2, "parity invariant"),
     "surd-as-integer": (lambda: Surd(2, 2, 5).as_integer(), "not a rational integer"),
     "surd-complex-sign": (lambda: Surd.integer(1, -3).sign(), "sign of a complex surd"),
     "surd-complex-abs": (lambda: abs(Surd.integer(1, -3)), "use norm"),

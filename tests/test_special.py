@@ -5,7 +5,16 @@ from dataclasses import dataclass
 
 import pytest
 
-from lucasaps.core import Kind, alpha_beta, degeneracy_order, linear_terms, new_params, terms
+from lucasaps import special
+from lucasaps.core import (
+    EngineMismatchError,
+    Kind,
+    alpha_beta,
+    degeneracy_order,
+    linear_terms,
+    new_params,
+    terms,
+)
 from lucasaps.special import (
     TrinomialShape,
     TrinomialSpec,
@@ -113,6 +122,14 @@ class TestQuadFactors:
         # 1 <= b < a <= 64
         for spec, oracle in _oracle_table():
             assert quad_factors(spec) == oracle, spec
+
+    def test_double_root_needs_the_derivative(self, monkeypatch):
+        # (X - 1)^2 passes g(m) | f(m) at m = 2, 3, -2, -3 for X^14 - 2X + 1
+        # and its double root 1 is a root of f, but f'(1) = 12: with the
+        # remainder test forced to accept, the derivative check refuses it
+        monkeypatch.setattr(special, "_remainder_vanishes", lambda *args: True)
+        with pytest.raises(EngineMismatchError, match="double-root derivative"):
+            quad_factors(TrinomialSpec(TrinomialShape.UNIT_CONSTANT, 14, 1))
 
     def test_box_oracle_factors_divide_constant_term(self):
         # the full |p|, |q| <= 4 box never finds a factor outside the pruned

@@ -249,10 +249,11 @@ class FamilyReport:
     ap_count: int = 0
 
 
-def verify_family(
-    family: APFamily, params: SeqParams, kind: Kind, t_probe: int = 50
-) -> FamilyReport:
-    """Check the identity certificate and survey instances up to t_probe.
+SURVEY_T = 50
+
+
+def verify_family(family: APFamily, params: SeqParams, kind: Kind) -> FamilyReport:
+    """Check the identity certificate and survey instances t_min <= t <= SURVEY_T.
 
     The certificate checks s_t = 0 for `order` consecutive t starting at
     t_min; since s_t is a linear combination of at most `order` geometric
@@ -263,7 +264,7 @@ def verify_family(
     """
     order = family.order()
     window = tuple(range(family.t_min, family.t_min + order))
-    t_last = max(window[-1], t_probe)
+    t_last = max(window[-1], SURVEY_T)
     # each index is affine in t, so its extremes sit at the two ends
     ends = family.instantiate(family.t_min) + family.instantiate(t_last)
     if min(ends) < 0:
@@ -278,7 +279,7 @@ def verify_family(
             )
     degenerate = []
     ap_count = 0
-    for t in range(family.t_min, max(t_probe, family.t_min) + 1):
+    for t in range(family.t_min, max(SURVEY_T, family.t_min) + 1):
         k, l, m = family.instantiate(t)
         if is_ap(ts[k], ts[l], ts[m]):
             ap_count += 1

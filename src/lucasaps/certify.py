@@ -459,23 +459,14 @@ def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
     return EnumerationResult("complete", aps, (), cert, (), evidence)
 
 
-def check_certificate(
-    cert: CompletenessCertificate,
-    params: SeqParams,
-    kind: Kind,
-    probe: int | None = None,
-) -> bool:
+def check_certificate(cert: CompletenessCertificate, params: SeqParams, kind: Kind) -> bool:
     """Independently re-validate a certificate by brute enumeration.
 
     Families must be absent (an infinite family voids any finite
-    certificate) and the brute window up to `probe` must reproduce exactly
-    the certified list.
+    certificate) and the brute window up to max(4*n0, 100) must reproduce
+    exactly the certified list.
     """
-    if probe is None:
-        probe = max(4 * cert.n0, 100)
-    if probe < cert.n0:
-        raise ValueError("probe must reach at least n0")
     if detect_families(params, kind, max(12, cert.n0 + 3)):
         return False
-    brute = {t.indices for t in find_aps(params, kind, probe)}
+    brute = {t.indices for t in find_aps(params, kind, max(4 * cert.n0, 100))}
     return brute == {t.indices for t in cert.aps}

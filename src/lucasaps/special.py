@@ -67,11 +67,6 @@ class TrinomialSpec:
         if not self.a > self.b >= 1:
             raise ValueError("exponents must satisfy a > b >= 1")
 
-    def coefficients(self) -> list:
-        c = [0] * (self.a + 1)
-        c[self.a], c[self.b], c[0] = _SHAPE_COEFFICIENTS[self.shape]
-        return c
-
     def describe(self) -> str:
         xa = f"X^{self.a}" if self.a > 1 else "X"
         xb = f"X^{self.b}" if self.b > 1 else "X"

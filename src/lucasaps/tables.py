@@ -13,8 +13,8 @@ re-proves them with the enumeration engine and lists them in the report.
 
 Verification compares one description per pair: the normalized families
 must equal the certified enumeration's, and the canonical index triples of
-the full row (verbatim plus completions) must equal the enumeration's over
-the probe window as plain sets, with no allowance for family instances.  A
+the full row (verbatim plus completions) must equal the enumeration's up to
+index WINDOW as plain sets, with no allowance for family instances.  A
 wrong catalog family or triple is a reported mismatch.  The same rule
 checks every in-range pair absent from the catalog, as a row with no
 families and no triples.
@@ -87,22 +87,9 @@ def load_table_entries() -> list:
     return list(_table_entries())
 
 
-def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
-    for entry in _table_entries():
-        if entry.kind is not kind or entry.a != A:
-            continue
-        if entry.is_b_row and B >= entry.b_min:
-            return True
-        if not entry.is_b_row and entry.b == B:
-            return True
-    return False
-
-
 @dataclass
 class TablesReport:
     b_cap: int
-    window: int
-    off_grid: int
     checked_pairs: int = 0
     mismatches: list = field(default_factory=list)
     completions_used: list = field(default_factory=list)
@@ -115,15 +102,15 @@ class TablesReport:
         return {
             "ok": self.ok,
             "bCap": self.b_cap,
-            "window": self.window,
-            "offGrid": self.off_grid,
+            "window": WINDOW,
+            "offGrid": OFF_GRID,
             "checkedPairs": self.checked_pairs,
             "mismatches": list(self.mismatches),
             "completionsUsed": list(self.completions_used),
         }
 
 
-def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: int):
+def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport):
     params = new_params(entry.a, B)
     kind = entry.kind
     label = f"{kind.value} ({entry.a}, {B})"
@@ -142,9 +129,9 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: i
         return
 
     catalog_triples = {
-        canonical_indices(*t) for t in entry.all_triples() if max(t) <= window
+        canonical_indices(*t) for t in entry.all_triples() if max(t) <= WINDOW
     }
-    engine_triples = {t.indices for t in result.aps if t.max_index <= window}
+    engine_triples = {t.indices for t in result.aps if t.max_index <= WINDOW}
     if catalog_triples != engine_triples:
         report.mismatches.append(
             f"{label}: triples differ: catalog-only {sorted(catalog_triples - engine_triples)} "
@@ -158,35 +145,42 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport, window: i
 # Smallest b_cap that verify_tables accepts: each B-free row is checked from
 # its bMin through at least B = 10.
 MIN_B_CAP = 10
+# Triples are compared up to index WINDOW; pairs absent from the catalog are
+# swept over |A|, |B| <= OFF_GRID.  OFF_GRID <= MIN_B_CAP, so every B-free
+# row's pairs in that box are among those the catalog pass checks.
+WINDOW = 60
+OFF_GRID = 10
 
 
-def verify_tables(b_cap: int = 25, window: int = 60, off_grid: int = 10) -> TablesReport:
+def verify_tables(b_cap: int = 25) -> TablesReport:
     """Cross-verify the catalog against the certified enumeration.
 
     Checks every fixed pair and every B-free row up to b_cap, then every
-    admitted pair inside the off_grid box that is absent from the catalog,
-    as an empty row: one rule for every pair.  A catalog pair that
+    admitted pair inside the OFF_GRID box that the catalog pass did not
+    check, as an empty row: one rule for every pair.  A catalog pair that
     DomainFilter does not admit is a mismatch.
     """
     if b_cap < MIN_B_CAP:
         raise ValueError(f"b_cap must be at least {MIN_B_CAP}")
-    report = TablesReport(b_cap, window, off_grid)
+    report = TablesReport(b_cap)
 
+    checked = set()
     for entry in _table_entries():
         for B in range(entry.b_min, b_cap + 1) if entry.is_b_row else (entry.b,):
+            checked.add((entry.kind, entry.a, B))
             report.checked_pairs += 1
             if not DomainFilter().admits(entry.a, B):
                 report.mismatches.append(f"{entry.kind.value} ({entry.a}, {B}): inadmissible pair")
                 continue
-            _check_fixed_pair(entry, B, report, window)
+            _check_fixed_pair(entry, B, report)
 
     for kind in (Kind.FIRST, Kind.SECOND):
-        for A in range(-off_grid, off_grid + 1):
-            for B in range(-off_grid, off_grid + 1):
-                if not DomainFilter().admits(A, B) or pair_in_tables(A, B, kind):
+        for A in range(-OFF_GRID, OFF_GRID + 1):
+            for B in range(-OFF_GRID, OFF_GRID + 1):
+                if not DomainFilter().admits(A, B) or (kind, A, B) in checked:
                     continue
                 report.checked_pairs += 1
-                _check_fixed_pair(TableEntry(kind, A, B, None, (), ()), B, report, window)
+                _check_fixed_pair(TableEntry(kind, A, B, None, (), ()), B, report)
     return report
 
 

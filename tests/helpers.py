@@ -2,6 +2,8 @@
 
 from lucasaps.apsearch import APFamily, APTriple, canonical_indices, is_ap
 from lucasaps.core import Kind, SeqParams, terms
+from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
+from lucasaps.tables import load_table_entries
 
 
 def family_instances(
@@ -25,3 +27,24 @@ def family_instances(
         if t > family.t_min + 4 * n_max + 8:
             break
     return out
+
+
+def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
+    """Whether the catalog lists (A, B): a fixed pair, or a B-free row with
+    B >= bMin.  An oracle for the pairs verify_tables checks as catalog
+    pairs."""
+    for entry in load_table_entries():
+        if entry.kind is not kind or entry.a != A:
+            continue
+        if entry.is_b_row and B >= entry.b_min:
+            return True
+        if not entry.is_b_row and entry.b == B:
+            return True
+    return False
+
+
+def trinomial_coefficients(spec: TrinomialSpec) -> list:
+    """Dense coefficients of the trinomial, index = degree."""
+    c = [0] * (spec.a + 1)
+    c[spec.a], c[spec.b], c[0] = _SHAPE_COEFFICIENTS[spec.shape]
+    return c

@@ -302,13 +302,13 @@ def _zero_min_offsets(e_max):
 class TestVerifyFamily:
     def test_mixed_step_family_order_three(self):
         fam = APFamily((1, 0), (1, 2), (2, 2), 1)
-        rep = verify_family(fam, new_params(1, 2), Kind.FIRST, t_probe=30)
+        rep = verify_family(fam, new_params(1, 2), Kind.FIRST)
         assert rep.order == 3
         assert rep.degenerate_ts == ()
 
     def test_decreasing_family(self):
         fam = APFamily((2, 1), (0, 1), (1, 1), 0)
-        rep = verify_family(fam, new_params(-1, 2), Kind.FIRST, t_probe=10)
+        rep = verify_family(fam, new_params(-1, 2), Kind.FIRST)
         p = new_params(-1, 2)
         assert [term(p, Kind.FIRST, i) for i in fam.instantiate(0)] == [-1, 0, 1]
         assert rep.ap_count > 0
@@ -339,7 +339,7 @@ class TestVerifyFamily:
 
     def test_degenerate_instances_counted_not_fatal(self):
         fam = APFamily((1, 1), (0, 1), (3, 1), 0)
-        rep = verify_family(fam, new_params(-1, -2), Kind.FIRST, t_probe=20)
+        rep = verify_family(fam, new_params(-1, -2), Kind.FIRST)
         assert 2 in rep.degenerate_ts  # indices (3, 2, 5) all carry value -1
 
 

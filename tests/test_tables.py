@@ -6,14 +6,15 @@ from importlib import resources as importlib_resources
 
 import pytest
 
+from helpers import pair_in_tables
 from lucasaps.apsearch import APFamily, detect_families, is_ap, verify_family
 from lucasaps.certify import EnumerationResult, certified_enumerate, growth_exception
 from lucasaps.core import Kind, degeneracy_order, new_params, term
+from lucasaps.smallcase import DomainFilter
 from lucasaps import tables
 from lucasaps.tables import (
     infinite_family_pairs,
     load_table_entries,
-    pair_in_tables,
     verify_tables,
 )
 
@@ -32,6 +33,23 @@ def family_for_pair(A, B, kind, e_max=12):
             if entry.families:
                 return entry.families[0]
     return None
+
+
+def expected_checked_pairs(b_cap: int) -> int:
+    """The catalog's pairs up to b_cap, then the admitted pairs of the
+    off-grid box that the pair_in_tables oracle says the catalog lacks."""
+    catalog = sum(
+        len(range(e.b_min, b_cap + 1)) if e.is_b_row else 1 for e in load_table_entries()
+    )
+    box = range(-tables.OFF_GRID, tables.OFF_GRID + 1)
+    absent = sum(
+        1
+        for kind in Kind
+        for A in box
+        for B in box
+        if DomainFilter().admits(A, B) and not pair_in_tables(A, B, kind)
+    )
+    return catalog + absent
 
 
 def describe_pair(entry) -> str:
@@ -83,7 +101,7 @@ class TestCatalogData:
 
 class TestVerifyTables:
     def test_clean_report(self):
-        report = verify_tables(12, window=40)
+        report = verify_tables(12)
         assert report.ok, report.mismatches
         assert report.checked_pairs == 642
         assert len(report.completions_used) == 2
@@ -115,12 +133,16 @@ class TestVerifyTables:
         report = verify_tables()
         assert report.mismatches == ["first (5, 1): enumeration inconclusive: ('guard tripped',)"]
 
+    @pytest.mark.parametrize("b_cap", [10, 25])
+    def test_checked_pairs_match_the_oracle(self, b_cap):
+        assert verify_tables(b_cap).checked_pairs == expected_checked_pairs(b_cap)
+
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):
             verify_tables(5)
 
     def test_json_shape(self):
-        doc = verify_tables(10, window=30).to_json_dict()
+        doc = verify_tables(10).to_json_dict()
         assert doc["ok"] is True
         assert doc["checkedPairs"] == 636
         assert doc["mismatches"] == []
@@ -181,6 +203,16 @@ class TestVerifyTablesDetectsBrokenCatalogs:
         assert report.ok is False
         assert report.mismatches[0].startswith(first_mismatch), report.mismatches
 
+    @pytest.mark.parametrize(
+        "pick,change",
+        [(_first_one_one, None), (_first_b_row(2), lambda e: replace(e, b_min=2))],
+        ids=["drop-entry", "raise-bmin"],
+    )
+    def test_checked_pairs_match_the_oracle(self, monkeypatch, pick, change):
+        mutant = _mutant(pick, change)
+        monkeypatch.setattr(tables, "_table_entries", lambda: mutant)
+        assert verify_tables().checked_pairs == expected_checked_pairs(25)
+
 
 class TestExceptionalPairs:
     def test_every_exceptional_pair_agrees_with_the_catalog(self):
@@ -238,7 +270,7 @@ class TestInfiniteFamilyPairs:
         # value -1 repeats, so one family instance collapses to equal terms
         params = new_params(-1, -2)
         fam = family_for_pair(-1, -2, Kind.FIRST)
-        rep = verify_family(fam, params, Kind.FIRST, t_probe=30)
+        rep = verify_family(fam, params, Kind.FIRST)
         assert rep.degenerate_ts
         k, l, m = fam.instantiate(rep.degenerate_ts[0])
         vals = {term(params, Kind.FIRST, i) for i in (k, l, m)}

@@ -19,17 +19,28 @@ is that unchanged copy's, 8.1 s and 12.9 s in two runs for all 42 named
 tests, and the slowest mutant's is 4.6 s; TIMEOUT_S is over four times the
 slower baseline.
 
+Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
+child before exec), so a loop that allocates as it runs stops at the limit
+instead of growing until the timeout.  Python then raises MemoryError, and
+the verdict is "out of memory", counted like "timed out".  The unchanged
+copy's run of all 47 named tests, which imports numpy and mpmath, peaked at
+283 MB of address space (VmPeak; 56 MB resident) on a 2-vCPU VM (Python
+3.11, numpy 2.4).  Of that, numpy's BLAS takes about 41 MB per CPU, one
+thread and one buffer each, so the limit is 1 GiB plus 64 MiB per CPU:
+1.1 GiB, four times the measured peak, on that VM.
+
 The script fails when an old text does not occur exactly once in its file
 (a refactor then has to update the entry, not drop it), when a mutant
-survives, when an inert entry is killed or times out, and on any other
-pytest exit.
+survives, when an inert entry is killed, times out or runs out of memory,
+and on any other pytest exit.
 
-    python scripts/mutants.py    # about 57 s on a 2-vCPU VM
+    python scripts/mutants.py    # about 71 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -41,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT_S = 60
+MEMORY_LIMIT = (1024 + 64 * (os.cpu_count() or 1)) << 20
 
 SMALLCASE = "src/lucasaps/smallcase.py"
 APSEARCH = "src/lucasaps/apsearch.py"
@@ -101,6 +113,11 @@ MUTANTS = [
      "(A == 1 and 0 < B <= 13)",
      [T_CERTIFY + "TestGrowthException::test_ratio_window_excludes_high_aps",
       T_TABLES + "TestExceptionalPairs::test_every_exceptional_pair_agrees_with_the_catalog"]),
+    # certify: an n0 no engine run issues is refused before any search
+    ("check-certificate-n0-guard", CERTIFY,
+     "    if cert.n0 >= SEARCH_CAP + 2 * GAP_CAP:\n        return False\n",
+     "",
+     [T_CERTIFY + "TestCheckCertificate::test_unreachable_n0_is_refused_before_any_search"]),
     # certify: a certificate document without a required key is refused
     ("certificate-json-patterns-default", CERTIFY,
      'tuple(doc["patterns"])',
@@ -204,13 +221,23 @@ MUTANTS = [
      [T_SMALLCASE + "TestWorkedEquations::test_squeeze_root_on_each_side"]),
     ("curve-members-zero-b", SMALLCASE,
      '    if not wn:\n        report.branches.append({"b": "0", "outcome": "rejected: B = 0"})\n'
-     "        return set(), []\n",
+     "        return set()\n",
      "",
      [T_SMALLCASE + "TestWorkedEquations::test_curve_members_without_a_window"]),
     ("curve-members-drop-infinite-family", SMALLCASE,
      '"outcome": "infinite curve family"})\n',
-     '"outcome": "infinite curve family"})\n        return set(), []\n',
+     '"outcome": "infinite curve family"})\n        return set()\n',
      [T_SMALLCASE + "TestWorkedEquations::test_curve_members_without_a_window"]),
+    # smallcase: each closure step writes what it decides into the report
+    ("curve-members-not-appended", SMALLCASE,
+     "    report.curves.append(CurveFamilySolution(",
+     "    (CurveFamilySolution(",
+     [T_SMALLCASE + "TestWorkedEquations::test_curve_point_not_repeated_as_sporadic",
+      T_SMALLCASE + "TestSolveAll::test_evidence_is_pinned"]),
+    ("linear-branch-candidates-overwritten", SMALLCASE,
+     "report.candidates = tuple(sorted({*report.candidates, *candidates}))",
+     "report.candidates = candidates",
+     [T_SMALLCASE + "TestWorkedEquations::test_linear_branches_merge_their_candidates"]),
     ("solve-case-unchecked", SMALLCASE,
      "        if b_eval(eq.poly, a, b):",
      "        if False:",
@@ -224,6 +251,13 @@ MUTANTS = [
      'if result.status == "complete":',
      'if result.status != "inconclusive":',
      [T_CLI + "TestScan::test_rows_match_brute_force"]),
+    # cli: a zero or degenerate scan pair is classified by new_params' errors
+    ("scan-pair-degenerate-branch", CLI,
+     "    except DegenerateError as exc:\n"
+     '        row["classification"] = f"degenerate_order_{exc.order}"\n'
+     "        return row\n",
+     "",
+     [T_CLI + "TestScan::test_csv_schema_and_determinism"]),
     # cli: exit codes and option parsing
     ("grid-check-exit-code", CLI,
      "        if sym != brute:\n            code = EXIT_MISMATCH",
@@ -269,15 +303,19 @@ def _env(root: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _pytest(root: Path, tests) -> tuple:
-    """Run the named tests in root: (pytest exit code, last lines of output).
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
-    The code is None when the run outlives TIMEOUT_S.  pytest runs in a
-    session of its own, so the timeout kills every process it started."""
+
+def _pytest(root: Path, tests) -> tuple:
+    """Run the named tests in root: (verdict, last lines of output).
+
+    pytest runs in a session of its own, so the timeout kills every process
+    it started, and under MEMORY_LIMIT, which its children inherit."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     with subprocess.Popen(
         cmd, cwd=root, env=_env(root), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, start_new_session=True,
+        text=True, start_new_session=True, preexec_fn=_limit_memory,
     ) as proc:
         try:
             out, _ = proc.communicate(timeout=TIMEOUT_S)
@@ -286,13 +324,13 @@ def _pytest(root: Path, tests) -> tuple:
             os.killpg(proc.pid, signal.SIGKILL)
             out, _ = proc.communicate()
             code = None
-    return code, "\n".join(out.strip().splitlines()[-15:])
-
-
-def _verdict(code) -> str:
     if code is None:
-        return "timed out"
-    return {0: "survived", 1: "killed"}.get(code, f"broken run (pytest exit {code})")
+        verdict = "timed out"
+    elif code != 0 and "MemoryError" in out:
+        verdict = "out of memory"
+    else:
+        verdict = {0: "survived", 1: "killed"}.get(code, f"broken run (pytest exit {code})")
+    return verdict, "\n".join(out.strip().splitlines()[-15:])
 
 
 def main() -> int:
@@ -320,11 +358,10 @@ def main() -> int:
             return 1
         tests = sorted({t for entry in MUTANTS for t in entry[4]})
         start = time.perf_counter()
-        code, tail = _pytest(base, tests)
+        verdict, tail = _pytest(base, tests)
         took = time.perf_counter() - start
-        if code != 0:
-            why = "time out" if code is None else f"fail (pytest exit {code})"
-            print(f"the named tests {why} on the unchanged copy:\n{tail}")
+        if verdict != "survived":
+            print(f"the named tests do not pass on the unchanged copy ({verdict}):\n{tail}")
             return 1
         print(f"baseline: {len(tests)} named tests pass on the unchanged copy ({took:.1f} s)")
 
@@ -333,11 +370,14 @@ def main() -> int:
             target = work / path
             target.write_text(target.read_text().replace(old, new))
             start = time.perf_counter()
-            code, tail = _pytest(work, tests)
+            verdict, tail = _pytest(work, tests)
             took = time.perf_counter() - start
             shutil.rmtree(work)
-            ok = code == 0 if ident.startswith("inert-") else code in (1, None)
-            print(f"{'ok' if ok else 'FAIL':<4} {_verdict(code):<9} {ident} ({took:.1f} s)")
+            if ident.startswith("inert-"):
+                ok = verdict == "survived"
+            else:
+                ok = verdict in ("killed", "timed out", "out of memory")
+            print(f"{'ok' if ok else 'FAIL':<4} {verdict:<13} {ident} ({took:.1f} s)")
             if not ok:
                 failures.append(ident)
                 print(tail)

@@ -464,8 +464,13 @@ def check_certificate(cert: CompletenessCertificate, params: SeqParams, kind: Ki
 
     Families must be absent (an infinite family voids any finite
     certificate) and the brute window up to max(4*n0, 100) must reproduce
-    exactly the certified list.
+    exactly the certified list.  An n0 no engine run can issue is refused
+    before any search.
     """
+    # a top bound or a fixed cell's smallest exponent is below SEARCH_CAP and
+    # each of its two fixed gaps at most GAP_CAP, so no engine run issues this
+    if cert.n0 >= SEARCH_CAP + 2 * GAP_CAP:
+        return False
     if detect_families(params, kind, max(12, cert.n0 + 3)):
         return False
     brute = {t.indices for t in find_aps(params, kind, max(4 * cert.n0, 100))}

@@ -20,7 +20,9 @@ import sys
 from . import __version__
 from .apsearch import detect_families, find_aps
 from .certify import certified_enumerate
-from .core import EngineMismatchError, Kind, classify, degeneracy_order, new_params
+from .core import (
+    DegenerateError, EngineMismatchError, Kind, ZeroCoefficientError, classify, new_params,
+)
 from .smallcase import MAX_CASE_INDEX, DomainFilter, SqueezeUnresolvedError, solve_all
 from .special import EXPONENT_CAP, TrinomialShape, TrinomialSpec, quad_factors, sunit_constant
 from .tables import MIN_B_CAP, verify_tables
@@ -331,14 +333,14 @@ def _scan_pair(job):
     A, B, kind_name, max_index = job
     row = dict.fromkeys(_SCAN_COLUMNS, "")
     row.update(A=A, B=B, kind=kind_name)
-    if A == 0 or B == 0:
+    try:
+        params = new_params(A, B)
+    except ZeroCoefficientError:
         row["classification"] = "zero_coefficient"
         return row
-    order = degeneracy_order(A, B)
-    if order is not None:
-        row["classification"] = f"degenerate_order_{order}"
+    except DegenerateError as exc:
+        row["classification"] = f"degenerate_order_{exc.order}"
         return row
-    params = new_params(A, B)
     kind = Kind(kind_name)
     row["classification"] = classify(params).value
     result = certified_enumerate(params, kind)

@@ -459,28 +459,28 @@ def divisibility_candidates(den, num) -> tuple:
     return None, tuple(sorted(cands))
 
 
-def _curve_members(w_frac, filt: DomainFilter, report):
+def _curve_members(w_frac, filt: DomainFilter, report) -> set:
     """Resolve B = w(A) (w with rational coefficients) under the filter.
 
-    Returns (window, curves), each curve as (num, den, residues).  Under the
-    dominant filter the admissible A region is finite whenever
-    t*A^2 + 4*num has negative leading coefficient, and that region is the
-    window; otherwise the curve is kept as an infinite family.
+    Returns the window of A it proves.  Under the dominant filter the
+    admissible A region is finite whenever t*A^2 + 4*num has negative
+    leading coefficient, and that region is the window; otherwise the curve
+    is appended to report.curves as an infinite family.
     """
     wn, t = _frac_to_int(w_frac)
     label = p_str(wn) + (f"/{t}" if t > 1 else "")
     if not wn:
         report.branches.append({"b": "0", "outcome": "rejected: B = 0"})
-        return set(), []
+        return set()
     residues = tuple(r for r in range(t) if p_eval(wn, r) % t == 0)
     if not residues:
         report.branches.append({"b": label, "outcome": "rejected: never an integer"})
-        return set(), []
+        return set()
     # t * (A^2 + k*B) for each degeneracy k: degenerate pairs lie on their roots
     degenerate = {kk: p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)) for kk in _UNITY_ORDER}
     if not all(degenerate.values()):
         report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
-        return set(), []
+        return set()
     if filt.dominant:
         dnum = degenerate[4]  # t * (A^2 + 4B)
         # a finite admissible window needs even degree: an odd-degree
@@ -491,27 +491,28 @@ def _curve_members(w_frac, filt: DomainFilter, report):
                 a for a in range(-cut, cut + 1) if a % t in residues and p_eval(dnum, a) > 0
             }
             report.branches.append({"b": label, "outcome": "finite window", "window": sorted(window)})
-            return window, []
+            return window
         report.branches.append({"b": label, "outcome": "infinite curve family"})
     else:
         report.branches.append({"b": label, "outcome": "curve family"})
-    return set(), [(tuple(wn), t, residues)]
+    report.curves.append(CurveFamilySolution(tuple(wn), t, residues, report.equation.ap_roles()))
+    return set()
 
 
-def _linear_branch(den, num, filt, report):
+def _linear_branch(den, num, filt, report) -> set:
     """Window for B = num(A)/den(A), den a nonzero polynomial.
 
     The window holds the roots of den, where the exact solve finds B free or
-    nothing, and the A at which den(A) | num(A) can hold.  When den divides
-    num over Q, B = num/den is a curve instead.  Returns (window, curves,
-    candidates).
+    nothing, and the A at which den(A) | num(A) can hold, which are merged
+    into report.candidates.  When den divides num over Q, B = num/den is a
+    curve instead.
     """
     window = set(integer_roots(den))
     quotient, candidates = divisibility_candidates(den, num)
     if quotient is not None:
-        w, curves = _curve_members(quotient, filt, report)
-        return window | w, curves, ()
-    return window | set(candidates), [], candidates
+        return window | _curve_members(quotient, filt, report)
+    report.candidates = tuple(sorted({*report.candidates, *candidates}))
+    return window | set(candidates)
 
 
 def _poly_sqrt(delta):
@@ -570,16 +571,16 @@ def _squeeze_side(R, G, t, side, report):
     return cut
 
 
-def _root_location(bcs, report):
-    """Dominant-filter cutoff on |A| from the C = A^2 + 4B substitution.
+def _root_location(bcs, report) -> set:
+    """Dominant-filter window of A from the C = A^2 + 4B substitution.
 
     The dominant domain is C >= 1.  Substituting B = (x + 1 - A^2)/4 turns
     4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain.
     It suffices that on a side of A every x-coefficient of s * P(1 + x) (s
     the eventual sign of e_d there) is eventually positive; the root bound of
     each coefficient (root_bound) makes "eventually" an explicit cutoff, and
-    below it the caller exhausts.  root_bound reads only |coefficients|, so
-    one cut serves both sides.  A coefficient that is zero (C = 1 solves
+    the window is every A up to it.  root_bound reads only |coefficients|,
+    so one cut serves both sides.  A coefficient that is zero (C = 1 solves
     the equation for every A when it is the constant one) or eventually
     negative leaves the proof open.  No case equation does that under the
     dominant filter, so it raises EngineMismatchError.
@@ -604,7 +605,7 @@ def _root_location(bcs, report):
         report.squeeze.append(
             {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
         )
-    return cut
+    return set(range(-cut, cut + 1))
 
 
 def _bisect_int_roots(f, lo, hi):
@@ -684,10 +685,9 @@ def integer_roots(coeffs):
     return sorted(roots)
 
 
-def _closure(eq: CaseEquation, filt: DomainFilter, report):
-    """(window, curves): every admitted solution off the curves, each
-    (num, den, residues), has A in the finite window.  Fills the report's
-    strategy and evidence."""
+def _closure(eq: CaseEquation, filt: DomainFilter, report) -> set:
+    """The finite window of A that holds every admitted solution off
+    report.curves.  Fills the report's strategy, evidence and curves."""
     bcs = eq.poly
     deg_b = len(bcs) - 1
     if deg_b < 0:
@@ -696,14 +696,11 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
     if deg_b == 0:
         report.strategy = "constant_in_b"
         report.candidates = tuple(integer_roots(bcs[0]))
-        return set(report.candidates), []
+        return set(report.candidates)
 
     if deg_b == 1:
         report.strategy = "linear_in_b"
-        window, curves, report.candidates = _linear_branch(
-            bcs[1], p_scale(bcs[0], -1), filt, report
-        )
-        return window, curves
+        return _linear_branch(bcs[1], p_scale(bcs[0], -1), filt, report)
 
     if deg_b == 2:
         # where e_d vanishes the equation drops in B-degree; every window
@@ -724,21 +721,17 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
             if not R:
                 # B = (-t*e1 +- G) / (2*t*e2): two linear branches
                 report.delta_square_root = (tuple(G), t)
-                window, curves, cands = set(), [], set()
+                window = set()
                 for sign_branch in (1, -1):
                     num = p_add(p_scale(e1, -t), p_scale(G, sign_branch))
-                    w, c, cs = _linear_branch(p_scale(e2, 2 * t), num, filt, report)
-                    window |= w
-                    curves += c
-                    cands.update(cs)
-                report.candidates = tuple(sorted(cands))
-                return window, curves
+                    window |= _linear_branch(p_scale(e2, 2 * t), num, filt, report)
+                return window
             cuts = {side: _squeeze_side(R, G, t, side, report) for side in (1, -1)}
             report.square_hits = tuple(
                 a for a in range(-cuts[-1], cuts[1] + 1)
                 if (da := p_eval(delta, a)) >= 0 and isqrt(da) ** 2 == da
             )
-            return set(report.square_hits), []
+            return set(report.square_hits)
     else:
         report.strategy = "cubic_in_b"
     if not filt.dominant:
@@ -747,17 +740,16 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report):
             "square-root analysis has no closure without the dominant filter"
         )
     report.strategy += "_root_location"
-    cut = _root_location(bcs, report)
-    return set(range(-cut, cut + 1)), []
+    return _root_location(bcs, report)
 
 
 def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationReport:
     """Complete integer solutions of one case equation under the filter,
     returned in its report with the closure evidence.
 
-    The closure for the equation's B-degree bounds A: it returns a finite
-    window of A values plus any curve families, and E(a, B) = 0 is then
-    solved exactly in B at each a of the window.  A root that lies on a
+    The closure for the equation's B-degree bounds A: it records any curve
+    families in the report and returns a finite window of A values, and
+    E(a, B) = 0 is then solved exactly in B at each a of the window.  A root that lies on a
     returned curve is left to the curve.  Every sporadic solution and three
     witnesses per family re-substitute to zero before the report is
     returned; one that does not raises EngineMismatchError.
@@ -770,9 +762,8 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     """
     filt = filt or DomainFilter()
     report = EquationReport(eq, "")
-    window, curves = _closure(eq, filt, report)
+    window = _closure(eq, filt, report)
     triple = eq.ap_roles()
-    report.curves = [CurveFamilySolution(*c, triple) for c in curves]
     for a in sorted(window):
         coeffs = _trim([p_eval(bc, a) for bc in eq.poly])
         if not coeffs:

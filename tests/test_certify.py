@@ -404,6 +404,21 @@ class TestCheckCertificate:
         )
         assert not check_certificate(emptied, params, Kind.SECOND)
 
+    def test_unreachable_n0_is_refused_before_any_search(self, monkeypatch):
+        # no engine run issues n0 >= SEARCH_CAP + 2 * GAP_CAP, so a forged
+        # document asking for one costs no search
+        params = new_params(2, 1)
+        doc = certified_enumerate(params, Kind.FIRST).certificate.to_json_dict()
+
+        def no_search(*args):
+            raise AssertionError("check_certificate searched")
+
+        monkeypatch.setattr(certify, "find_aps", no_search)
+        monkeypatch.setattr(certify, "detect_families", no_search)
+        for n0 in (certify.SEARCH_CAP + 2 * certify.GAP_CAP, 10**6):
+            forged = certificate_from_json(json.loads(json.dumps({**doc, "n0": n0})))
+            assert not check_certificate(forged, params, Kind.FIRST)
+
 
 class TestCertificateJson:
     def test_round_trip(self):

@@ -19,6 +19,7 @@ from lucasaps.smallcase import (
     EquationReport,
     SqueezeUnresolvedError,
     _curve_members,
+    _linear_branch,
     _frac_to_int,
     _poly_sqrt,
     _root_location,
@@ -177,12 +178,22 @@ class TestWorkedEquations:
         # B = 0 is never admitted; B = A^2 gives A^2 + 4B = 5A^2 > 0 for
         # every A, so the dominant filter leaves an infinite curve family
         report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
-        assert _curve_members([], DomainFilter(), report) == (set(), [])
-        assert _curve_members([0, 0, 1], DomainFilter(), report) == (set(), [((0, 0, 1), 1, (0,))])
+        assert _curve_members([], DomainFilter(), report) == set()
+        assert _curve_members([0, 0, 1], DomainFilter(), report) == set()
+        assert [(c.num, c.den, c.residues) for c in report.curves] == [((0, 0, 1), 1, (0,))]
         assert report.branches == [
             {"b": "0", "outcome": "rejected: B = 0"},
             {"b": "A^2", "outcome": "infinite curve family"},
         ]
+
+    def test_linear_branches_merge_their_candidates(self):
+        # no case equation has divisor candidates on both branches of a
+        # square discriminant, so two branches share one report here:
+        # B = 2/A and B = 3/A
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
+        assert _linear_branch([0, 1], [2], DomainFilter(), report) == {-2, -1, 0, 1, 2}
+        assert _linear_branch([0, 1], [3], DomainFilter(), report) == {-3, -1, 0, 1, 3}
+        assert report.candidates == (-3, -2, -1, 1, 2, 3)
 
     def test_root_location_failure_raises(self):
         # E = A^2 + 4B - 1 vanishes at C = 1 for every A; E = 4B gives
@@ -449,6 +460,29 @@ class TestSolveAll:
         text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a91c64348d46415b2c7114d7415e59a85dc9f05edf376442923955ab127ef86a"
+        )
+
+    def test_evidence_is_pinned(self):
+        # the closure evidence and curves of every report, under the
+        # dominant filter for both kinds at cap 7 and without it at the
+        # reach, serialized once; the documents above carry no evidence
+        unfiltered = DomainFilter(dominant=False)
+        reports = [r for kind in Kind for r in solve_all(kind, 7).reports]
+        reports += solve_all(Kind.FIRST, 4, unfiltered).reports
+        reports += solve_all(Kind.SECOND, 3, unfiltered).reports
+        docs = [
+            {
+                "strategy": r.strategy, "candidates": r.candidates, "delta": r.delta,
+                "delta_square_root": r.delta_square_root, "branches": r.branches,
+                "squeeze": r.squeeze, "square_hits": r.square_hits,
+                "curves": [(c.num, c.den, c.residues, c.triple) for c in r.curves],
+            }
+            for r in reports
+        ]
+        assert len(docs) == 378
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ecc9458a396c0cc8b883b997b8e9619f8add164bab37a6359ebc6c347f091bc1"
         )
 
     def test_squeeze_shifts_at_cap_seven(self):

@@ -15,15 +15,15 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 8.1 s and 12.9 s in two runs for all 42 named
-tests, and the slowest mutant's is 4.6 s; TIMEOUT_S is over four times the
-slower baseline.
+is that unchanged copy's, 8.2 s for all 51 named tests (12.9 s at most in
+earlier runs), and the slowest mutant's is 4.3 s; TIMEOUT_S is over four
+times the slower baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
 instead of growing until the timeout.  Python then raises MemoryError, and
 the verdict is "out of memory", counted like "timed out".  The unchanged
-copy's run of all 47 named tests, which imports numpy and mpmath, peaked at
+copy's run of all 51 named tests, which imports numpy and mpmath, peaked at
 283 MB of address space (VmPeak; 56 MB resident) on a 2-vCPU VM (Python
 3.11, numpy 2.4).  Of that, numpy's BLAS takes about 41 MB per CPU, one
 thread and one buffer each, so the limit is 1 GiB plus 64 MiB per CPU:
@@ -34,7 +34,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # about 71 s on a 2-vCPU VM
+    python scripts/mutants.py    # 52 entries, about 58 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -118,6 +118,24 @@ MUTANTS = [
      "    if cert.n0 >= SEARCH_CAP + 2 * GAP_CAP:\n        return False\n",
      "",
      [T_CERTIFY + "TestCheckCertificate::test_unreachable_n0_is_refused_before_any_search"]),
+    # certify: the listed triples must lie within n0 and match the brute window in values too
+    ("check-certificate-listed-beyond-n0", CERTIFY,
+     "return all(max(i) <= cert.n0 for i in listed) and listed == brute",
+     "return listed == brute",
+     [T_CERTIFY + "TestCheckCertificate::test_listed_triple_beyond_n0_is_rejected"]),
+    ("check-certificate-indices-only", CERTIFY,
+     "and listed == brute",
+     "and listed.keys() == brute.keys()",
+     [T_CERTIFY + "TestCheckCertificate::test_wrong_values_are_rejected"]),
+    # certify: the reader refuses an n0 or a method the schema does not allow
+    ("certificate-json-n0-type", CERTIFY,
+     'if type(doc["n0"]) is not int or doc["n0"] < 2:',
+     "if False:",
+     [T_CERTIFY + "TestCertificateJson::test_malformed_n0_raises"]),
+    ("certificate-json-method", CERTIFY,
+     'if doc["method"] not in ("growth_lemma", "gap_pattern"):',
+     "if False:",
+     [T_CERTIFY + "TestCertificateJson::test_unknown_method_raises"]),
     # certify: a certificate document without a required key is refused
     ("certificate-json-patterns-default", CERTIFY,
      'tuple(doc["patterns"])',

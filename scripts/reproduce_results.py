@@ -2,12 +2,15 @@
 """End-to-end reproduction of the headline results.
 
 Verifies the progression catalog against the certification engine, walks
-through the (2, 1) worked example with its exact margins, checks the ratio
-boundary witnesses, reduces the negative-discriminant family question to
-the single pair (-1, -2), and prints the exact counting constant.
+through the (2, 1) worked example with its exact margins and re-checks its
+certificate as read back from JSON text, checks the ratio boundary
+witnesses, reduces the negative-discriminant family question to the single
+pair (-1, -2), and prints the exact counting constant.
 """
 
-from lucasaps.certify import certified_enumerate
+import json
+
+from lucasaps.certify import certificate_from_json, certified_enumerate, check_certificate
 from lucasaps.core import Kind, Surd, new_params, terms
 from lucasaps.special import companion_candidates_complex, sunit_constant
 from lucasaps.tables import infinite_family_pairs, verify_tables
@@ -24,7 +27,8 @@ def main():
         print("  completion:", line)
 
     print("\n== worked example (A, B) = (2, 1), first kind ==")
-    result = certified_enumerate(new_params(2, 1), Kind.FIRST)
+    params = new_params(2, 1)
+    result = certified_enumerate(params, Kind.FIRST)
     print("progressions:", [t.indices for t in result.aps])
     print("certificate:", result.certificate.method, "n0 =", result.certificate.n0)
     for ev in result.evidence:
@@ -32,6 +36,10 @@ def main():
             print(f"  sub-case {ev.pattern.describe():28s} margin {str(ev.margin):12s} "
                   f"top index <= {ev.top_bound}")
     assert Surd(8, 3, 8) in [e.margin for e in result.evidence if e.margin]
+    text = json.dumps(result.certificate.to_json_dict())
+    accepted = check_certificate(certificate_from_json(json.loads(text)), params, Kind.FIRST)
+    print("certificate read back from JSON checks:", accepted)
+    assert accepted
 
     print("\n== ratio boundary witnesses at |A| = 1 ==")
     for b in (9, 10):

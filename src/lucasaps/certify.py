@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .apsearch import APFamily, APTriple, detect_families, doubled_at, find_aps, is_ap
+from .apsearch import APFamily, APTriple, doubled_at, find_aps, is_ap
 from .core import (
     Classification,
     EngineMismatchError,
@@ -339,6 +339,10 @@ class CompletenessCertificate:
 def certificate_from_json(doc: dict) -> CompletenessCertificate:
     """Rebuild a certificate from its JSON document; the exact inverse of
     CompletenessCertificate.to_json_dict."""
+    if type(doc["n0"]) is not int or doc["n0"] < 2:
+        raise ValueError(f"n0 must be an integer >= 2: {doc['n0']!r}")
+    if doc["method"] not in ("growth_lemma", "gap_pattern"):
+        raise ValueError(f"unknown method: {doc['method']!r}")
     aps = tuple(
         APTriple(t["k"], t["l"], t["m"], tuple(int(v) for v in t["values"]))
         for t in doc["aps"]
@@ -462,16 +466,15 @@ def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
 def check_certificate(cert: CompletenessCertificate, params: SeqParams, kind: Kind) -> bool:
     """Independently re-validate a certificate by brute enumeration.
 
-    Families must be absent (an infinite family voids any finite
-    certificate) and the brute window up to max(4*n0, 100) must reproduce
-    exactly the certified list.  An n0 no engine run can issue is refused
-    before any search.
+    Listed triples must lie within n0 and equal, indices and values, the brute
+    window up to W = max(4*n0, 100); an unreachable n0 is refused unsearched.
+    A unit-step family, offsets <= max(12, n0 + 3), fails: its instances ending
+    at W - 1 and W don't both repeat a value (else x is periodic: degenerate).
     """
     # a top bound or a fixed cell's smallest exponent is below SEARCH_CAP and
     # each of its two fixed gaps at most GAP_CAP, so no engine run issues this
     if cert.n0 >= SEARCH_CAP + 2 * GAP_CAP:
         return False
-    if detect_families(params, kind, max(12, cert.n0 + 3)):
-        return False
-    brute = {t.indices for t in find_aps(params, kind, max(4 * cert.n0, 100))}
-    return brute == {t.indices for t in cert.aps}
+    listed = {t.indices: t.values for t in cert.aps}
+    brute = {t.indices: t.values for t in find_aps(params, kind, max(4 * cert.n0, 100))}
+    return all(max(i) <= cert.n0 for i in listed) and listed == brute

@@ -414,10 +414,37 @@ class TestCheckCertificate:
             raise AssertionError("check_certificate searched")
 
         monkeypatch.setattr(certify, "find_aps", no_search)
-        monkeypatch.setattr(certify, "detect_families", no_search)
         for n0 in (certify.SEARCH_CAP + 2 * certify.GAP_CAP, 10**6):
             forged = certificate_from_json(json.loads(json.dumps({**doc, "n0": n0})))
             assert not check_certificate(forged, params, Kind.FIRST)
+
+    def test_listed_triple_beyond_n0_is_rejected(self):
+        # the brute window still reproduces the list, but n0 = 2 claims no
+        # progression reaches index 5
+        params = new_params(1, 3)
+        doc = certified_enumerate(params, Kind.SECOND).certificate.to_json_dict()
+        assert [(t["k"], t["l"], t["m"]) for t in doc["aps"]] == [(1, 4, 5)]
+        forged = certificate_from_json({**doc, "n0": 2})
+        assert not check_certificate(forged, params, Kind.SECOND)
+
+    def test_wrong_values_are_rejected(self):
+        params = new_params(1, 3)
+        doc = certified_enumerate(params, Kind.SECOND).certificate.to_json_dict()
+        aps = [{**doc["aps"][0], "values": ["1", "2", "3"]}]
+        forged = certificate_from_json({**doc, "aps": aps})
+        assert not check_certificate(forged, params, Kind.SECOND)
+
+    @pytest.mark.parametrize("pair, kind", [
+        ((1, 1), Kind.FIRST), ((-1, -2), Kind.FIRST), ((-1, -2), Kind.SECOND),
+    ])
+    @pytest.mark.parametrize("n0", [30, 200])
+    def test_family_pair_listing_every_triple_within_n0_is_rejected(self, pair, kind, n0):
+        # a family has instances beyond any n0 inside the brute window
+        params = new_params(*pair)
+        fake = CompletenessCertificate(
+            "gap_pattern", n0, (), tuple(find_aps(params, kind, n0))
+        )
+        assert not check_certificate(fake, params, kind)
 
 
 class TestCertificateJson:
@@ -448,6 +475,19 @@ class TestCertificateJson:
         del doc[key]
         with pytest.raises(KeyError):
             certificate_from_json(doc)
+
+    @pytest.mark.parametrize("n0", [7.5, True, -3, 1, "7", None])
+    def test_malformed_n0_raises(self, n0):
+        # cli_schema.json requires an integer n0 >= 2
+        doc = certified_enumerate(new_params(2, 1), Kind.FIRST).certificate.to_json_dict()
+        with pytest.raises(ValueError, match="n0"):
+            certificate_from_json({**doc, "n0": n0})
+
+    @pytest.mark.parametrize("method", ["brute_force", "", None])
+    def test_unknown_method_raises(self, method):
+        doc = certified_enumerate(new_params(2, 1), Kind.FIRST).certificate.to_json_dict()
+        with pytest.raises(ValueError, match="method"):
+            certificate_from_json({**doc, "method": method})
 
     def test_schema_validates(self):
         import jsonschema

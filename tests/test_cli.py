@@ -18,6 +18,7 @@ import pytest
 import lucasaps
 from lucasaps import cli, tables
 from lucasaps.apsearch import APFamily, detect_families, find_aps
+from lucasaps.certify import certificate_from_json, check_certificate
 from lucasaps.core import Kind, degeneracy_order, new_params
 from lucasaps.cli import main
 
@@ -163,6 +164,15 @@ class TestCertify:
         assert doc["certificate"]["complete"] is True
         margins = [p.get("margin", {}).get("text") for p in doc["certificate"]["patterns"]]
         assert "4+3*sqrt(2)" in margins
+
+    def test_certificate_reads_back_and_checks(self, capsys):
+        # the CLI's certificate carries the extra "complete" key
+        code, out, _ = run(capsys, "certify", "--A", "1", "--B", "3", "--kind", "second")
+        assert code == 0
+        doc = json.loads(out)["certificate"]
+        assert doc["complete"] is True
+        cert = certificate_from_json(doc)
+        assert check_certificate(cert, new_params(1, 3), Kind.SECOND)
 
     def test_family_pair(self, capsys):
         code, out, _ = run(capsys, "certify", "--A", "1", "--B", "2", "--kind", "first")

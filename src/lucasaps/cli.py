@@ -38,7 +38,9 @@ MAX_EXPONENT = 10_000
 
 # The output bounds this cap, not the search: a pair with a family has O(n)
 # triples of O(n)-bit values in the window, so O(n^2) bytes.  (1, 1) first
-# kind writes 8.5 MB of JSON at this cap in about 0.5 s and 54 MB peak.
+# kind writes 8.5 MB of JSON at this cap in about 0.3 s and 22 MB peak (one
+# process, import included, on a 2-vCPU Xeon VM); the JSON goes out one
+# triple at a time, so its size costs time, not memory.
 MAX_INDEX = 5000
 
 # A scan row costs about 0.05 ms at --max-index 30 and 400 bytes of peak
@@ -138,6 +140,35 @@ def _emit(doc):
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+# One APTriple.to_json_dict() after its separator, as json.dumps(indent=2) lays
+# it out in a top-level object's aps array; decimal strings need no escaping.
+_AP_JSON = (
+    '{}    {{\n      "k": {},\n      "l": {},\n      "m": {},\n      "values": [\n'
+    '        "{}",\n        "{}",\n        "{}"\n      ]\n    }}'
+)
+
+
+def _write_aps_json(aps) -> None:
+    """Write the enumerate document's aps array to stdout, byte for byte as
+    json.dumps(indent=2) renders [t.to_json_dict() for t in aps] under the key
+    "aps", one triple at a time, so the document is never held whole."""
+    out = sys.stdout
+    if not aps:
+        out.write("[]")
+        return
+    # a value depends on its index alone, and a family pair repeats each index
+    # in about three triples, so each term's decimal string is built once
+    digits = {}
+    sep = "[\n"
+    for t in aps:
+        for i, v in zip(t.indices, t.values):
+            if i not in digits:
+                digits[i] = str(v)
+        out.write(_AP_JSON.format(sep, t.k, t.l, t.m, digits[t.k], digits[t.l], digits[t.m]))
+        sep = ",\n"
+    out.write("\n  ]")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     # built on the first call, not at import, and shared by every later one;
@@ -223,15 +254,15 @@ def _cmd_enumerate(args) -> int:
     params = new_params(args.A, args.B)
     aps = find_aps(params, args.kind, args.max_index)
     if args.format == "json":
-        _emit(
-            {
-                "A": params.A,
-                "B": params.B,
-                "kind": args.kind.value,
-                "maxIndex": args.max_index,
-                "aps": [t.to_json_dict() for t in aps],
-            }
+        # json.dumps(indent=2) runs the pure-Python encoder, which cost more than
+        # the search on a family pair; the head keeps its rendering minus "\n}"
+        head = json.dumps(
+            {"A": params.A, "B": params.B, "kind": args.kind.value, "maxIndex": args.max_index},
+            indent=2,
         )
+        sys.stdout.write(f'{head[:-2]},\n  "aps": ')
+        _write_aps_json(aps)
+        sys.stdout.write("\n}\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["k", "l", "m", "value_k", "value_l", "value_m"])

@@ -90,6 +90,33 @@ class TestEnumerate:
         jsonschema.validate(doc, schema_for("enumerate"))
         assert {tuple((t["k"], t["l"], t["m"])) for t in doc["aps"]} >= {(0, 1, 3), (2, 3, 4)}
 
+    def test_json_is_json_dumps_rendering(self, capsys):
+        # enumerate writes its aps array itself; json.dumps(indent=2) of the
+        # to_json_dict documents is the rendering it must equal byte for byte
+        cases = [(A, B, kind, n) for A in range(-4, 5) for B in range(-4, 5)
+                 if A and B and degeneracy_order(A, B) is None
+                 for kind in Kind for n in (2, 5, 12)]
+        # an empty aps array; long values at the first kind's family pairs
+        cases += [(10, -3, Kind.FIRST, 5), (1, 1, Kind.FIRST, 300), (-1, -2, Kind.FIRST, 300)]
+        empty = repeated = negative = long_value = False
+        for A, B, kind, n in cases:
+            aps = find_aps(new_params(A, B), kind, n)
+            doc = {"A": A, "B": B, "kind": kind.value, "maxIndex": n,
+                   "aps": [t.to_json_dict() for t in aps]}
+            code, out, _ = run(
+                capsys, "enumerate", "--A", str(A), "--B", str(B), "--kind", kind.value,
+                "--max-index", str(n),
+            )
+            assert code == 0
+            assert out == json.dumps(doc, indent=2) + "\n", (A, B, kind, n)
+            terms = {i: v for t in aps for i, v in zip(t.indices, t.values)}
+            empty |= not aps
+            repeated |= len(set(terms.values())) < len(terms)
+            negative |= any(v < 0 for v in terms.values())
+            long_value |= any(abs(v) > 10**50 for v in terms.values())
+        # (1, 1) first kind has x_1 = x_2 = 1; D < 0 pairs have negative terms
+        assert empty and repeated and negative and long_value
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--A", "2", "--B", "1", "--kind", "first",

@@ -15,16 +15,16 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 10.0-11.8 s for all 52 named tests (12.9 s at most
-in earlier runs), and the slowest mutant's is 7.4 s; TIMEOUT_S is over four
-times the slower baseline.
+is that unchanged copy's, 13.2-14.0 s for all 53 named tests (10.0-12.9 s
+for 52 in earlier runs), and the slowest mutant's is 7.4 s; TIMEOUT_S is over
+four times the slower baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
 instead of growing until the timeout.  Python then raises MemoryError, and
 the verdict is "out of memory", counted like "timed out".  The unchanged
-copy's run of all 52 named tests, which imports numpy and mpmath, peaked at
-283 MB of address space (VmPeak; 56 MB resident) on a 2-vCPU VM (Python
+copy's run of all 53 named tests, which imports numpy and mpmath, peaked at
+283 MB of address space (VmPeak; 55 MB resident) on a 2-vCPU VM (Python
 3.11, numpy 2.4).  Of that, numpy's BLAS takes about 41 MB per CPU, one
 thread and one buffer each, so the limit is 1 GiB plus 64 MiB per CPU:
 1.1 GiB, four times the measured peak, on that VM.
@@ -34,7 +34,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 54 entries, about 80 s on a 2-vCPU VM
+    python scripts/mutants.py    # 55 entries, about 95 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -276,15 +276,20 @@ MUTANTS = [
      "        return row\n",
      "",
      [T_CLI + "TestScan::test_csv_schema_and_determinism"]),
-    # cli: enumerate's JSON writer renders an empty array and each term as json.dumps does
+    # cli: enumerate's row loop renders an empty JSON array, each term and a text row
+    # as json.dumps and the text tuples do
     ("enumerate-json-empty-array", CLI,
-     'out.write("[]")',
-     'out.write("[\\n  ]")',
-     [T_CLI + "TestEnumerate::test_json_is_json_dumps_rendering"]),
+     'opening, close = "[]", "\\n}\\n"',
+     'opening, close = "[\\n  ]", "\\n}\\n"',
+     [T_CLI + "TestEnumerate::test_output_is_reference_rendering[json]"]),
     ("enumerate-json-term-on-wrong-index", CLI,
      "for i, v in zip(t.indices, t.values):",
      "for i, v in zip((t.k, t.m, t.l), t.values):",
-     [T_CLI + "TestEnumerate::test_json_is_json_dumps_rendering"]),
+     [T_CLI + "TestEnumerate::test_output_is_reference_rendering[json]"]),
+    ("enumerate-text-row-comma", CLI,
+     '"{}({}, {}, {}) -> ({}, {}, {})\\n"',
+     '"{}({}, {}, {}) -> ({},{}, {})\\n"',
+     [T_CLI + "TestEnumerate::test_output_is_reference_rendering[text]"]),
     # cli: exit codes and option parsing
     ("grid-check-exit-code", CLI,
      "        if sym != brute:\n            code = EXIT_MISMATCH",

@@ -37,10 +37,10 @@ EXIT_MISMATCH = 3
 MAX_EXPONENT = 10_000
 
 # The output bounds this cap, not the search: a pair with a family has O(n)
-# triples of O(n)-bit values in the window, so O(n^2) bytes.  (1, 1) first
-# kind writes 8.5 MB of JSON at this cap in about 0.3 s and 22 MB peak (one
-# process, import included, on a 2-vCPU Xeon VM); the JSON goes out one
-# triple at a time, so its size costs time, not memory.
+# triples of O(n)-bit values in the window, so O(n^2) bytes.  Every format goes
+# out one triple at a time, each term converted once: (1, 1) first kind writes
+# 7.9-8.5 MB at this cap in 0.21-0.23 s and 22 MB peak in json, csv or text
+# (one process, import included, stdout to a pipe, on a 2-vCPU Xeon VM).
 MAX_INDEX = 5000
 
 # A scan row costs about 0.05 ms at --max-index 30 and 400 bytes of peak
@@ -140,33 +140,16 @@ def _emit(doc):
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-# One APTriple.to_json_dict() after its separator, as json.dumps(indent=2) lays
-# it out in a top-level object's aps array; decimal strings need no escaping.
-_AP_JSON = (
-    '{}    {{\n      "k": {},\n      "l": {},\n      "m": {},\n      "values": [\n'
-    '        "{}",\n        "{}",\n        "{}"\n      ]\n    }}'
-)
-
-
-def _write_aps_json(aps) -> None:
-    """Write the enumerate document's aps array to stdout, byte for byte as
-    json.dumps(indent=2) renders [t.to_json_dict() for t in aps] under the key
-    "aps", one triple at a time, so the document is never held whole."""
-    out = sys.stdout
-    if not aps:
-        out.write("[]")
-        return
-    # a value depends on its index alone, and a family pair repeats each index
-    # in about three triples, so each term's decimal string is built once
-    digits = {}
-    sep = "[\n"
-    for t in aps:
-        for i, v in zip(t.indices, t.values):
-            if i not in digits:
-                digits[i] = str(v)
-        out.write(_AP_JSON.format(sep, t.k, t.l, t.m, digits[t.k], digits[t.l], digits[t.m]))
-        sep = ",\n"
-    out.write("\n  ]")
+# enumerate's (opening, row, separator, close) per format.  A row takes the
+# separator before it, k, l, m and three decimal strings.  The json row is
+# json.dumps(indent=2) of APTriple.to_json_dict() in a top-level aps array; the
+# csv row is csv.writer's, whose excel dialect quotes no integer or decimal string.
+_ENUMERATE_LAYOUTS = {
+    "json": ("[\n", '{}    {{\n      "k": {},\n      "l": {},\n      "m": {},\n      "values": [\n'
+             '        "{}",\n        "{}",\n        "{}"\n      ]\n    }}', ",\n", "\n  ]\n}\n"),
+    "csv": ("k,l,m,value_k,value_l,value_m\n", "{}{},{},{},{},{},{}\n", "", ""),
+    "text": ("", "{}({}, {}, {}) -> ({}, {}, {})\n", "", ""),
+}
 
 
 @functools.cache
@@ -253,25 +236,30 @@ def _cmd_enumerate(args) -> int:
     _check_term_bits("--max-index", args.max_index, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
     aps = find_aps(params, args.kind, args.max_index)
+    opening, row, separator, close = _ENUMERATE_LAYOUTS[args.format]
+    out = sys.stdout
     if args.format == "json":
         # json.dumps(indent=2) runs the pure-Python encoder, which cost more than
         # the search on a family pair; the head keeps its rendering minus "\n}"
-        head = json.dumps(
-            {"A": params.A, "B": params.B, "kind": args.kind.value, "maxIndex": args.max_index},
-            indent=2,
-        )
-        sys.stdout.write(f'{head[:-2]},\n  "aps": ')
-        _write_aps_json(aps)
-        sys.stdout.write("\n}\n")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "l", "m", "value_k", "value_l", "value_m"])
-        for t in aps:
-            writer.writerow([t.k, t.l, t.m, *(str(v) for v in t.values)])
-    else:
-        for t in aps:
-            print(f"({t.k}, {t.l}, {t.m}) -> {t.values}")
-        print(f"{len(aps)} progression(s) with indices <= {args.max_index}")
+        doc = {"A": params.A, "B": params.B, "kind": args.kind.value, "maxIndex": args.max_index}
+        out.write(f'{json.dumps(doc, indent=2)[:-2]},\n  "aps": ')
+        if not aps:
+            opening, close = "[]", "\n}\n"
+    out.write(opening)
+    # one triple at a time, so the output is never held whole; a value depends
+    # on its index alone, and a family pair repeats each index in about three
+    # triples, so each term's decimal string is built once
+    digits = {}
+    sep = ""
+    for t in aps:
+        for i, v in zip(t.indices, t.values):
+            if i not in digits:
+                digits[i] = str(v)
+        out.write(row.format(sep, t.k, t.l, t.m, digits[t.k], digits[t.l], digits[t.m]))
+        sep = separator
+    out.write(close)
+    if args.format == "text":
+        out.write(f"{len(aps)} progression(s) with indices <= {args.max_index}\n")
     return EXIT_OK
 
 
@@ -358,6 +346,9 @@ _SCAN_COLUMNS = [
     "A", "B", "kind", "classification", "ap_count_window",
     "family_count", "certified", "n0",
 ]
+# detect_families' exponent for a scan row: over |A|, |B| <= 25, both kinds,
+# e = 12 and e = 60 return the same families, and none has an offset above 3
+SCAN_FAMILY_EXPONENT = 12
 
 
 def _scan_pair(job):
@@ -383,7 +374,7 @@ def _scan_pair(job):
         row["n0"] = result.certificate.n0
     else:
         row["ap_count_window"] = len(find_aps(params, kind, max_index))
-        row["family_count"] = len(detect_families(params, kind, 12))
+        row["family_count"] = len(detect_families(params, kind, SCAN_FAMILY_EXPONENT))
         row["certified"] = "false"
     return row
 

@@ -21,8 +21,8 @@ A double root r = -p/2, of (X - 1)^2 or (X + 1)^2, is one root counted
 twice, so there the derivative c_a*a*r^(a-1) + c_b*b*r^(b-1) must vanish too.
 
 The headline constant counts progressions via solution bounds for weighted
-unit equations: with A(k, s) <= 2^(35*b^3) * d^(6*b^2), b = max(k+1, s) and
-d = 2, the total A(5,2) + 3*A(3,2) + 18*A(2,2) + 39 is computed exactly.
+unit equations in the roots' quadratic field: with A(k, s) <= 2^(35*b^3) * 2^(6*b^2)
+and b = max(k+1, s), the total A(5,2) + 3*A(3,2) + 18*A(2,2) + 39 is computed exactly.
 """
 
 from __future__ import annotations
@@ -170,19 +170,19 @@ class SUnitBound:
         return str(self.value)
 
 
-def unit_equation_solution_bound(k: int, s: int, d: int = 2) -> int:
-    """Upper bound 2^(35*b^3) * d^(6*b^2) with b = max(k+1, s) for the number
-    of non-degenerate projective solutions of a weighted unit equation in
-    k+1 unknowns over a rank-s group in a degree-d field."""
+def unit_equation_solution_bound(k: int, s: int) -> int:
+    """Upper bound 2^(35*b^3) * 2^(6*b^2) with b = max(k+1, s) for the number
+    of non-degenerate projective solutions of a weighted unit equation in k+1
+    unknowns over a rank-s group in a quadratic field, where every pair's roots lie."""
     b = max(k + 1, s)
-    return 2 ** (35 * b**3) * d ** (6 * b**2)
+    return 2 ** (35 * b**3 + 6 * b**2)
 
 
 def sunit_constant() -> SUnitBound:
     """The exact progression-count bound A(5,2) + 3*A(3,2) + 18*A(2,2) + 39.
 
-    With d = 2 this is 2^7776 + 3*2^2336 + 18*2^999 + 39; the decimal data
-    is derived from the exact integer, not hard-coded.
+    This is 2^7776 + 3*2^2336 + 18*2^999 + 39; the decimal data is
+    derived from the exact integer, not hard-coded.
     """
     value = (
         unit_equation_solution_bound(5, 2)

@@ -1,6 +1,7 @@
 """Command-line surface: grammar, exit codes, output formats, determinism."""
 
 import argparse
+import csv
 import errno
 import hashlib
 import io
@@ -90,9 +91,11 @@ class TestEnumerate:
         jsonschema.validate(doc, schema_for("enumerate"))
         assert {tuple((t["k"], t["l"], t["m"])) for t in doc["aps"]} >= {(0, 1, 3), (2, 3, 4)}
 
-    def test_json_is_json_dumps_rendering(self, capsys):
-        # enumerate writes its aps array itself; json.dumps(indent=2) of the
-        # to_json_dict documents is the rendering it must equal byte for byte
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_output_is_reference_rendering(self, capsys, fmt):
+        # enumerate writes every format from its own row template; json.dumps
+        # (indent=2) of the to_json_dict documents, csv.writer's rows and the
+        # value tuples' own text are the renderings it must equal byte for byte
         cases = [(A, B, kind, n) for A in range(-4, 5) for B in range(-4, 5)
                  if A and B and degeneracy_order(A, B) is None
                  for kind in Kind for n in (2, 5, 12)]
@@ -101,14 +104,25 @@ class TestEnumerate:
         empty = repeated = negative = long_value = False
         for A, B, kind, n in cases:
             aps = find_aps(new_params(A, B), kind, n)
-            doc = {"A": A, "B": B, "kind": kind.value, "maxIndex": n,
-                   "aps": [t.to_json_dict() for t in aps]}
+            if fmt == "json":
+                doc = {"A": A, "B": B, "kind": kind.value, "maxIndex": n,
+                       "aps": [t.to_json_dict() for t in aps]}
+                expected = json.dumps(doc, indent=2) + "\n"
+            elif fmt == "csv":
+                buf = io.StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+                writer.writerow(["k", "l", "m", "value_k", "value_l", "value_m"])
+                writer.writerows([t.k, t.l, t.m, *map(str, t.values)] for t in aps)
+                expected = buf.getvalue()
+            else:
+                expected = "".join(f"({t.k}, {t.l}, {t.m}) -> {t.values}\n" for t in aps)
+                expected += f"{len(aps)} progression(s) with indices <= {n}\n"
             code, out, _ = run(
                 capsys, "enumerate", "--A", str(A), "--B", str(B), "--kind", kind.value,
-                "--max-index", str(n),
+                "--max-index", str(n), "--format", fmt,
             )
             assert code == 0
-            assert out == json.dumps(doc, indent=2) + "\n", (A, B, kind, n)
+            assert out == expected, (A, B, kind, n)
             terms = {i: v for t in aps for i, v in zip(t.indices, t.values)}
             empty |= not aps
             repeated |= len(set(terms.values())) < len(terms)

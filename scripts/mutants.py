@@ -15,9 +15,9 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 13.2-14.0 s for all 53 named tests (10.0-12.9 s
-for 52 in earlier runs), and the slowest mutant's is 7.4 s; TIMEOUT_S is over
-four times the slower baseline.
+is that unchanged copy's, 12.3 s for all 56 named tests (13.2-14.0 s for
+53 and 10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is
+8.4 s; TIMEOUT_S is over four times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -34,7 +34,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 55 entries, about 95 s on a 2-vCPU VM
+    python scripts/mutants.py    # 58 entries, about 90 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ TIMEOUT_S = 60
 MEMORY_LIMIT = (1024 + 64 * (os.cpu_count() or 1)) << 20
 
 SMALLCASE = "src/lucasaps/smallcase.py"
+POLY = "src/lucasaps/poly.py"
 APSEARCH = "src/lucasaps/apsearch.py"
 CERTIFY = "src/lucasaps/certify.py"
 TABLES = "src/lucasaps/tables.py"
@@ -136,6 +137,15 @@ MUTANTS = [
      'if doc["method"] not in ("growth_lemma", "gap_pattern"):',
      "if False:",
      [T_CERTIFY + "TestCertificateJson::test_unknown_method_raises"]),
+    # certify: the reader refuses a triple whose index or value the schema does not allow
+    ("certificate-json-triple-index-type", CERTIFY,
+     "type(t[i]) is not int or t[i] < 0",
+     "t[i] < 0",
+     [T_CERTIFY + "TestCertificateJson::test_malformed_triple_index_raises[bool]"]),
+    ("certificate-json-triple-value-pattern", CERTIFY,
+     're.fullmatch("-?[0-9]+", v)',
+     're.fullmatch(r"-?\\d+", v)',
+     [T_CERTIFY + "TestCertificateJson::test_malformed_triple_value_raises[arabic-indic]"]),
     # certify: a certificate document without a required key is refused
     ("certificate-json-patterns-default", CERTIFY,
      'tuple(doc["patterns"])',
@@ -182,7 +192,7 @@ MUTANTS = [
     _drop_raise("cmp-abs-mixed-discriminants", CORE,
                 "    if x.d != y.d:\n"
                 '        raise ValueError("mixed discriminants")'),
-    _drop_raise("divisors-of-zero", SMALLCASE,
+    _drop_raise("divisors-of-zero", POLY,
                 "    if n == 0:\n"
                 '        raise ValueError("zero has no divisor list")'),
     # core: exact powers keep every product of square-and-multiply and its checks
@@ -220,16 +230,21 @@ MUTANTS = [
      "if not DomainFilter().admits(A, B) or (kind, A, B) in checked:",
      "if not DomainFilter().admits(A, B):",
      [T_TABLES + "TestVerifyTables::test_clean_report"]),
+    # poly: a leaf module that a checker can import without the solver
+    ("poly-imports-lucasaps", POLY,
+     "from math import gcd, isqrt, lcm\n",
+     "from math import gcd, isqrt, lcm\nfrom .core import Kind\n",
+     [T_SMALLCASE + "test_poly_imports_only_the_standard_library"]),
     # smallcase: the solver's branches and its own re-substitution check
     ("grid-instances-a-range-skip", SMALLCASE,
      "            if not a_lo <= f.A <= a_hi:\n                continue\n",
      "",
      [T_SMALLCASE + "TestSolveAll::test_grid_skips_b_families_outside_the_a_range"]),
-    ("poly-sqrt-non-square-lead", SMALLCASE,
+    ("poly-sqrt-non-square-lead", POLY,
      "if lc <= 0 or isqrt(lc) ** 2 != lc:",
      "if lc <= 0:",
      [T_SMALLCASE + "TestWorkedEquations::test_poly_sqrt_needs_a_square_leading_coefficient"]),
-    ("poly-sqrt-odd-degree", SMALLCASE,
+    ("poly-sqrt-odd-degree", POLY,
      "if d < 0 or d % 2:",
      "if d < 0:",
      [T_SMALLCASE + "TestWorkedEquations::test_poly_sqrt_needs_a_square_leading_coefficient"]),
@@ -311,10 +326,10 @@ MUTANTS = [
      '_check_bounds("--a", args.a, args.b + 1, EXPONENT_CAP)',
      '_check_bounds("--a", args.a, args.b, EXPONENT_CAP)',
      [T_CLI + "TestFactorTrinomial::test_exponents_out_of_range_are_usage_errors"]),
-    # changes a comment only, so it must survive
-    ("inert-comment", SMALLCASE,
-     "# Dense univariate integer polynomials: list of coefficients, index = degree.",
-     "# Dense univariate integer polynomials: coefficient i belongs to degree i.",
+    # changes a docstring line only, so it must survive
+    ("inert-comment", POLY,
+     "A polynomial in A is a dense list of coefficients, index = degree, with no",
+     "A polynomial in A is a dense list of coefficients, the i-th of degree i, with no",
      [T_SMALLCASE + "TestWorkedEquations::test_poly_sqrt_needs_a_square_leading_coefficient"]),
 ]
 

@@ -30,6 +30,7 @@ large enough.  Every comparison is exact surd arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -343,6 +344,11 @@ def certificate_from_json(doc: dict) -> CompletenessCertificate:
         raise ValueError(f"n0 must be an integer >= 2: {doc['n0']!r}")
     if doc["method"] not in ("growth_lemma", "gap_pattern"):
         raise ValueError(f"unknown method: {doc['method']!r}")
+    for t in doc["aps"]:
+        if any(type(t[i]) is not int or t[i] < 0 for i in "klm"):
+            raise ValueError(f"triple indices must be integers >= 0: {t!r}")
+        if not all(type(v) is str and re.fullmatch("-?[0-9]+", v) for v in t["values"]):
+            raise ValueError(f"triple values must be decimal strings: {t!r}")
     aps = tuple(
         APTriple(t["k"], t["l"], t["m"], tuple(int(v) for v in t["values"]))
         for t in doc["aps"]

@@ -43,168 +43,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt
 
 from .apsearch import doubled_at
 from .core import _UNITY_ORDER, EngineMismatchError, Kind, degeneracy_order
+from .poly import (
+    b_add, b_eval, divisors, frac_to_int, integer_roots, p_add, p_content, p_deg, p_eval,
+    p_mul, p_scale, p_str, poly_sqrt, positive_cut, root_bound, trim,
+)
 
 
 class SqueezeUnresolvedError(ArithmeticError):
     """The discriminant could not be squeezed or solved for this equation."""
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate integer polynomials: list of coefficients, index = degree.
-# ---------------------------------------------------------------------------
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def p_add(f, g):
-    n = max(len(f), len(g))
-    return _trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def p_sub(f, g):
-    n = max(len(f), len(g))
-    return _trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def p_scale(f, c):
-    return _trim([x * c for x in f]) if c else []
-
-
-def p_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def p_eval(f, x):
-    out = 0
-    for c in reversed(f):
-        out = out * x + c
-    return out
-
-
-def p_deg(f) -> int:
-    return len(f) - 1  # -1 for the zero polynomial
-
-
-def p_content(f) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    return g or 1
-
-
-def divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("zero has no divisor list")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
-def _ceil_root(n: int, k: int) -> int:
-    """Least integer r >= 0 with r**k >= n, for n >= 0 (exact search)."""
-    lo, hi = 0, 1 << -(-n.bit_length() // k)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def root_bound(f) -> int:
-    """N >= 0 with every real root of the nonzero polynomial f in [-N, N].
-
-    The lesser of two classical bounds on the root modulus, each rounded up
-    exactly: Cauchy's 1 + max|c_i| / |lc| and Fujiwara's
-    2 * max_k (|c_(d-k)| / |lc|)^(1/k), whose last entry |c_0 / (2 lc)| is
-    loosened to |c_0 / lc|.
-    """
-    lc = abs(f[-1])
-    lower = [abs(c) for c in reversed(f[:-1])]  # lower[k - 1] = |c_(d-k)|
-    if not lower:
-        return 0
-    cauchy = 1 + -(-max(lower) // lc)
-    fujiwara = 2 * max(_ceil_root(-(-c // lc), k) for k, c in enumerate(lower, 1))
-    return min(cauchy, fujiwara)
-
-
-def positive_cut(f) -> int:
-    """N >= 0 with f(x) > 0 for every integer x > N (requires lc > 0)."""
-    if not f or f[-1] <= 0:
-        raise ValueError("leading coefficient must be positive")
-    return root_bound(f)
-
-
-def _frac_to_int(poly):
-    """Clear denominators: returns (int_poly, t) with int_poly = t * poly."""
-    t = 1
-    for c in poly:
-        t = lcm(t, Fraction(c).denominator)
-    return [int(Fraction(c) * t) for c in poly], t
-
-
-def p_str(f) -> str:
-    return b_str((f,))
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in (A, B): the tuple of B-coefficients e_j(A) for j = 0..deg_B,
-# each a dense A-polynomial; the top one is nonzero, the zero polynomial is ().
-# ---------------------------------------------------------------------------
-
-def b_add(f, g, c: int = 1) -> tuple:
-    """f + c * g."""
-    rows = [
-        p_add(f[j] if j < len(f) else [], p_scale(g[j], c) if j < len(g) else [])
-        for j in range(max(len(f), len(g)))
-    ]
-    return tuple(tuple(row) for row in _trim(rows))
-
-
-def b_eval(f, a: int, b: int) -> int:
-    out = 0
-    for e in reversed(f):
-        out = out * b + p_eval(e, a)
-    return out
-
-
-def b_str(f) -> str:
-    """Terms by descending B-degree, then descending A-degree."""
-    out = ""
-    for j in reversed(range(len(f))):
-        for i in reversed(range(len(f[j]))):
-            c = f[j][i]
-            if not c:
-                continue
-            mono = "*".join(
-                ([f"A^{i}" if i > 1 else "A"] if i else [])
-                + ([f"B^{j}" if j > 1 else "B"] if j else [])
-            )
-            body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
-            out += ("-" if c < 0 else "+" if out else "") + body
-    return out or "0"
 
 
 def poly_terms(kind: Kind, count: int) -> list:
@@ -429,7 +279,7 @@ def divisibility_candidates(den, num) -> tuple:
     they are intersected.  Callers re-verify every candidate, so returning a
     superset is safe.
     """
-    den = _trim(list(den))
+    den = trim(list(den))
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if p_deg(den) == 0:
@@ -450,7 +300,7 @@ def divisibility_candidates(den, num) -> tuple:
     cands = set()
     for div in divisors(p_content(num) * res):
         for target in (div, -div):
-            cands.update(integer_roots(p_sub(den, [target])))
+            cands.update(integer_roots(p_add(den, [target], -1)))
     if c0 == 0 and num[0] != 0:
         sharp = set()
         for div in divisors(num[0]):
@@ -467,7 +317,7 @@ def _curve_members(w_frac, filt: DomainFilter, report) -> set:
     leading coefficient, and that region is the window; otherwise the curve
     is appended to report.curves as an infinite family.
     """
-    wn, t = _frac_to_int(w_frac)
+    wn, t = frac_to_int(w_frac)
     label = p_str(wn) + (f"/{t}" if t > 1 else "")
     if not wn:
         report.branches.append({"b": "0", "outcome": "rejected: B = 0"})
@@ -477,7 +327,7 @@ def _curve_members(w_frac, filt: DomainFilter, report) -> set:
         report.branches.append({"b": label, "outcome": "rejected: never an integer"})
         return set()
     # t * (A^2 + k*B) for each degeneracy k: degenerate pairs lie on their roots
-    degenerate = {kk: p_add(p_scale([0, 0, 1], t), p_scale(wn, kk)) for kk in _UNITY_ORDER}
+    degenerate = {kk: p_add([0, 0, t], wn, kk) for kk in _UNITY_ORDER}
     if not all(degenerate.values()):
         report.branches.append({"b": label, "outcome": "rejected: degenerate for every A"})
         return set()
@@ -515,40 +365,14 @@ def _linear_branch(den, num, filt, report) -> set:
     return window | set(candidates)
 
 
-def _poly_sqrt(delta):
-    """Fraction polynomial q with deg(delta - q^2) < deg(q), or None.
-
-    Needs even degree and a positive perfect-square leading coefficient;
-    the top half of the coefficients is matched greedily.
-    """
-    d = p_deg(delta)
-    if d < 0 or d % 2:
-        return None
-    lc = delta[-1]
-    if lc <= 0 or isqrt(lc) ** 2 != lc:
-        return None
-    h = d // 2
-    q = [Fraction(0)] * (h + 1)
-    q[h] = Fraction(isqrt(lc))
-    for j in range(1, h + 1):
-        target = Fraction(delta[2 * h - j])
-        acc = Fraction(0)
-        for u in range(h - j + 1, h + 1):
-            v = 2 * h - j - u
-            if h - j < v <= h:
-                acc += q[u] * q[v]
-        q[h - j] = (target - acc) / (2 * q[h])
-    return q
-
-
 def _substitute_side(poly, side):
-    return _trim([c * (side ** i) for i, c in enumerate(poly)])
+    return trim([c * (side ** i) for i, c in enumerate(poly)])
 
 
 def _squeeze_side(R, G, t, side, report):
     """Exhaustion cutoff for one sign side of A.
 
-    G/t is the polynomial root of delta (_poly_sqrt, denominators cleared),
+    G/t is the polynomial root of delta (poly_sqrt, denominators cleared),
     R = t^2 * delta - G^2 is nonzero and deg R < deg G = h >= 1.  On the
     side, delta(side * x) has root side^h * G(side * x)/t and t^2 * delta
     lies strictly between (G + j)^2 and (G + j + 1)^2 once both differences
@@ -561,8 +385,8 @@ def _squeeze_side(R, G, t, side, report):
     G = _substitute_side(p_scale(G, side ** p_deg(G)), side)
     R = _substitute_side(R, side)
     j = 0 if R[-1] > 0 else -1
-    low = p_sub(R, p_add(p_scale(G, 2 * j), [j * j]))
-    high = p_sub(p_add(p_scale(G, 2 * (j + 1)), [(j + 1) ** 2]), R)
+    low = p_add(R, p_add([j * j], G, 2 * j), -1)
+    high = p_add(p_add([(j + 1) ** 2], G, 2 * (j + 1)), R, -1)
     cut = max(positive_cut(low), positive_cut(high))
     report.squeeze.append(
         {"side": side, "cut": cut, "shift": j,
@@ -591,7 +415,7 @@ def _root_location(bcs, report) -> set:
         # (x + 1 - A^2)^j puts comb(j, r) * (1 - A^2)^(j-r) on x^r
         piece = p_scale(ej, 4 ** (d - j))
         for r in range(j, -1, -1):
-            q[r] = p_add(q[r], p_scale(piece, comb(j, r)))
+            q[r] = p_add(q[r], piece, comb(j, r))
             piece = p_mul(piece, [1, 0, -1])
     cut = max(root_bound(qr) for qr in q if qr)  # a zero q_r fails on side 1
     for side in (1, -1):
@@ -606,83 +430,6 @@ def _root_location(bcs, report) -> set:
             {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
         )
     return set(range(-cut, cut + 1))
-
-
-def _bisect_int_roots(f, lo, hi):
-    """Integer roots of f on [lo, hi] where f is monotone there (exact)."""
-    roots = []
-    flo, fhi = p_eval(f, lo), p_eval(f, hi)
-    if flo == 0:
-        roots.append(lo)
-    if fhi == 0 and hi != lo:
-        roots.append(hi)
-    if flo * fhi >= 0:
-        return roots
-    sign_lo = 1 if flo > 0 else -1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        fm = p_eval(f, mid)
-        if fm == 0:
-            return roots + [mid]
-        if (1 if fm > 0 else -1) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return roots
-
-
-def integer_roots(coeffs):
-    """Exact integer roots of a nonzero polynomial of degree at most 3.
-
-    Coefficients may be astronomically large (they come from evaluating the
-    case polynomials at big A), so divisor enumeration is avoided: roots are
-    isolated between the critical points and found by integer bisection.
-    Degree 3 is the ceiling the solver needs: every polynomial in A it
-    factors has degree at most 2 and every fixed-A solve for B has degree
-    at most 3 for the equations case_equations produces.  The zero
-    polynomial and degrees above 3 raise ValueError.
-    """
-    f = _trim(list(coeffs))
-    d = p_deg(f)
-    if d < 0:
-        raise ValueError("zero polynomial has every root")
-    if d > 3:
-        raise ValueError(f"degree {d} exceeds the supported degree 3")
-    if d == 0:
-        return []
-    if d == 1:
-        c0, c1 = f[0], f[1]
-        return [-c0 // c1] if c0 % c1 == 0 else []
-    if d == 2:
-        c0, c1, c2 = f
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0 or isqrt(disc) ** 2 != disc:
-            return []
-        w = isqrt(disc)
-        out = set()
-        for pm in (w, -w):
-            if (-c1 + pm) % (2 * c2) == 0:
-                out.add((-c1 + pm) // (2 * c2))
-        return sorted(out)
-    bound = max(root_bound(f), 1)  # two distinct ends even for c3 * x^3
-    # critical points: roots of f' = 3*c3*x^2 + 2*c2*x + c1
-    c1, c2, c3 = f[1], f[2], f[3]
-    disc = 4 * c2 * c2 - 12 * c3 * c1
-    breaks = [-bound, bound]
-    if disc > 0:
-        w = isqrt(disc)
-        for pm in (w, -w):
-            # floor of (-2*c2 + pm) / (6*c3), exactly
-            numer, denom = -2 * c2 + pm, 6 * c3
-            if denom < 0:
-                numer, denom = -numer, -denom
-            breaks.append(numer // denom)
-            breaks.append(numer // denom + 1)
-    breaks = sorted({b for b in breaks if -bound <= b <= bound})
-    roots = set()
-    for lo, hi in zip(breaks, breaks[1:]):
-        roots.update(_bisect_int_roots(f, lo, hi))
-    return sorted(roots)
 
 
 def _closure(eq: CaseEquation, filt: DomainFilter, report) -> set:
@@ -710,20 +457,20 @@ def _closure(eq: CaseEquation, filt: DomainFilter, report) -> set:
         # positive beyond its cut
         report.strategy = "quadratic_in_b"
         e2, e1, e0 = bcs[2], bcs[1], bcs[0]
-        delta = p_sub(p_mul(e1, e1), p_scale(p_mul(e2, e0), 4))
+        delta = p_add(p_mul(e1, e1), p_mul(e2, e0), -4)
         report.delta = tuple(delta)
         if not delta:
             raise SqueezeUnresolvedError("identically zero discriminant reached the squeeze")
-        q = _poly_sqrt(delta)
+        q = poly_sqrt(delta)
         if q is not None:
-            G, t = _frac_to_int(q)
-            R = p_sub(p_scale(delta, t * t), p_mul(G, G))
+            G, t = frac_to_int(q)
+            R = p_add(p_scale(delta, t * t), p_mul(G, G), -1)
             if not R:
                 # B = (-t*e1 +- G) / (2*t*e2): two linear branches
                 report.delta_square_root = (tuple(G), t)
                 window = set()
                 for sign_branch in (1, -1):
-                    num = p_add(p_scale(e1, -t), p_scale(G, sign_branch))
+                    num = p_add(p_scale(G, sign_branch), e1, -t)
                     window |= _linear_branch(p_scale(e2, 2 * t), num, filt, report)
                 return window
             cuts = {side: _squeeze_side(R, G, t, side, report) for side in (1, -1)}
@@ -750,7 +497,10 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     The closure for the equation's B-degree bounds A: it records any curve
     families in the report and returns a finite window of A values, and
     E(a, B) = 0 is then solved exactly in B at each a of the window.  A root that lies on a
-    returned curve is left to the curve.  Every sporadic solution and three
+    returned curve is left to the curve.  integer_roots stops at degree 3,
+    which is all the solver needs: every polynomial in A it factors has
+    degree at most 2 and every fixed-A solve for B has degree at most 3 for
+    the equations case_equations produces.  Every sporadic solution and three
     witnesses per family re-substitute to zero before the report is
     returned; one that does not raises EngineMismatchError.
 
@@ -765,7 +515,7 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     window = _closure(eq, filt, report)
     triple = eq.ap_roles()
     for a in sorted(window):
-        coeffs = _trim([p_eval(bc, a) for bc in eq.poly])
+        coeffs = trim([p_eval(bc, a) for bc in eq.poly])
         if not coeffs:
             if a:
                 report.b_families.append(BFamilySolution(a, triple))

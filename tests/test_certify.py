@@ -483,6 +483,29 @@ class TestCertificateJson:
         with pytest.raises(ValueError, match="n0"):
             certificate_from_json({**doc, "n0": n0})
 
+    @pytest.mark.parametrize("index", [True, 1.0, "1", -1, None],
+                             ids=["bool", "float", "string", "negative", "null"])
+    def test_malformed_triple_index_raises(self, index):
+        # cli_schema.json requires k, l and m to be integers >= 0; a bool
+        # or a float would read back and check True
+        doc = certified_enumerate(new_params(1, 3), Kind.SECOND).certificate.to_json_dict()
+        triple = {**doc["aps"][0], "k": index}
+        with pytest.raises(ValueError, match="indices"):
+            certificate_from_json({**doc, "aps": [triple]})
+
+    @pytest.mark.parametrize(
+        "value", ["3_1", " 1", "+61", "\u0666\u0661", "61\n", "1.0", "", 61, None],
+        ids=["underscore", "space", "plus", "arabic-indic", "newline", "point", "empty",
+             "int", "null"],
+    )
+    def test_malformed_triple_value_raises(self, value):
+        # each value is a decimalString, ^-?[0-9]+$ in cli_schema.json; int()
+        # alone accepts underscores, spaces, a sign and non-ASCII digits
+        doc = certified_enumerate(new_params(1, 3), Kind.SECOND).certificate.to_json_dict()
+        triple = {**doc["aps"][0], "values": [value, *doc["aps"][0]["values"][1:]]}
+        with pytest.raises(ValueError, match="values"):
+            certificate_from_json({**doc, "aps": [triple]})
+
     @pytest.mark.parametrize("method", ["brute_force", "", None])
     def test_unknown_method_raises(self, method):
         doc = certified_enumerate(new_params(2, 1), Kind.FIRST).certificate.to_json_dict()

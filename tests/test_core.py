@@ -34,7 +34,7 @@ from lucasaps.core import (
     term,
     terms,
 )
-from lucasaps.smallcase import divisors
+from lucasaps.poly import divisors
 
 
 def valid_pairs(max_abs=12):

@@ -1,18 +1,38 @@
 """Symbolic case equations and the complete small-index solver."""
 
+import ast
 import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lucasaps.poly
 from lucasaps.cli import main
 from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params, term
 from lucasaps.apsearch import find_aps
+from lucasaps.poly import (
+    b_add,
+    b_eval,
+    b_str,
+    divisors,
+    frac_to_int,
+    integer_roots,
+    p_add,
+    p_content,
+    p_deg,
+    p_eval,
+    p_mul,
+    p_str,
+    poly_sqrt,
+    positive_cut,
+    root_bound,
+)
 from lucasaps.smallcase import (
     CaseEquation,
     DomainFilter,
@@ -20,25 +40,10 @@ from lucasaps.smallcase import (
     SqueezeUnresolvedError,
     _curve_members,
     _linear_branch,
-    _frac_to_int,
-    _poly_sqrt,
     _root_location,
-    b_add,
-    b_eval,
-    b_str,
     case_equations,
     divisibility_candidates,
-    divisors,
-    integer_roots,
-    p_content,
-    p_deg,
-    p_eval,
-    p_mul,
-    p_str,
-    p_sub,
     poly_terms,
-    positive_cut,
-    root_bound,
     solve_all,
     solve_case,
 )
@@ -169,10 +174,10 @@ class TestWorkedEquations:
 
     def test_poly_sqrt_needs_a_square_leading_coefficient(self):
         # 4A^2 + 1 has the root 2A; 2A^2 + 1 and -A^2 + 1 have none
-        assert _poly_sqrt([1, 0, 4]) == [0, 2]
-        assert _poly_sqrt([1, 0, 2]) is None
-        assert _poly_sqrt([1, 0, -1]) is None
-        assert _poly_sqrt([1, 0, 0, 4]) is None  # odd degree, square lead 4
+        assert poly_sqrt([1, 0, 4]) == [0, 2]
+        assert poly_sqrt([1, 0, 2]) is None
+        assert poly_sqrt([1, 0, -1]) is None
+        assert poly_sqrt([1, 0, 0, 4]) is None  # odd degree, square lead 4
 
     def test_curve_members_without_a_window(self):
         # B = 0 is never admitted; B = A^2 gives A^2 + 4B = 5A^2 > 0 for
@@ -264,7 +269,7 @@ def _frac_gcd(f, g):
         a, b = b, r
     if not any(a):
         return []
-    ints, _ = _frac_to_int(a)
+    ints, _ = frac_to_int(a)
     cont = p_content(ints)
     ints = [c // cont for c in ints]
     return [-c for c in ints] if ints[-1] < 0 else ints
@@ -314,14 +319,14 @@ def oracle_divisibility(den, num):
     h1f, r1 = _frac_divmod(den, g)
     h0f, r0 = _frac_divmod(num, g)
     assert not any(r1) and not any(r0)
-    h1, _ = _frac_to_int(h1f)
-    h0, _ = _frac_to_int(h0f)
+    h1, _ = frac_to_int(h1f)
+    h0, _ = frac_to_int(h0f)
     bound = p_content(h0) * _sylvester_resultant(h1, h0)
     assert bound != 0
     cands = set()
     for d in divisors(bound):
         for target in (d, -d):
-            probe = p_sub(h1, [target])
+            probe = p_add(h1, [target], -1)
             if probe:
                 cands.update(integer_roots(probe))
     if den[0] == 0 and num and num[0] != 0:
@@ -613,8 +618,11 @@ class TestRootBound:
 
     def test_solver_output_unchanged_under_cauchy_cut(self, monkeypatch):
         # every window cut and the cubic bisection range go through
-        # root_bound; the looser Cauchy bound must give the same solutions
+        # root_bound; the looser Cauchy bound must give the same solutions.
+        # positive_cut and integer_roots call it in poly, root location in
+        # smallcase, so both names are patched
         tight = {kind: solve_all(kind, 7).to_json_dict() for kind in Kind}
+        monkeypatch.setattr("lucasaps.poly.root_bound", _cauchy_bound)
         monkeypatch.setattr("lucasaps.smallcase.root_bound", _cauchy_bound)
         for kind in Kind:
             assert solve_all(kind, 7).to_json_dict() == tight[kind], kind
@@ -674,3 +682,19 @@ class TestBivarPoly:
         poly = CaseEquation(Kind.FIRST, (1, 2, 4), 2).poly
         assert b_eval(poly, 2, -1) == 8 - 4 + 2 - 2
         assert p_str([-2, 0, 1]) == "A^2-2"
+
+
+def test_poly_imports_only_the_standard_library():
+    # the exact polynomial toolkit is a leaf: a checker can use it without
+    # importing the solver it checks
+    tree = ast.parse(Path(lucasaps.poly.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "lucasaps", f"imports {name} at line {node.lineno}"

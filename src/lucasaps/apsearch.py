@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import EngineMismatchError, Kind, SeqParams, linear_terms, terms
+from .core import Kind, SeqParams, linear_terms, terms
 
 
 class CertificateFailureError(AssertionError):
@@ -214,14 +214,15 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
     non-degenerate, so a dict from r_n back to n finds a3 in one lookup.
     One offset must be 0 and a3 > a1 >= 0, hence a1 = 0 or a2 = 0: one
     pass over the other offset for each case, O(e_max) lookups in all.
-    Every hit is cross-checked on the first two instances of s_t.
+    The search does not depend on the kind: a unit-step family annihilates
+    every sequence with this companion polynomial.  Only the certificate,
+    verify_family, reads the kind's terms, and a hit is kept once it passes.
     """
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
     u = linear_terms(params.A, params.B, 0, 1, e_max + 1)
     rem = [(1, 0)] + [(params.B * u[n - 1], u[n]) for n in range(1, e_max + 1)]
     index_of = {r: n for n, r in enumerate(rem)}
-    ts = terms(params, kind, e_max + 3)
     out = []
     offsets = range(1, e_max + 1)
     for a1, a2 in [(a, 0) for a in offsets] + [(0, a) for a in offsets]:
@@ -229,11 +230,9 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
         a3 = index_of.get((2 * q0 - p0, 2 * q1 - p1))
         if a3 is None or a3 <= a1 or a3 == a2:
             continue
-        s0 = ts[a1] - 2 * ts[a2] + ts[a3]
-        s1 = ts[a1 + 1] - 2 * ts[a2 + 1] + ts[a3 + 1]
-        if s0 or s1:
-            raise EngineMismatchError("divisibility and identity disagree")
-        out.append(APFamily((a1, 1), (a2, 1), (a3, 1), 0))
+        family = APFamily((a1, 1), (a2, 1), (a3, 1), 0)
+        verify_family(family, params, kind)
+        out.append(family)
     out.sort(key=lambda f: (f.l_form, f.k_form, f.m_form))
     return out
 

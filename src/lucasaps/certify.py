@@ -339,23 +339,32 @@ class CompletenessCertificate:
 
 def certificate_from_json(doc: dict) -> CompletenessCertificate:
     """Rebuild a certificate from its JSON document; the exact inverse of
-    CompletenessCertificate.to_json_dict."""
+    CompletenessCertificate.to_json_dict.  A missing required key raises
+    KeyError and a value that cli_schema.json forbids raises ValueError; a
+    pattern node is kept as its JSON document, its inside unchecked."""
     if type(doc["n0"]) is not int or doc["n0"] < 2:
         raise ValueError(f"n0 must be an integer >= 2: {doc['n0']!r}")
     if doc["method"] not in ("growth_lemma", "gap_pattern"):
         raise ValueError(f"unknown method: {doc['method']!r}")
-    for t in doc["aps"]:
+    patterns, aps = doc["patterns"], doc["aps"]
+    for key, nodes in (("patterns", patterns), ("aps", aps)):
+        if type(nodes) is not list or any(type(n) is not dict for n in nodes):
+            raise ValueError(f"{key} must be an array of objects: {nodes!r}")
+    version, note = doc["toolVersion"], doc.get("note", "")
+    if type(version) is not str or type(note) is not str:
+        raise ValueError(f"toolVersion and note must be strings: {version!r}, {note!r}")
+    for t in aps:
         if any(type(t[i]) is not int or t[i] < 0 for i in "klm"):
             raise ValueError(f"triple indices must be integers >= 0: {t!r}")
-        if not all(type(v) is str and re.fullmatch("-?[0-9]+", v) for v in t["values"]):
-            raise ValueError(f"triple values must be decimal strings: {t!r}")
-    aps = tuple(
-        APTriple(t["k"], t["l"], t["m"], tuple(int(v) for v in t["values"]))
-        for t in doc["aps"]
-    )
+        values = t["values"]
+        if type(values) is not list or not all(
+            type(v) is str and re.fullmatch("-?[0-9]+", v) for v in values
+        ):
+            raise ValueError(f"triple values must be an array of decimal strings: {t!r}")
     return CompletenessCertificate(
-        doc["method"], doc["n0"], tuple(doc["patterns"]), aps,
-        doc["toolVersion"], doc.get("note", ""),
+        doc["method"], doc["n0"], tuple(patterns),
+        tuple(APTriple(t["k"], t["l"], t["m"], tuple(map(int, t["values"]))) for t in aps),
+        version, note,
     )
 
 

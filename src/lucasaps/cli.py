@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .apsearch import detect_families, find_aps
+from .apsearch import CertificateFailureError, detect_families, find_aps
 from .certify import certified_enumerate
 from .core import (
     DegenerateError, EngineMismatchError, Kind, ZeroCoefficientError, classify, new_params,
@@ -33,7 +33,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 
 # detect_families keeps O(e) integers of O(e) bits, so memory grows as e^2:
-# about 60 MB at this cap, gigabytes near 10^5.
+# `families --A 1 --B 1 --kind first` peaked at 29 MB at this cap (process
+# peak RSS on a 2-vCPU Xeon VM), and memory reaches gigabytes near 10^5.
 MAX_EXPONENT = 10_000
 
 # The output bounds this cap, not the search: a pair with a family has O(n)
@@ -58,9 +59,9 @@ MAX_B_CAP = 350_000
 
 # |gamma| <= |A| + |B|, so a term of index n has at most about
 # n * bitlen(|A| + |B|) bits; the caps above were sized on (1, 1).  At this
-# bound `families --A 14 --B 1 --max-exponent 10000` peaked at 96 MB in
-# 0.4 s and `enumerate --A 254 --B 1 --max-index 5000` at 33 MB (process
-# peak RSS), the largest of the pairs measured.
+# bound `families --A 14 --B 1 --kind first --max-exponent 10000` peaked at
+# 69 MB in 0.4-0.6 s and `enumerate --A 254 --B 1 --max-index 5000` at 33 MB
+# (process peak RSS), the largest of the pairs measured.
 MAX_TERM_BITS = 40_000
 
 # A grid check runs find_aps on all (2N + 1)^2 pairs of the box: at this cap
@@ -459,13 +460,14 @@ def _cmd_factor_trinomial(args) -> int:
 
 def _cmd_sunit_bound(args) -> int:
     bound = sunit_constant()
+    stated_text, stated = "6.45e2340", 645 * 10**2338  # the paper's constant
     _emit(
         {
             "digitCount": bound.digit_count,
             "leadingDigits": bound.leading_digits,
             "exponent10": bound.exponent10,
-            "belowStatedBound": bound.value < 645 * 10 ** (bound.exponent10 - 2),
-            "statedBound": "6.45e2340",
+            "belowStatedBound": bound.value < stated,
+            "statedBound": stated_text,
             "decimal": bound.decimal_string(),
         }
     )
@@ -483,7 +485,7 @@ def main(argv=None) -> int:
     except SqueezeUnresolvedError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except EngineMismatchError as exc:
+    except (EngineMismatchError, CertificateFailureError) as exc:
         print(f"internal verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

@@ -13,8 +13,9 @@ re-proves them with the enumeration engine and lists them in the report.
 
 Verification compares one description per pair: the normalized families
 must equal the certified enumeration's, and the canonical index triples of
-the full row (verbatim plus completions) must equal the enumeration's up to
-index WINDOW as plain sets, with no allowance for family instances.  A
+the full row (verbatim plus completions), all of them, must equal the
+enumeration's up to index WINDOW as plain sets, with no allowance for
+family instances: a catalog triple above WINDOW is a mismatch.  A
 wrong catalog family or triple is a reported mismatch.  The same rule
 checks every in-range pair absent from the catalog, as a row with no
 families and no triples.
@@ -128,9 +129,7 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport):
         )
         return
 
-    catalog_triples = {
-        canonical_indices(*t) for t in entry.all_triples() if max(t) <= WINDOW
-    }
+    catalog_triples = {canonical_indices(*t) for t in entry.all_triples()}
     engine_triples = {t.indices for t in result.aps if t.max_index <= WINDOW}
     if catalog_triples != engine_triples:
         report.mismatches.append(
@@ -145,9 +144,10 @@ def _check_fixed_pair(entry: TableEntry, B: int, report: TablesReport):
 # Smallest b_cap that verify_tables accepts: each B-free row is checked from
 # its bMin through at least B = 10.
 MIN_B_CAP = 10
-# Triples are compared up to index WINDOW; pairs absent from the catalog are
-# swept over |A|, |B| <= OFF_GRID.  OFF_GRID <= MIN_B_CAP, so every B-free
-# row's pairs in that box are among those the catalog pass checks.
+# The engine's triples are compared up to index WINDOW and the catalog's all;
+# pairs absent from the catalog are swept over |A|, |B| <= OFF_GRID.
+# OFF_GRID <= MIN_B_CAP, so every B-free row's pairs in that box are among
+# those the catalog pass checks.
 WINDOW = 60
 OFF_GRID = 10
 

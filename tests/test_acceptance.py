@@ -14,11 +14,15 @@ the value -1, so x attains -1 four times.
 """
 
 import time
-from dataclasses import dataclass
 
 import pytest
 
-from helpers import family_instances
+from helpers import (
+    family_instances,
+    from_subtraction_convention,
+    multiplicity,
+    multiplicity_with_initials,
+)
 from lucasaps.apsearch import (
     APFamily,
     canonical_indices,
@@ -33,7 +37,6 @@ from lucasaps.core import (
     Surd,
     closed_form_check,
     degeneracy_order,
-    linear_terms,
     new_params,
     roots_of,
     term,
@@ -42,48 +45,6 @@ from lucasaps.core import (
 from lucasaps.smallcase import CaseEquation, solve_all, solve_case
 from lucasaps.special import sunit_constant
 from lucasaps.tables import verify_tables
-
-
-@dataclass
-class MultiplicityReport:
-    """Exact value -> indices map over a term window."""
-
-    window_end: int
-    value_to_indices: dict
-    max_multiplicity: int
-    witnesses: tuple
-
-    def indices_of_abs(self, value: int) -> tuple:
-        """Sorted indices at which the term is value or -value."""
-        idx = set(self.value_to_indices.get(value, ()))
-        idx |= set(self.value_to_indices.get(-value, ()))
-        return tuple(sorted(idx))
-
-
-def _report_for(values: list) -> MultiplicityReport:
-    where = {}
-    for i, v in enumerate(values):
-        where.setdefault(v, []).append(i)
-    best = max(len(ix) for ix in where.values())
-    witnesses = tuple(sorted(v for v, ix in where.items() if len(ix) == best))
-    return MultiplicityReport(len(values) - 1, {v: tuple(ix) for v, ix in where.items()}, best, witnesses)
-
-
-def multiplicity(params, kind, window_end):
-    """Exact value -> indices map over indices 0..window_end."""
-    return _report_for(terms(params, kind, window_end + 1))
-
-
-def multiplicity_with_initials(A, B, x0, x1, window_end):
-    """Multiplicity over a window for arbitrary initial values (used to check
-    recurrences written in other sign conventions)."""
-    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
-
-
-def from_subtraction_convention(a, b):
-    """Map coefficients of x_n = a*x_{n-1} - b*x_{n-2} to this library's
-    (A, B) convention x_n = A*x_{n-1} + B*x_{n-2}."""
-    return (a, -b)
 
 
 def _verdict(number: int, ok: bool, detail: str):

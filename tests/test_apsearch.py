@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import family_instances
+from lucasaps import apsearch
 from lucasaps.apsearch import (
     APFamily,
     APTriple,
@@ -229,6 +230,32 @@ class TestDetectFamilies:
         ]
 
     def test_no_family(self):
+        assert detect_families(new_params(5, 1), Kind.FIRST, 10) == []
+
+    def test_every_family_passes_verify_family(self, monkeypatch):
+        # each hit goes to verify_family, with the pair and kind, before it is kept
+        calls = []
+
+        def recorder(family, params, kind):
+            calls.append((family, params, kind))
+            return verify_family(family, params, kind)
+
+        monkeypatch.setattr(apsearch, "verify_family", recorder)
+        for pair in ((1, 1), (-1, 1), (-1, 2), (-1, -2)):
+            p = new_params(*pair)
+            for kind in Kind:
+                calls.clear()
+                fams = detect_families(p, kind, 50)
+                assert fams, (pair, kind)
+                assert sorted(calls, key=repr) == sorted(((f, p, kind) for f in fams), key=repr)
+
+    def test_failed_certificate_propagates(self, monkeypatch):
+        def refuse(family, params, kind):
+            raise CertificateFailureError(f"refused {family.describe()}")
+
+        monkeypatch.setattr(apsearch, "verify_family", refuse)
+        with pytest.raises(CertificateFailureError, match="refused"):
+            detect_families(new_params(1, 1), Kind.FIRST, 10)
         assert detect_families(new_params(5, 1), Kind.FIRST, 10) == []
 
     def test_divisibility_iff_identity(self):

@@ -483,6 +483,32 @@ class TestCertificateJson:
         with pytest.raises(ValueError, match="n0"):
             certificate_from_json({**doc, "n0": n0})
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("aps", {}), ("aps", ""), ("aps", "abc"), ("aps", [[1, 4, 5]]),
+         ("patterns", "abc"), ("patterns", {"a": 1}), ("patterns", [1, 2]),
+         ("toolVersion", 5), ("note", None)],
+        ids=["aps-object", "aps-empty-string", "aps-string", "aps-nested-array",
+             "patterns-string", "patterns-object", "patterns-integers",
+             "tool-version-integer", "note-null"],
+    )
+    def test_malformed_array_or_string_raises(self, key, value):
+        # cli_schema.json requires aps and patterns to be arrays of objects
+        # and toolVersion and note to be strings; each of these read back,
+        # and a string or an object of patterns wrote back as another array
+        doc = certified_enumerate(new_params(5, 1), Kind.FIRST).certificate.to_json_dict()
+        with pytest.raises(ValueError, match=key):
+            certificate_from_json({**doc, key: value})
+
+    @pytest.mark.parametrize("values", ["123", {"1": 0, "2": 0, "3": 0}],
+                             ids=["string", "object"])
+    def test_triple_values_not_an_array_raises(self, values):
+        # each would read back as the progression (1, 2, 3)
+        doc = certified_enumerate(new_params(1, 3), Kind.SECOND).certificate.to_json_dict()
+        triple = {**doc["aps"][0], "values": values}
+        with pytest.raises(ValueError, match="values"):
+            certificate_from_json({**doc, "aps": [triple]})
+
     @pytest.mark.parametrize("index", [True, 1.0, "1", -1, None],
                              ids=["bool", "float", "string", "negative", "null"])
     def test_malformed_triple_index_raises(self, index):

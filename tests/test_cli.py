@@ -17,8 +17,8 @@ import jsonschema
 import pytest
 
 import lucasaps
-from lucasaps import cli, tables
-from lucasaps.apsearch import APFamily, detect_families, find_aps
+from lucasaps import apsearch, cli, special, tables
+from lucasaps.apsearch import APFamily, CertificateFailureError, detect_families, find_aps
 from lucasaps.certify import certificate_from_json, check_certificate
 from lucasaps.core import Kind, degeneracy_order, new_params
 from lucasaps.cli import main
@@ -272,6 +272,26 @@ class TestFamilies:
             assert code == 1
             assert out == ""
             assert "--max-exponent must be between 3 and" in err
+
+    @pytest.mark.parametrize("command", ["families", "scan"])
+    def test_failed_family_certificate_exits_three(self, capsys, monkeypatch, tmp_path,
+                                                   command):
+        # a family that fails verify_family is a mismatch, not a traceback
+        def refuse(family, params, kind):
+            raise CertificateFailureError(f"certificate window broken for {family.describe()}")
+
+        monkeypatch.setattr(apsearch, "verify_family", refuse)
+        argv = {
+            "families": ["--A", "1", "--B", "1", "--kind", "first", "--max-exponent", "10"],
+            "scan": ["--a-range=1..1", "--b-range=1..1", "--kind", "first",
+                     "--out", str(tmp_path / "rows.csv")],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (cli.EXIT_MISMATCH, "")
+        assert err == (
+            "internal verification mismatch: certificate window broken for "
+            "(t, t+2, t+3), t>=0\n"
+        )
 
     def test_term_bits_cap_is_usage_error(self, capsys, monkeypatch):
         for A, B, bits in ((8, 8, 5), (2**64, 1, 65)):
@@ -690,6 +710,15 @@ class TestSUnitBound:
         assert doc["digitCount"] == 2341
         assert doc["belowStatedBound"] is True
         assert doc["decimal"].startswith(doc["leadingDigits"])
+
+    def test_below_stated_bound_compares_with_the_stated_constant(self, capsys, monkeypatch):
+        # 10^2400 is above 6.45e2340, though below 6.45 times its own power of ten
+        big = special.SUnitBound(10**2400, 2401, "100", 2400)
+        monkeypatch.setattr(cli, "sunit_constant", lambda: big)
+        code, out, _ = run(capsys, "sunit-bound")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["belowStatedBound"], doc["statedBound"]) == (False, "6.45e2340")
 
 
 class TestGrammar:

@@ -1,20 +1,22 @@
 """Trinomial factors, term multiplicity, and the exact counting bound."""
 
 import functools
-from dataclasses import dataclass
 
 import pytest
 
-from helpers import trinomial_coefficients
+from helpers import (
+    from_subtraction_convention,
+    multiplicity,
+    multiplicity_with_initials,
+    trinomial_coefficients,
+)
 from lucasaps import special
 from lucasaps.core import (
     EngineMismatchError,
     Kind,
     alpha_beta,
     degeneracy_order,
-    linear_terms,
     new_params,
-    terms,
 )
 from lucasaps.special import (
     TrinomialShape,
@@ -24,48 +26,6 @@ from lucasaps.special import (
     sunit_constant,
     unit_equation_solution_bound,
 )
-
-
-@dataclass
-class MultiplicityReport:
-    """Exact value -> indices map over a term window."""
-
-    window_end: int
-    value_to_indices: dict
-    max_multiplicity: int
-    witnesses: tuple
-
-    def indices_of_abs(self, value: int) -> tuple:
-        """Sorted indices at which the term is value or -value."""
-        idx = set(self.value_to_indices.get(value, ()))
-        idx |= set(self.value_to_indices.get(-value, ()))
-        return tuple(sorted(idx))
-
-
-def _report_for(values: list) -> MultiplicityReport:
-    where = {}
-    for i, v in enumerate(values):
-        where.setdefault(v, []).append(i)
-    best = max(len(ix) for ix in where.values())
-    witnesses = tuple(sorted(v for v, ix in where.items() if len(ix) == best))
-    return MultiplicityReport(len(values) - 1, {v: tuple(ix) for v, ix in where.items()}, best, witnesses)
-
-
-def multiplicity(params, kind, window_end):
-    """Exact value -> indices map over indices 0..window_end."""
-    return _report_for(terms(params, kind, window_end + 1))
-
-
-def multiplicity_with_initials(A, B, x0, x1, window_end):
-    """Multiplicity over a window for arbitrary initial values (used to check
-    recurrences written in other sign conventions)."""
-    return _report_for(linear_terms(A, B, x0, x1, window_end + 1))
-
-
-def from_subtraction_convention(a, b):
-    """Map coefficients of x_n = a*x_{n-1} - b*x_{n-2} to this library's
-    (A, B) convention x_n = A*x_{n-1} + B*x_{n-2}."""
-    return (a, -b)
 
 
 def mult_independence_check(params, bound=12):

@@ -190,10 +190,13 @@ class TestVerifyTablesDetectsBrokenCatalogs:
             # B = -1 is degenerate at A = 2 and B = 0 is no pair at all
             (_first_b_row(2), lambda e: replace(e, b_min=-1),
              "first (2, -1): inadmissible pair"),
+            # a family instance listed as a sporadic triple, above the window
+            (_first_one_one, lambda e: replace(e, triples=e.triples + ((70, 72, 73),)),
+             "first (1, 1): triples differ: catalog-only [(70, 72, 73)] engine-only []"),
         ],
         ids=["drop-triple", "raise-bmin", "lower-bmin", "drop-entry",
              "drop-family", "drop-completion", "shift-family", "non-progression-triple",
-             "inadmissible-pair"],
+             "inadmissible-pair", "triple-above-window"],
     )
     def test_mutant_fails(self, monkeypatch, pick, change, first_mismatch):
         mutant = _mutant(pick, change)

@@ -15,10 +15,10 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 11.7-13.0 s for all 65 named tests (12.3 s for 56,
-13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs), and the slowest
-mutant's is 7.3 s (8.4 s in an earlier run); TIMEOUT_S is over four times
-the slowest baseline.
+is that unchanged copy's, 13.1-14.9 s for all 69 named tests (9.4-13.0 s for
+65, 12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier
+runs), and the slowest mutant's is 6.7-6.8 s (7.3 and 8.4 s in earlier
+runs); TIMEOUT_S is over four times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -35,7 +35,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 67 entries, about 90 s on a 2-vCPU VM
+    python scripts/mutants.py    # 71 entries, about 150 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -83,19 +83,37 @@ def _drop_raise(ident, path, guard):
 
 
 MUTANTS = [
-    # find_aps: route 1 pairs opposite-sign outers, route 2 probes from the middle
+    # find_aps: one scan over the |x|-sorted values; a pair within a factor 4
+    # probes for the other outer (route 2) or, within a factor 2, the middle (route 1)
     ("find-aps-no-route-1", APSEARCH,
-     "        if c > 0:\n            others",
-     "        if False:\n            others",
+     "            elif b <= 2 * a:",
+     "            elif False:",
      [T_APSEARCH + "test_matches_quadratic_oracle", T_APSEARCH + "test_each_route"]),
     ("find-aps-route-2-to-bl-plus-1", APSEARCH,
-     "outers = same + bucket.get(c + step, []) + bucket.get(c + 2 * step, [])",
-     "outers = same + bucket.get(c + step, [])",
+     "            if (u > 0) == (w > 0):",
+     "            if (u > 0) == (w > 0) and b >> 1 < a:",
      [T_APSEARCH + "test_exact_on_any_sequence", T_APSEARCH + "test_each_route"]),
     ("find-aps-route-1-no-minus-b", APSEARCH,
-     "others = bucket.get(-c, []) + bucket.get(-c - 1, [])",
-     "others = bucket.get(-c - 1, [])",
+     "            elif b <= 2 * a:",
+     "            elif u > 0 and b <= 2 * a:",
      [T_APSEARCH + "test_matches_quadratic_oracle", T_APSEARCH + "test_exact_across_signed_buckets"]),
+    ("find-aps-route-1-below-twice", APSEARCH,
+     "            elif b <= 2 * a:",
+     "            elif b < 2 * a:",
+     [T_APSEARCH + "test_each_route[vals7]", T_APSEARCH + "test_exact_at_ratio_edges"]),
+    ("find-aps-route-2-below-twice", APSEARCH,
+     "            if b >> 2 >= a:",
+     "            if b >> 1 >= a:",
+     [T_APSEARCH + "test_each_route[vals9]", T_APSEARCH + "test_exact_at_ratio_edges"]),
+    ("find-aps-first-lag-only", APSEARCH,
+     "        d += 1\n",
+     "        break\n",
+     [T_APSEARCH + "test_matches_quadratic_oracle"]),
+    # detect_families: a target whose first coordinate B does not divide is skipped
+    ("detect-families-no-remainder-skip", APSEARCH,
+     "    firsts = offsets if 2 % B == 0 else ()\n    seconds = offsets if 1 % B == 0 else ()\n",
+     "    firsts = seconds = offsets\n",
+     ["tests/test_apsearch.py::TestDetectFamilies::test_matches_long_division_walk"]),
     # certify: the search guards and the growth-lemma exception list
     ("certify-gap-cap-guard", CERTIFY,
      "            if v > GAP_CAP:",

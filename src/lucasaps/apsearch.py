@@ -13,8 +13,9 @@ t forces s_t = 0 identically.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, product, repeat
+from operator import lt, rshift
 
 from .core import Kind, SeqParams, linear_terms, terms
 
@@ -74,80 +75,94 @@ def doubled_at(indices, pos: int) -> tuple[int, int, int]:
 def find_aps(params: SeqParams, kind: Kind, n_max: int) -> list[APTriple]:
     """All canonical progressions with indices <= n_max, sorted by (m, k, l).
 
-    Write b(x) for the bit length of |x|, b_i = b(x_i), and
-    key(x) = sign(x)*b(x) for the signed bit length.  If
+    Write x_j for the outer of larger |x| and x_i for the other.  If
     2*x_l = x_k + x_m with distinct values, then
 
-    (R1) x_k and x_m have strictly opposite signs and |b_k - b_m| <= 1, or
-    (R2) the outer of larger |x| has the sign of x_l != 0 and its bit
-         length lies in [b_l, b_l + 2].
+    (R1) x_i and x_j have strictly opposite signs and |x_j| <= 2*|x_i|, or
+    (R2) x_j has the sign of x_l != 0 and |x_l| < |x_j| < 4*|x_l|.
 
-    Proof.  If x_k*x_m >= 0, say |x_k| >= |x_m|, then 2*|x_l| =
-    |x_k| + |x_m| lies in [|x_k|, 2*|x_k|], so |x_k| lies in
-    [|x_l|, 2*|x_l|] and x_k has the sign of x_l (x_l = 0 would force
-    x_k = x_m = 0): R2 with b_k <= b_l + 1.  A zero outer is this case.
-    If the signs are strictly opposite and b_k >= b_m + 2, then
-    2^(b_k - 2) < |x_k + x_m| < 2^b_k, so b(2*x_l) = b_l + 1 lies in
-    [b_k - 1, b_k] and x_l has the sign of x_k: R2.  Otherwise R1 holds;
-    it covers x_l = 0, where x_k = -x_m.  So two routes over signed
-    bit-length buckets find every triple:
+    Proof.  If x_i*x_j >= 0, then |x_i| < |x_j| (equal magnitudes of one
+    sign are equal values) and 2*|x_l| = |x_i| + |x_j|, so |x_j| <=
+    2*|x_l| < 2*|x_j|, and x_l has the sign of x_j (x_l = 0 would force
+    x_i = x_j = 0): R2.  A zero outer is this case.  If the signs are
+    strictly opposite and |x_j| > 2*|x_i|, then 2*|x_l| = |x_j| - |x_i|
+    lies strictly between |x_j|/2 and |x_j|, and x_l has the sign of x_j:
+    R2.  Otherwise R1 holds; it covers x_l = 0, where x_i = -x_j.  No
+    triple meets both: under R2 an outer of the other sign has magnitude
+    |x_j| - 2*|x_l| < |x_j|/2.
 
-    1. each positive outer k and each negative outer m with key(x_m) in
-       {-b_k - 1, -b_k, -b_k + 1} probe the value map for the middle,
-       (x_k + x_m) / 2, when the sum is even;
-    2. each middle l with x_l != 0 and each j with key(x_j) in
-       {c, c + s, c + 2s}, c = key(x_l), s = sign(x_l), and x_j != x_l
-       probe the value map for the other outer, 2*x_l - x_j
-       (x_j = x_l could only find x_i = x_l, never distinct).
+    So one scan finds every triple.  Sort the distinct nonzero values by
+    |x| and take each pair (u, w), |u| <= |w|, at lag d = 1, 2, ... in
+    that order.  A pair within a factor 4, |w| < 4*|u|, probes the value
+    map
 
-    Both routes yield pairwise distinct values, so no filter follows: in
-    route 1 the middle lies strictly between a positive and a negative
-    outer, and in route 2 x_j != x_l makes 2*x_l - x_j differ from both.
-    Distinct values imply distinct indices.
+    1. for the other outer 2*u - w when u and w have one sign (R2, u the
+       middle);
+    2. for the middle (u + w) / 2 when the signs differ, |w| <= 2*|u|
+       and the sum is even (R1).
+
+    Every pair of either route is within a factor 4, and when no pair at
+    lag d is, none at a larger lag is, since |x| grows along the order:
+    the scan stops at that lag.  Each triple meets one route with one
+    pair, so no hit repeats, and its values are pairwise distinct: in
+    route 1 the middle lies strictly between outers of opposite signs,
+    and in route 2 w != u makes 2*u - w differ from both.  Distinct
+    values imply distinct indices.  A hit fans out over the indices of a
+    repeated value.
 
     The result is exact on any sequence; only the speed depends on its
-    growth.  On a geometrically growing sequence each bucket holds O(1)
-    indices, so both routes make O(n_max) probes instead of n_max^2; on a
-    sequence of one sign route 1 makes none.  A repeated value fans out
-    over its index list, whatever its length.
+    growth.  On a geometrically growing sequence each value has O(1)
+    neighbours within a factor 4, so the scan makes O(n_max) probes
+    instead of n_max^2.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     vals = terms(params, kind, n_max + 1)
-    where = defaultdict(list)
-    bucket = defaultdict(list)
-    for i, v in enumerate(vals):
-        where[v].append(i)
-        bucket[v.bit_length() if v >= 0 else -v.bit_length()].append(i)
+    at = {v: i for i, v in enumerate(vals)}
+    get = at.get
+    order = sorted(at, key=abs)
+    if not order[0]:
+        del order[0]
+    size = list(map(abs, order))
 
-    found = set()
-    get, add = where.get, found.add
-    for c, same in bucket.items():
-        if c > 0:
-            others = bucket.get(-c, []) + bucket.get(-c - 1, [])
-            if c > 1:
-                others += bucket.get(1 - c, [])
-            for k in same:
-                vk = vals[k]
-                for m in others:
-                    s = vk + vals[m]
-                    if not s & 1:
-                        for l in get(s >> 1, ()):
-                            add(canonical_indices(k, l, m))
-        if c:
-            step = 1 if c > 0 else -1
-            outers = same + bucket.get(c + step, []) + bucket.get(c + 2 * step, [])
-            for l in same:
-                v = vals[l]
-                for j in outers:
-                    w = vals[j]
-                    if w != v:
-                        for i in get(2 * v - w, ()):
-                            add(canonical_indices(i, l, j))
+    hits = []
+    add = hits.append
+    d = 1
+    # |w| < 4*|u| is tested as |w| >> 2 < |u|: a list of 4*|u| would copy every term
+    while any(map(lt, map(rshift, size[d:], repeat(2)), size)):
+        for u, a, w, b in zip(order, size, order[d:], size[d:]):
+            if b >> 2 >= a:
+                continue
+            if (u > 0) == (w > 0):
+                i = get(2 * u - w)
+                if i is not None:
+                    add((i, at[u], at[w]))
+            elif b <= 2 * a:
+                s = u + w
+                if not s & 1:
+                    l = get(s >> 1)
+                    if l is not None:
+                        add((at[u], l, at[w]))
+        d += 1
 
-    out = [APTriple(k, l, m, (vals[k], vals[l], vals[m])) for k, l, m in found]
-    out.sort(key=lambda t: (t.m, t.k, t.l))
-    return out
+    # `at` holds each value's last index; the others of a repeated value
+    # are listed under it
+    more = {}
+    if len(at) < len(vals):
+        for i, v in enumerate(vals):
+            last = at[v]
+            if last != i:
+                more.setdefault(last, [last]).append(i)
+    # keys are (m, k, l) with k < m, sorted as plain tuples
+    keys = []
+    for i, l, j in hits:
+        if i in more or l in more or j in more:
+            keys += [(j, i, l) if i < j else (i, j, l)
+                     for i, l, j in product(more.get(i, (i,)), more.get(l, (l,)), more.get(j, (j,)))]
+        else:
+            keys.append((j, i, l) if i < j else (i, j, l))
+    keys.sort()
+    return [APTriple(k, l, m, (vals[k], vals[l], vals[m])) for m, k, l in keys]
 
 
 @dataclass(frozen=True)
@@ -213,21 +228,32 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
     r_0 = (1, 0).  n -> r_n is injective because the pair is
     non-degenerate, so a dict from r_n back to n finds a3 in one lookup.
     One offset must be 0 and a3 > a1 >= 0, hence a1 = 0 or a2 = 0: one
-    pass over the other offset for each case, O(e_max) lookups in all.
+    pass over the other offset a for each case, O(e_max) lookups in all.
+    The dict is keyed by r_n with its first coordinate divided by B,
+    (U_{n-1}, U_n), so it holds no B-scaled copy of a term; r_0 needs no
+    key, since a3 >= 1.  The target 2*r_a2 - r_a1 has first coordinate
+    2 - B*U_{a-1} when a2 = 0 and 2*B*U_{a-1} - 1 when a1 = 0, which
+    leave the remainders 2 and -1 modulo B whatever a is: the first pass
+    runs only when B divides 2, and the second only when B = +-1, where
+    1/B = B.  So |B| >= 3 has no unit-step family, and no term is built.
     The search does not depend on the kind: a unit-step family annihilates
     every sequence with this companion polynomial.  Only the certificate,
     verify_family, reads the kind's terms, and a hit is kept once it passes.
     """
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
-    u = linear_terms(params.A, params.B, 0, 1, e_max + 1)
-    rem = [(1, 0)] + [(params.B * u[n - 1], u[n]) for n in range(1, e_max + 1)]
-    index_of = {r: n for n, r in enumerate(rem)}
-    out = []
+    B = params.B
     offsets = range(1, e_max + 1)
-    for a1, a2 in [(a, 0) for a in offsets] + [(0, a) for a in offsets]:
-        (p0, p1), (q0, q1) = rem[a1], rem[a2]
-        a3 = index_of.get((2 * q0 - p0, 2 * q1 - p1))
+    firsts = offsets if 2 % B == 0 else ()
+    seconds = offsets if 1 % B == 0 else ()
+    if not (firsts or seconds):
+        return []
+    u = linear_terms(params.A, B, 0, 1, e_max + 1)
+    index_of = {r: n for n, r in enumerate(zip(u, u[1:]), 1)}
+    out = []
+    for a1, a2, key in chain(((a, 0, (2 // B - u[a - 1], -u[a])) for a in firsts),
+                             ((0, a, (2 * u[a - 1] - B, 2 * u[a])) for a in seconds)):
+        a3 = index_of.get(key)
         if a3 is None or a3 <= a1 or a3 == a2:
             continue
         family = APFamily((a1, 1), (a2, 1), (a3, 1), 0)

@@ -33,7 +33,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 
 # detect_families keeps O(e) integers of O(e) bits, so memory grows as e^2:
-# `families --A 1 --B 1 --kind first` peaked at 29 MB at this cap (process
+# `families --A 1 --B 1 --kind first` peaked at 22 MB at this cap (process
 # peak RSS on a 2-vCPU Xeon VM), and memory reaches gigabytes near 10^5.
 MAX_EXPONENT = 10_000
 
@@ -60,7 +60,7 @@ MAX_B_CAP = 350_000
 # |gamma| <= |A| + |B|, so a term of index n has at most about
 # n * bitlen(|A| + |B|) bits; the caps above were sized on (1, 1).  At this
 # bound `families --A 14 --B 1 --kind first --max-exponent 10000` peaked at
-# 69 MB in 0.4-0.6 s and `enumerate --A 254 --B 1 --max-index 5000` at 33 MB
+# 44 MB in 0.3 s and `enumerate --A 254 --B 1 --max-index 5000` at 31 MB
 # (process peak RSS), the largest of the pairs measured.
 MAX_TERM_BITS = 40_000
 

@@ -134,8 +134,8 @@ class TestFindAPs:
             find_aps(new_params(1, 1), Kind.FIRST, 1)
 
     def test_matches_quadratic_oracle(self):
-        # the bucket routes return the same triples, in the same order, as
-        # the n^2 loop over every middle/outer pair
+        # the value-window scan returns the same triples, in the same order,
+        # as the n^2 loop over every middle/outer pair
         for A in range(-10, 11):
             for B in range(-10, 11):
                 if not A or not B or degeneracy_order(A, B) is not None:
@@ -156,8 +156,8 @@ class TestFindAPs:
 
     @given(st.data())
     def test_exact_across_signed_buckets(self, data):
-        # values sit next to the bucket edges +-2^b or anywhere up to 2^80, and
-        # planted progressions mix their signs and bit lengths
+        # values sit next to the powers of two +-2^b or anywhere up to 2^80,
+        # and planted progressions mix their signs and bit lengths
         edge = st.builds(
             lambda sign, b, e: sign * ((1 << b) + e),
             st.sampled_from((1, -1)), st.integers(0, 80), st.integers(-2, 2),
@@ -174,14 +174,39 @@ class TestFindAPs:
             got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, len(vals) - 1)]
         assert got == _quadratic_aps(vals)
 
+    @given(st.data())
+    def test_exact_at_ratio_edges(self, data):
+        # planted pairs sit at the window edges |w| = 2|u| and 4|u|, or one
+        # off them, of either sign, as the two outers or as middle and outer,
+        # and the planted values may repeat
+        vals = data.draw(st.lists(st.integers(-40, 40), max_size=12))
+        for _ in range(data.draw(st.integers(1, 4))):
+            size = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 2**70)))
+            u = size * data.draw(st.sampled_from((1, -1)))
+            w = data.draw(st.sampled_from((2, 4))) * size + data.draw(st.integers(-1, 1))
+            w *= data.draw(st.sampled_from((1, -1)))
+            if (u + w) % 2 == 0 and data.draw(st.booleans()):
+                planted = (u, (u + w) // 2, w)
+            else:
+                planted = (2 * u - w, u, w)
+            for v in planted * data.draw(st.integers(1, 2)):
+                vals.insert(data.draw(st.integers(0, len(vals))), v)
+        with mock.patch("lucasaps.apsearch.terms", lambda *_: vals):
+            got = [t.indices for t in find_aps(new_params(1, 1), Kind.FIRST, len(vals) - 1)]
+        assert got == _quadratic_aps(vals)
+
     @pytest.mark.parametrize("vals", [
-        [64, 1, -62],   # route 1: opposite signs one bit apart, far above x_l
+        [64, 1, -62],   # route 1: opposite-sign outers, far above x_l
         [-62, 1, 64],
         [7, 0, -7],     # route 1: x_l = 0
-        [16, 5, -6],    # route 2: opposite signs two bits apart, at b_l + 2
+        [16, 5, -6],    # route 2: opposite-sign outers, |x_j| > 2|x_i|
         [-16, -5, 6],
         [0, 3, 6],      # route 2: a zero outer
         [0, -3, -6],
+        [4, 1, -2],     # route 1: |x_j| = 2|x_i| exactly, so |x_j| = 4|x_l|
+        [-4, -1, 2],
+        [19, 5, -9],    # route 2: |x_j| = 4|x_l| - 1, so |x_j| = 2|x_i| + 1
+        [-19, -5, 9],
     ])
     def test_each_route(self, vals):
         # each triple is found by one route only

@@ -15,10 +15,10 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 13.1-14.9 s for all 69 named tests (9.4-13.0 s for
-65, 12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier
-runs), and the slowest mutant's is 6.7-6.8 s (7.3 and 8.4 s in earlier
-runs); TIMEOUT_S is over four times the slowest baseline.
+is that unchanged copy's, 10.6-15.5 s for all 73 named tests (13.1-14.9 s
+for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s
+for 52 in earlier runs), and the slowest mutant's is 6.7-6.8 s (7.3 and 8.4 s
+in earlier runs); TIMEOUT_S is over three times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -35,7 +35,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 71 entries, about 150 s on a 2-vCPU VM
+    python scripts/mutants.py    # 74 entries, 111 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ CERTIFY = "src/lucasaps/certify.py"
 TABLES = "src/lucasaps/tables.py"
 CLI = "src/lucasaps/cli.py"
 CORE = "src/lucasaps/core.py"
+INIT = "src/lucasaps/__init__.py"
 SPECIAL = "src/lucasaps/special.py"
 
 T_SMALLCASE = "tests/test_smallcase.py::"
@@ -240,6 +241,11 @@ MUTANTS = [
     _drop_raise("divisors-of-zero", POLY,
                 "    if n == 0:\n"
                 '        raise ValueError("zero has no divisor list")'),
+    # core: for d < 0, |x| compares by the integer p^2 - q^2 d, four times the norm
+    ("cmp-abs-complex-drops-q-square", CORE,
+     "x.q * x.q * x.d - (",
+     "x.q * x.d - (",
+     [T_CORE + "TestSurd::test_cmp_abs_matches_norm_comparison[-7]"]),
     # core: exact powers keep every product of square-and-multiply and its checks
     ("surd-pow-skip-odd-bit", CORE,
      "                p, q = _product(p, q, bp, bq, d)",
@@ -384,6 +390,17 @@ MUTANTS = [
      '_check_bounds("--a", args.a, args.b + 1, EXPONENT_CAP)',
      '_check_bounds("--a", args.a, args.b, EXPONENT_CAP)',
      [T_CLI + "TestFactorTrinomial::test_exponents_out_of_range_are_usage_errors"]),
+    # import boundaries: `import lucasaps` loads no submodule, `import lucasaps.cli`
+    # loads core, and each subcommand loads only the modules it runs
+    ("cli-imports-smallcase-eagerly", CLI,
+     "from . import __version__\n",
+     "from . import __version__, smallcase  # noqa: F401\n",
+     [T_CLI + "TestImportBoundary::test_cli_import_loads_core_only",
+      T_CLI + "TestImportBoundary::test_subcommand_loads_what_it_runs[classify]"]),
+    ("init-imports-certify-eagerly", INIT,
+     '__version__ = "0.1.0"\n',
+     '__version__ = "0.1.0"\nfrom . import certify  # noqa: E402,F401\n',
+     [T_CLI + "TestImportBoundary::test_import_loads_no_submodule"]),
     # changes a docstring line only, so it must survive
     ("inert-comment", POLY,
      "A polynomial in A is a dense list of coefficients, index = degree, with no",

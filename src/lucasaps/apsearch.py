@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import lt, rshift
 
-from .core import Kind, SeqParams, linear_terms, terms
-
-
-class CertificateFailureError(AssertionError):
-    """An identity certificate window contained a nonzero value."""
+from .core import CertificateFailureError, Kind, SeqParams, linear_terms, terms
 
 
 @dataclass(frozen=True)

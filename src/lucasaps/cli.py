@@ -11,21 +11,16 @@ certification, 3 internal verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 
 from . import __version__
-from .apsearch import CertificateFailureError, detect_families, find_aps
-from .certify import certified_enumerate
 from .core import (
-    DegenerateError, EngineMismatchError, Kind, ZeroCoefficientError, classify, new_params,
+    CertificateFailureError, DegenerateError, EngineMismatchError, Kind, SqueezeUnresolvedError,
+    ZeroCoefficientError, classify, new_params,
 )
-from .smallcase import MAX_CASE_INDEX, DomainFilter, SqueezeUnresolvedError, solve_all
-from .special import EXPONENT_CAP, TrinomialShape, TrinomialSpec, quad_factors, sunit_constant
-from .tables import MIN_B_CAP, verify_tables
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -33,15 +28,15 @@ EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 
 # detect_families keeps O(e) integers of O(e) bits, so memory grows as e^2:
-# `families --A 1 --B 1 --kind first` peaked at 22 MB at this cap (process
+# `families --A 1 --B 1 --kind first` peaked at 21 MB at this cap (process
 # peak RSS on a 2-vCPU Xeon VM), and memory reaches gigabytes near 10^5.
 MAX_EXPONENT = 10_000
 
 # The output bounds this cap, not the search: a pair with a family has O(n)
 # triples of O(n)-bit values in the window, so O(n^2) bytes.  Every format goes
 # out one triple at a time, each term converted once: (1, 1) first kind writes
-# 7.9-8.5 MB at this cap in 0.21-0.23 s and 22 MB peak in json, csv or text
-# (one process, import included, stdout to a pipe, on a 2-vCPU Xeon VM).
+# 7.9-8.5 MB at this cap in 0.14 s and 21 MB peak in json, csv or text (one
+# process, import included, stdout to a pipe, best of 9 on a 2-vCPU Xeon VM).
 MAX_INDEX = 5000
 
 # A scan row costs about 0.05 ms at --max-index 30 and 400 bytes of peak
@@ -60,7 +55,7 @@ MAX_B_CAP = 350_000
 # |gamma| <= |A| + |B|, so a term of index n has at most about
 # n * bitlen(|A| + |B|) bits; the caps above were sized on (1, 1).  At this
 # bound `families --A 14 --B 1 --kind first --max-exponent 10000` peaked at
-# 44 MB in 0.3 s and `enumerate --A 254 --B 1 --max-index 5000` at 31 MB
+# 43 MB in 0.25 s and `enumerate --A 254 --B 1 --max-index 5000` at 30 MB
 # (process peak RSS), the largest of the pairs measured.
 MAX_TERM_BITS = 40_000
 
@@ -156,7 +151,11 @@ _ENUMERATE_LAYOUTS = {
 @functools.cache
 def _build_parser() -> _Parser:
     # built on the first call, not at import, and shared by every later one;
-    # each subcommand names its handler, which main runs as args.run(args)
+    # each subcommand names its handler, which main runs as args.run(args).
+    # A handler imports the modules it runs, so import lucasaps.cli loads only
+    # core; the parser itself loads special for the --shape choices
+    from .special import TrinomialShape
+
     parser = _Parser(prog="lucasaps", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lucasaps {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,6 +232,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .apsearch import find_aps
+
     _check_bounds("--max-index", args.max_index, 2, MAX_INDEX)
     _check_term_bits("--max-index", args.max_index, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
@@ -265,6 +266,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certified_enumerate
+
     params = new_params(args.A, args.B)
     result = certified_enumerate(params, args.kind)
     doc = {
@@ -289,6 +292,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_families(args) -> int:
+    from .apsearch import detect_families
+
     _check_bounds("--max-exponent", args.max_exponent, 3, MAX_EXPONENT)
     _check_term_bits("--max-exponent", args.max_exponent, abs(args.A) + abs(args.B))
     params = new_params(args.A, args.B)
@@ -306,6 +311,9 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_smallcases(args) -> int:
+    from .apsearch import find_aps
+    from .smallcase import MAX_CASE_INDEX, DomainFilter, solve_all
+
     _check_bounds("--max-index", args.max_index, 2, MAX_CASE_INDEX)
     if args.grid_check and args.grid_check > MAX_GRID_CHECK:
         raise _UsageError(f"--grid-check must be at most {MAX_GRID_CHECK}")
@@ -337,6 +345,8 @@ def _cmd_smallcases(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .tables import MIN_B_CAP, verify_tables
+
     _check_bounds("--b-cap", args.b_cap, MIN_B_CAP, MAX_B_CAP)
     report = verify_tables(args.b_cap)
     _emit(report.to_json_dict())
@@ -352,7 +362,9 @@ _SCAN_COLUMNS = [
 SCAN_FAMILY_EXPONENT = 12
 
 
-def _scan_pair(job):
+def _scan_pair(certified_enumerate, find_aps, detect_families, job):
+    # the engine functions come bound by _cmd_scan, once per call: an import
+    # statement here would run once per row
     A, B, kind_name, max_index = job
     row = dict.fromkeys(_SCAN_COLUMNS, "")
     row.update(A=A, B=B, kind=kind_name)
@@ -381,6 +393,11 @@ def _scan_pair(job):
 
 
 def _cmd_scan(args) -> int:
+    import csv
+
+    from .apsearch import detect_families, find_aps
+    from .certify import certified_enumerate
+
     _check_bounds("--max-index", args.max_index, 2, MAX_INDEX)
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
     (a_lo, a_hi), (b_lo, b_hi) = args.a_range, args.b_range
@@ -398,6 +415,7 @@ def _cmd_scan(args) -> int:
         for B in range(b_lo, b_hi + 1)
         for kind in kinds
     ]
+    scan_pair = functools.partial(_scan_pair, certified_enumerate, find_aps, detect_families)
     workers = _worker_count(args.jobs)
     # opened after every other check, so a refused run leaves no file, and
     # before the first row, so an unusable --out costs no work
@@ -411,9 +429,9 @@ def _cmd_scan(args) -> int:
             from multiprocessing import get_context
 
             with get_context("fork").Pool(workers) as pool:
-                rows = pool.map(_scan_pair, jobs)
+                rows = pool.map(scan_pair, jobs)
         else:
-            rows = [_scan_pair(job) for job in jobs]
+            rows = [scan_pair(job) for job in jobs]
 
         # a full disk shows at a write or at the closing flush; either is one
         # error line, and the partial file stays
@@ -437,6 +455,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_factor_trinomial(args) -> int:
+    from .special import EXPONENT_CAP, TrinomialShape, TrinomialSpec, quad_factors
+
     _check_bounds("--b", args.b, 1, EXPONENT_CAP - 1)
     _check_bounds("--a", args.a, args.b + 1, EXPONENT_CAP)
     spec = TrinomialSpec(TrinomialShape(args.shape), args.a, args.b)
@@ -459,6 +479,8 @@ def _cmd_factor_trinomial(args) -> int:
 
 
 def _cmd_sunit_bound(args) -> int:
+    from .special import sunit_constant
+
     bound = sunit_constant()
     stated_text, stated = "6.45e2340", 645 * 10**2338  # the paper's constant
     _emit(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 
 
@@ -32,6 +31,14 @@ class ZeroCoefficientError(ValueError):
 
 class EngineMismatchError(RuntimeError):
     """Two independent computations of the same exact fact disagree (engine bug)."""
+
+
+class CertificateFailureError(AssertionError):
+    """An identity certificate window contained a nonzero value."""
+
+
+class SqueezeUnresolvedError(ArithmeticError):
+    """The discriminant could not be squeezed or solved for this equation."""
 
 
 class DegenerateError(ValueError):
@@ -174,8 +181,10 @@ class Surd:
                 bp, bq = _product(bp, bq, bp, bq, d)
         return Surd(p, q, d)
 
-    def norm(self) -> Fraction:
-        """Field norm (p^2 - q^2 d)/4; equals |x|^2 when d < 0."""
+    def norm(self):
+        """Field norm (p^2 - q^2 d)/4 as a Fraction; equals |x|^2 when d < 0."""
+        from fractions import Fraction
+
         return Fraction(self.p * self.p - self.q * self.q * self.d, 4)
 
     def is_zero(self) -> bool:
@@ -255,13 +264,14 @@ def surd_cmp_abs(x: Surd, y: Surd) -> int:
     """Exact comparison of |x| and |y|: -1, 0 or +1.
 
     For real discriminants the sign of x^2 - y^2 decides; for negative
-    discriminants |x|^2 equals the field norm, an exact rational.
+    discriminants |x|^2 equals the field norm (p^2 - q^2 d)/4, and the
+    integers p^2 - q^2 d compare the same way.
     """
     if x.d != y.d:
         raise ValueError("mixed discriminants")
     if x.d >= 0:
         return (x * x - y * y).sign()
-    return _sign(x.norm() - y.norm())
+    return _sign(x.p * x.p - x.q * x.q * x.d - (y.p * y.p - y.q * y.q * y.d))
 
 
 def roots_of(A: int, B: int) -> tuple[Surd, Surd]:

@@ -46,15 +46,13 @@ from itertools import combinations
 from math import comb, isqrt
 
 from .apsearch import doubled_at
-from .core import _UNITY_ORDER, EngineMismatchError, Kind, degeneracy_order
+from .core import (
+    _UNITY_ORDER, EngineMismatchError, Kind, SqueezeUnresolvedError, degeneracy_order,
+)
 from .poly import (
     b_add, b_eval, divisors, frac_to_int, integer_roots, p_add, p_content, p_deg, p_eval,
     p_mul, p_scale, p_str, poly_sqrt, positive_cut, root_bound, trim,
 )
-
-
-class SqueezeUnresolvedError(ArithmeticError):
-    """The discriminant could not be squeezed or solved for this equation."""
 
 
 def poly_terms(kind: Kind, count: int) -> list:

@@ -17,9 +17,9 @@ import jsonschema
 import pytest
 
 import lucasaps
-from lucasaps import apsearch, cli, special, tables
+from lucasaps import apsearch, cli, smallcase, special, tables
 from lucasaps.apsearch import APFamily, CertificateFailureError, detect_families, find_aps
-from lucasaps.certify import certificate_from_json, check_certificate
+from lucasaps.certify import certificate_from_json, certified_enumerate, check_certificate
 from lucasaps.core import Kind, degeneracy_order, new_params
 from lucasaps.cli import main
 
@@ -40,13 +40,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh(probe, *argv):
+    """stdout of `probe` run in a fresh interpreter, with argv as sys.argv[1:]."""
+    src = os.path.dirname(os.path.dirname(lucasaps.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout
+
+
 def run_refused(capsys, monkeypatch, *argv):
     """Run a command that must exit 1 before computing any term; its stderr."""
     def no_work(*args):
         raise AssertionError("work started for a refused input")
 
-    for name in ("find_aps", "detect_families", "_scan_pair"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((apsearch, "find_aps"), (apsearch, "detect_families"),
+                         (cli, "_scan_pair")):
+        monkeypatch.setattr(module, name, no_work)
     tracemalloc.start()
     try:
         code, stdout, err = run(capsys, *argv)
@@ -346,7 +357,7 @@ class TestSmallcases:
 
     def test_grid_check_disagreement_exits_three(self, capsys, monkeypatch):
         # CI's solver-against-brute-force step reads this exit code
-        monkeypatch.setattr(cli, "find_aps", lambda *args: [])
+        monkeypatch.setattr(apsearch, "find_aps", lambda *args: [])
         code, out, _ = run(
             capsys, "smallcases", "--kind", "second", "--max-index", "6", "--grid-check", "8",
         )
@@ -358,7 +369,7 @@ class TestSmallcases:
         def no_work(*args):
             raise AssertionError("smallcases work started for an oversized grid check")
 
-        monkeypatch.setattr(cli, "solve_all", no_work)
+        monkeypatch.setattr(smallcase, "solve_all", no_work)
         for n in (cli.MAX_GRID_CHECK + 1, 10**5):
             code, out, err = run(
                 capsys, "smallcases", "--kind", "first", "--max-index", "7",
@@ -373,7 +384,7 @@ class TestSmallcases:
         def no_work(*args):
             raise AssertionError("smallcases work started for a refused --max-index")
 
-        monkeypatch.setattr(cli, "solve_all", no_work)
+        monkeypatch.setattr(smallcase, "solve_all", no_work)
         for n in ("1", "0", "-1", "8", str(10**9)):
             code, out, err = run(capsys, "smallcases", "--kind", "first", "--max-index", n)
             assert code == 1
@@ -454,7 +465,7 @@ class TestVerifyTables:
         def no_work(*args):
             raise AssertionError("verify_tables started for a refused cap")
 
-        monkeypatch.setattr(cli, "verify_tables", no_work)
+        monkeypatch.setattr(tables, "verify_tables", no_work)
         for n in (cli.MAX_B_CAP + 1, 10**9, tables.MIN_B_CAP - 1, 5, -1):
             code, out, err = run(capsys, "verify-tables", "--b-cap", str(n))
             assert (code, out) == (1, "")
@@ -542,13 +553,8 @@ class TestScan:
     def test_import_leaves_multiprocessing_unloaded(self):
         # only scan with more than one worker needs it; a fresh interpreter
         # shows what importing the CLI loads
-        src = os.path.dirname(os.path.dirname(lucasaps.__file__))
         probe = "import sys, lucasaps.cli; print('multiprocessing' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        assert done.stdout == "False\n"
+        assert _fresh(probe) == "False\n"
 
     def test_json_rows_validate(self, capsys, tmp_path):
         out = tmp_path / "scan.json"
@@ -567,6 +573,9 @@ class TestScan:
     def test_rows_match_brute_force(self):
         # a complete row counts from its certificate; every row must still
         # agree with the window search and the family search it replaces
+        def scan_pair(job):
+            return cli._scan_pair(certified_enumerate, find_aps, detect_families, job)
+
         def check(box, windows):
             for A in range(-box, box + 1):
                 for B in range(-box, box + 1):
@@ -576,22 +585,22 @@ class TestScan:
                     for kind in Kind:
                         families = len(detect_families(params, kind, 12))
                         for n in windows:
-                            row = cli._scan_pair((A, B, kind.value, n))
+                            row = scan_pair((A, B, kind.value, n))
                             assert row["ap_count_window"] == len(find_aps(params, kind, n)), (A, B, kind, n)
                             assert row["family_count"] == families, (A, B, kind)
 
         check(10, (2, 3, 4, 5, 6, 7, 8, 13, 30))
         check(4, (200,))
         # step-2 families are not unit-step: the (1, 2) first-kind cell stays 0
-        assert cli._scan_pair((1, 2, "first", 30))["family_count"] == 0
+        assert scan_pair((1, 2, "first", 30))["family_count"] == 0
 
     def test_certified_rows_run_no_search(self, capsys, tmp_path, monkeypatch):
         # growth-lemma pairs: a deep window costs no find_aps or detect_families
         def no_search(*args):
             raise AssertionError("a certified row searched")
 
-        monkeypatch.setattr(cli, "find_aps", no_search)
-        monkeypatch.setattr(cli, "detect_families", no_search)
+        monkeypatch.setattr(apsearch, "find_aps", no_search)
+        monkeypatch.setattr(apsearch, "detect_families", no_search)
         out = tmp_path / "scan.csv"
         code, _, _ = run(
             capsys, "scan", "--a-range=3..5", "--b-range=1..3", "--max-index", "2000",
@@ -689,7 +698,7 @@ class TestFactorTrinomial:
         def no_work(*args):
             raise AssertionError("quad_factors started for refused exponents")
 
-        monkeypatch.setattr(cli, "quad_factors", no_work)
+        monkeypatch.setattr(special, "quad_factors", no_work)
         for a, b, why in (
             (3, 3, "--a must be between 4 and 64"),
             (65, 1, "--a must be between 2 and 64"),
@@ -714,7 +723,7 @@ class TestSUnitBound:
     def test_below_stated_bound_compares_with_the_stated_constant(self, capsys, monkeypatch):
         # 10^2400 is above 6.45e2340, though below 6.45 times its own power of ten
         big = special.SUnitBound(10**2400, 2401, "100", 2400)
-        monkeypatch.setattr(cli, "sunit_constant", lambda: big)
+        monkeypatch.setattr(special, "sunit_constant", lambda: big)
         code, out, _ = run(capsys, "sunit-bound")
         assert code == 0
         doc = json.loads(out)
@@ -778,3 +787,78 @@ class TestGrammar:
             assert [run(capsys, *argv) for argv in calls] == first
         info = cli._build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 3 * len(calls) - 1)
+
+
+_LOADED = "sorted(m for m in sys.modules if m.startswith('lucasaps.'))"
+_PAIR_MODULES = ["lucasaps.core", "lucasaps.special"]
+_SEARCH_MODULES = [*_PAIR_MODULES, "lucasaps.apsearch"]
+_CERTIFY_MODULES = [*_SEARCH_MODULES, "lucasaps.certify"]
+_SOLVER_MODULES = [*_SEARCH_MODULES, "lucasaps.poly", "lucasaps.smallcase"]
+_ENGINE_MODULES = sorted([*_CERTIFY_MODULES, "lucasaps.poly", "lucasaps.smallcase",
+                          "lucasaps.tables"])
+# each subcommand with small valid input, and the modules it must load
+_SUBCOMMAND_RUNS = {
+    "classify": (["--A", "1", "--B", "2"], _PAIR_MODULES),
+    "factor-trinomial": (["--shape", "x^a+x^b-2", "--a", "3", "--b", "1"], _PAIR_MODULES),
+    "sunit-bound": ([], _PAIR_MODULES),
+    "enumerate": (["--A", "1", "--B", "1", "--kind", "first", "--max-index", "10"],
+                  _SEARCH_MODULES),
+    "families": (["--A", "1", "--B", "1", "--kind", "first", "--max-exponent", "10"],
+                 _SEARCH_MODULES),
+    "certify": (["--A", "2", "--B", "1", "--kind", "first"], _CERTIFY_MODULES),
+    "scan": (["--a-range=1..2", "--b-range=1..2", "--out", "{tmp}/rows.csv"], _CERTIFY_MODULES),
+    "smallcases": (["--kind", "first", "--max-index", "3"], _SOLVER_MODULES),
+    "verify-tables": (["--b-cap", "10"], [*_ENGINE_MODULES, "lucasaps.resources"]),
+}
+
+
+class TestImportBoundary:
+    def test_import_loads_no_submodule(self):
+        assert _fresh(f"import sys, lucasaps; print({_LOADED})") == "[]\n"
+
+    def test_cli_import_loads_core_only(self):
+        probe = (f"import sys, lucasaps.cli; print({_LOADED}, "
+                 "[m for m in ('csv', 'fractions') if m in sys.modules])")
+        assert _fresh(probe) == "['lucasaps.cli', 'lucasaps.core'] []\n"
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_RUNS))
+    def test_subcommand_loads_what_it_runs(self, tmp_path, command):
+        # each handler imports its own modules; the parser adds special
+        probe = ("import contextlib, io, sys, lucasaps.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = lucasaps.cli.main(sys.argv[1:])\n"
+                 f"print(code, {_LOADED})")
+        args, modules = _SUBCOMMAND_RUNS[command]
+        argv = [command, *(a.replace("{tmp}", str(tmp_path)) for a in args)]
+        assert _fresh(probe, *argv) == f"0 {sorted(['lucasaps.cli', *modules])}\n"
+
+    def test_every_public_name_resolves_to_its_home(self):
+        assert lucasaps.__all__[0] == "__version__"
+        for name in lucasaps.__all__[1:]:
+            value = getattr(lucasaps, name)
+            home = sys.modules[value.__module__]
+            assert getattr(home, name) is value, name
+            assert name in dir(lucasaps)
+        star = {}
+        exec("from lucasaps import *", star)
+        assert set(lucasaps.__all__) <= set(star)
+        assert all(star[name] is getattr(lucasaps, name) for name in lucasaps.__all__)
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            lucasaps.no_such_name
+        with pytest.raises(ImportError):
+            exec("from lucasaps import no_such_name", {})
+        # the errors cli.main catches live in core; their old homes re-export them
+        assert apsearch.CertificateFailureError is lucasaps.core.CertificateFailureError
+        assert smallcase.SqueezeUnresolvedError is lucasaps.core.SqueezeUnresolvedError
+
+    def test_public_names_resolve_in_a_fresh_interpreter(self):
+        # the names come from their modules on first use, not at import
+        probe = ("import sys, lucasaps\n"
+                 "first = lucasaps.find_aps\n"
+                 f"print(first is lucasaps.find_aps, {_LOADED})\n"
+                 "from lucasaps import *\n"
+                 f"print(len(lucasaps.__all__), {_LOADED})")
+        assert _fresh(probe) == (
+            "True ['lucasaps.apsearch', 'lucasaps.core']\n"
+            f"{len(lucasaps.__all__)} {_ENGINE_MODULES}\n"
+        )

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,16 @@ class TestSurd:
                 assert exact == (1 if n1 > n2 else -1)
             else:
                 assert exact == 0
+
+    @pytest.mark.parametrize("d", [-3, -4, -7, -8, -11, -15, -20])
+    def test_cmp_abs_matches_norm_comparison(self, d):
+        # for d < 0, |x|^2 is the norm (p^2 - q^2 d)/4, whose /4 cancels
+        grid = [Surd(q * d + 2 * x, q, d) for x in range(-5, 6) for q in range(-5, 6)]
+        norms = [s.norm() for s in grid]
+        assert all(isinstance(n, Fraction) for n in norms)
+        for s1, n1 in zip(grid, norms):
+            for s2, n2 in zip(grid, norms):
+                assert surd_cmp_abs(s1, s2) == (n1 > n2) - (n1 < n2), (s1, s2)
 
     def test_pow_and_conjugate(self):
         al, be = alpha_beta(new_params(1, 1))

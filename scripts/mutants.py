@@ -15,10 +15,11 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 10.6-15.5 s for all 73 named tests (13.1-14.9 s
-for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s
-for 52 in earlier runs), and the slowest mutant's is 6.7-6.8 s (7.3 and 8.4 s
-in earlier runs); TIMEOUT_S is over three times the slowest baseline.
+is that unchanged copy's, 9.1 s for all 76 named tests (10.6-15.5 s for 73,
+13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and
+10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is 3.9 s
+(6.7-6.8, 7.3 and 8.4 s in earlier runs); TIMEOUT_S is over three times the
+slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -35,7 +36,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 74 entries, 111 s on a 2-vCPU VM
+    python scripts/mutants.py    # 77 entries, 96 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -201,6 +202,21 @@ MUTANTS = [
      "        verify_family(family, params, kind)\n",
      "",
      ["tests/test_apsearch.py::TestDetectFamilies::test_every_family_passes_verify_family"]),
+    # certify: every family certified_enumerate reports has passed verify_family
+    ("certified-enumerate-unverified", CERTIFY,
+     "    for f in fams:\n        verify_family(f, params, kind)\n",
+     "",
+     [T_CLI + "TestFamilies::test_failed_family_certificate_exits_three[certify]"]),
+    # verify_family: the window is order consecutive t, and an index that
+    # goes negative for some t >= t_min is refused, a negative step too
+    ("verify-family-window-one-short", APSEARCH,
+     "    t_last = family.t_min + family.order() - 1\n",
+     "    t_last = family.t_min + family.order() - 2\n",
+     ["tests/test_apsearch.py::TestVerifyFamily::test_certificate_failure"]),
+    ("verify-family-negative-step-allowed", APSEARCH,
+     " or min(b for _, b in forms) < 0:",
+     ":",
+     ["tests/test_apsearch.py::TestVerifyFamily::test_negative_step_is_refused"]),
     # the public-input guards: each id names its case of the guard test
     _drop_raise("aptriple-repeated-index", APSEARCH,
                 "        if len({self.k, self.l, self.m}) != 3:\n"
@@ -212,8 +228,8 @@ MUTANTS = [
                 "    if e_max < 3:\n"
                 '        raise ValueError("e_max must be at least 3")'),
     _drop_raise("verify-family-negative-index", APSEARCH,
-                "    if min(ends) < 0:\n"
-                '        raise ValueError(f"negative index for t in [{family.t_min}, {t_last}]")'),
+                "    if min(family.instantiate(family.t_min)) < 0 or min(b for _, b in forms) < 0:\n"
+                '        raise ValueError(f"negative index for some t >= {family.t_min}: {family.describe()}")'),
     _drop_raise("gap-below-one", CERTIFY,
                 "        if self.value < 1:\n"
                 '            raise ValueError("gaps are at least 1")'),

@@ -13,7 +13,7 @@ t forces s_t = 0 identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import lt, rshift
 
@@ -202,6 +202,10 @@ class APFamily:
             kf, mf = mf, kf
         return APFamily(kf, lf, mf, 0)
 
+    def sort_key(self) -> tuple:
+        """The order of every family list: the doubled form, then the outer forms."""
+        return (self.l_form, self.k_form, self.m_form)
+
     def describe(self) -> str:
         def one(form):
             a, b = form
@@ -255,55 +259,32 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
         family = APFamily((a1, 1), (a2, 1), (a3, 1), 0)
         verify_family(family, params, kind)
         out.append(family)
-    out.sort(key=lambda f: (f.l_form, f.k_form, f.m_form))
+    out.sort(key=APFamily.sort_key)
     return out
 
 
-@dataclass
-class FamilyReport:
-    """Result of a passed certificate check; construction implies validity."""
-
-    family: APFamily
-    order: int
-    window: tuple[int, ...]
-    degenerate_ts: tuple[int, ...] = field(default=())
-    ap_count: int = 0
-
-
-SURVEY_T = 50
-
-
-def verify_family(family: APFamily, params: SeqParams, kind: Kind) -> FamilyReport:
-    """Check the identity certificate and survey instances t_min <= t <= SURVEY_T.
+def verify_family(family: APFamily, params: SeqParams, kind: Kind) -> None:
+    """Check the identity certificate: s_t = 0 for every t >= t_min.
 
     The certificate checks s_t = 0 for `order` consecutive t starting at
     t_min; since s_t is a linear combination of at most `order` geometric
     sequences, that forces s_t = 0 for every t >= t_min (Vandermonde).
-    Instances with repeated values are legal but counted as degenerate.
+    Only terms up to the window's largest index are built.
 
-    Raises CertificateFailureError when a window value is nonzero.
+    Raises ValueError when an index is negative for some t >= t_min, and
+    CertificateFailureError when a window value is nonzero.
     """
-    order = family.order()
-    window = tuple(range(family.t_min, family.t_min + order))
-    t_last = max(window[-1], SURVEY_T)
-    # each index is affine in t, so its extremes sit at the two ends
-    ends = family.instantiate(family.t_min) + family.instantiate(t_last)
-    if min(ends) < 0:
-        raise ValueError(f"negative index for t in [{family.t_min}, {t_last}]")
-    ts = terms(params, kind, max(ends) + 1)
-    for t in window:
+    # an affine index stays >= 0 for every t >= t_min exactly when it is
+    # >= 0 at t_min and its step is >= 0
+    forms = (family.k_form, family.l_form, family.m_form)
+    if min(family.instantiate(family.t_min)) < 0 or min(b for _, b in forms) < 0:
+        raise ValueError(f"negative index for some t >= {family.t_min}: {family.describe()}")
+    t_last = family.t_min + family.order() - 1
+    ts = terms(params, kind, max(family.instantiate(t_last)) + 1)
+    for t in range(family.t_min, t_last + 1):
         k, l, m = family.instantiate(t)
         s = ts[k] - 2 * ts[l] + ts[m]
         if s != 0:
             raise CertificateFailureError(
                 f"certificate window broken at t={t}: s_t={s} for {family.describe()}"
             )
-    degenerate = []
-    ap_count = 0
-    for t in range(family.t_min, max(SURVEY_T, family.t_min) + 1):
-        k, l, m = family.instantiate(t)
-        if is_ap(ts[k], ts[l], ts[m]):
-            ap_count += 1
-        else:
-            degenerate.append(t)
-    return FamilyReport(family, order, window, tuple(degenerate), ap_count)

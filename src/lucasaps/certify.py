@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .apsearch import APFamily, APTriple, doubled_at, find_aps, is_ap
+from .apsearch import APFamily, APTriple, doubled_at, find_aps, is_ap, verify_family
 from .core import (
     Classification,
     EngineMismatchError,
@@ -423,7 +423,9 @@ def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
     n0 = 7 (first kind) or 6 (second kind).  Exceptional pairs run the gap
     pattern engine, which is inconclusive when it would fix a free gap above
     GAP_CAP.  Negative discriminants are inconclusive by design: no
-    effective completeness method is implemented there.
+    effective completeness method is implemented there.  Each reported
+    family has passed verify_family, which raises CertificateFailureError
+    on a family that fails.
     """
     if classify(params) is not Classification.REAL_DOMINANT:
         return EnumerationResult(
@@ -454,10 +456,9 @@ def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
         if is_ap(ts[k], ts[l], ts[m])
     ]
 
-    fams = sorted(
-        {f.normalized() for e in evidence for f in e.families},
-        key=lambda f: (f.l_form, f.k_form, f.m_form),
-    )
+    fams = sorted({f.normalized() for e in evidence for f in e.families}, key=APFamily.sort_key)
+    for f in fams:
+        verify_family(f, params, kind)
     if fams:
         return EnumerationResult(
             "has_families", tuple(sporadic), tuple(fams), None, (), evidence

@@ -354,16 +354,36 @@ def _zero_min_offsets(e_max):
 class TestVerifyFamily:
     def test_mixed_step_family_order_three(self):
         fam = APFamily((1, 0), (1, 2), (2, 2), 1)
-        rep = verify_family(fam, new_params(1, 2), Kind.FIRST)
-        assert rep.order == 3
-        assert rep.degenerate_ts == ()
+        p = new_params(1, 2)
+        assert fam.order() == 3
+        assert verify_family(fam, p, Kind.FIRST) is None
+        # no instance t = 1..50 is degenerate: instance t ends at index 2t + 2
+        assert len(family_instances(fam, p, Kind.FIRST, 102)) == 50
 
     def test_decreasing_family(self):
         fam = APFamily((2, 1), (0, 1), (1, 1), 0)
-        rep = verify_family(fam, new_params(-1, 2), Kind.FIRST)
         p = new_params(-1, 2)
+        assert verify_family(fam, p, Kind.FIRST) is None
         assert [term(p, Kind.FIRST, i) for i in fam.instantiate(0)] == [-1, 0, 1]
-        assert rep.ap_count > 0
+        assert family_instances(fam, p, Kind.FIRST, 52)
+
+    def test_terms_only_to_window_end(self, monkeypatch):
+        # (t, t+2, t+3) has order 2, so the window t = 0, 1 ends at index 4
+        counts = []
+
+        def recorder(params, kind, count):
+            counts.append(count)
+            return terms(params, kind, count)
+
+        monkeypatch.setattr(apsearch, "terms", recorder)
+        verify_family(APFamily((0, 1), (2, 1), (3, 1), 0), new_params(1, 1), Kind.FIRST)
+        assert counts == [5]
+
+    def test_negative_step_is_refused(self):
+        # every index is >= 0 for t <= 60, but not for every t >= t_min
+        fam = APFamily((60, -1), (61, -1), (62, -1))
+        with pytest.raises(ValueError, match="negative index"):
+            verify_family(fam, new_params(1, 1), Kind.FIRST)
 
     def test_certificate_failure(self):
         fam = APFamily((0, 1), (1, 1), (3, 1), 0)
@@ -389,10 +409,12 @@ class TestVerifyFamily:
                 s = term(p, kind, k) - 2 * term(p, kind, l) + term(p, kind, m)
                 assert s == 0, (pair, kind, t)
 
-    def test_degenerate_instances_counted_not_fatal(self):
+    def test_degenerate_instance_is_not_fatal(self):
         fam = APFamily((1, 1), (0, 1), (3, 1), 0)
-        rep = verify_family(fam, new_params(-1, -2), Kind.FIRST)
-        assert 2 in rep.degenerate_ts  # indices (3, 2, 5) all carry value -1
+        p = new_params(-1, -2)
+        assert verify_family(fam, p, Kind.FIRST) is None
+        assert fam.instantiate(2) == (3, 2, 5)  # all three carry value -1
+        assert [term(p, Kind.FIRST, i) for i in (3, 2, 5)] == [-1, -1, -1]
 
 
 class TestFamilyNormalization:

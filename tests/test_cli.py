@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 import lucasaps
-from lucasaps import apsearch, cli, smallcase, special, tables
+from lucasaps import apsearch, certify, cli, smallcase, special, tables
 from lucasaps.apsearch import APFamily, CertificateFailureError, detect_families, find_aps
 from lucasaps.certify import certificate_from_json, certified_enumerate, check_certificate
 from lucasaps.core import Kind, degeneracy_order, new_params
@@ -284,18 +284,22 @@ class TestFamilies:
             assert out == ""
             assert "--max-exponent must be between 3 and" in err
 
-    @pytest.mark.parametrize("command", ["families", "scan"])
+    @pytest.mark.parametrize("command", ["families", "scan", "certify", "verify-tables"])
     def test_failed_family_certificate_exits_three(self, capsys, monkeypatch, tmp_path,
                                                    command):
-        # a family that fails verify_family is a mismatch, not a traceback
+        # a family that fails verify_family is a mismatch, not a traceback,
+        # whether detect_families or certified_enumerate found it
         def refuse(family, params, kind):
             raise CertificateFailureError(f"certificate window broken for {family.describe()}")
 
         monkeypatch.setattr(apsearch, "verify_family", refuse)
+        monkeypatch.setattr(certify, "verify_family", refuse)
         argv = {
             "families": ["--A", "1", "--B", "1", "--kind", "first", "--max-exponent", "10"],
             "scan": ["--a-range=1..1", "--b-range=1..1", "--kind", "first",
                      "--out", str(tmp_path / "rows.csv")],
+            "certify": ["--A", "1", "--B", "1", "--kind", "first"],
+            "verify-tables": ["--b-cap", "10"],
         }[command]
         code, out, err = run(capsys, command, *argv)
         assert (code, out) == (cli.EXIT_MISMATCH, "")

@@ -269,12 +269,17 @@ class TestInfiniteFamilyPairs:
                         distinct += 1
                 assert distinct >= 50, (A, B, kind, distinct)
 
-    def test_degenerate_family_instance_is_counted_not_fatal(self):
-        # value -1 repeats, so one family instance collapses to equal terms
+    def test_degenerate_family_instance_is_not_fatal(self):
+        # value -1 repeats, so one family instance collapses to equal terms,
+        # and the family still passes its certificate
         params = new_params(-1, -2)
         fam = family_for_pair(-1, -2, Kind.FIRST)
-        rep = verify_family(fam, params, Kind.FIRST)
-        assert rep.degenerate_ts
-        k, l, m = fam.instantiate(rep.degenerate_ts[0])
+        assert verify_family(fam, params, Kind.FIRST) is None
+        degenerate = [
+            t for t in range(fam.t_min, 51)
+            if not is_ap(*(term(params, Kind.FIRST, i) for i in fam.instantiate(t)))
+        ]
+        assert degenerate
+        k, l, m = fam.instantiate(degenerate[0])
         vals = {term(params, Kind.FIRST, i) for i in (k, l, m)}
         assert len(vals) < 3

@@ -15,11 +15,11 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 9.1 s for all 76 named tests (10.6-15.5 s for 73,
-13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and
-10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is 3.9 s
-(6.7-6.8, 7.3 and 8.4 s in earlier runs); TIMEOUT_S is over three times the
-slowest baseline.
+is that unchanged copy's, 10.0 s for all 79 named tests (9.1 s for 76,
+10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56,
+13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs), and the slowest
+mutant's is 7.4 s (3.9, 6.7-6.8, 7.3 and 8.4 s in earlier runs); TIMEOUT_S is
+over three times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -36,7 +36,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 77 entries, 96 s on a 2-vCPU VM
+    python scripts/mutants.py    # 80 entries, 123 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -116,6 +116,16 @@ MUTANTS = [
      "    firsts = offsets if 2 % B == 0 else ()\n    seconds = offsets if 1 % B == 0 else ()\n",
      "    firsts = seconds = offsets\n",
      ["tests/test_apsearch.py::TestDetectFamilies::test_matches_long_division_walk"]),
+    # detect_families: no term is built past the proven bound |A| <= 1 + |B|,
+    # and a tighter bound loses the (1, 1) family
+    ("detect-families-a-bound-loose", APSEARCH,
+     "abs(params.A) > 1 + abs(B)",
+     "abs(params.A) > 2 + abs(B)",
+     ["tests/test_apsearch.py::TestDetectFamilies::test_no_terms_past_the_a_bound[pair0]"]),
+    ("detect-families-a-bound-cuts", APSEARCH,
+     "abs(params.A) > 1 + abs(B)",
+     "abs(params.A) >= abs(B)",
+     ["tests/test_apsearch.py::TestDetectFamilies::test_fibonacci_family"]),
     # certify: the search guards and the growth-lemma exception list
     ("certify-gap-cap-guard", CERTIFY,
      "            if v > GAP_CAP:",
@@ -188,6 +198,11 @@ MUTANTS = [
      "type(values) is not list or not all(",
      "not all(",
      [T_CERTIFY + "TestCertificateJson::test_triple_values_not_an_array_raises[string]"]),
+    # certify: the reader refuses a complete that is not a boolean
+    ("certificate-json-complete-type", CERTIFY,
+     'if type(doc.get("complete", True)) is not bool:',
+     "if False:",
+     [T_CERTIFY + "TestCertificateJson::test_non_boolean_complete_raises[string]"]),
     # certify: a certificate document without a required key is refused
     ("certificate-json-patterns-default", CERTIFY,
      'doc["patterns"]',

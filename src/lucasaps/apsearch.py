@@ -236,6 +236,10 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
     leave the remainders 2 and -1 modulo B whatever a is: the first pass
     runs only when B divides 2, and the second only when B = +-1, where
     1/B = B.  So |B| >= 3 has no unit-step family, and no term is built.
+    Up to sign X^a1 - 2*X^a2 + X^a3 is special's X^a3 + X^a1 - 2 (a2 = 0)
+    or X^a3 - 2X^a2 + 1 (a1 = 0; -(2X^a2 - X^a3 - 1) when a2 > a3), and
+    a monic factor X^2 + pX + q of those has |p| <= 1 + |q| (special's
+    docstring): with (p, q) = (-A, -B), no term is built when |A| > 1 + |B|.
     The search does not depend on the kind: a unit-step family annihilates
     every sequence with this companion polynomial.  Only the certificate,
     verify_family, reads the kind's terms, and a hit is kept once it passes.
@@ -246,7 +250,7 @@ def detect_families(params: SeqParams, kind: Kind, e_max: int) -> list[APFamily]
     offsets = range(1, e_max + 1)
     firsts = offsets if 2 % B == 0 else ()
     seconds = offsets if 1 % B == 0 else ()
-    if not (firsts or seconds):
+    if not (firsts or seconds) or abs(params.A) > 1 + abs(B):
         return []
     u = linear_terms(params.A, B, 0, 1, e_max + 1)
     index_of = {r: n for n, r in enumerate(zip(u, u[1:]), 1)}

@@ -353,6 +353,8 @@ def certificate_from_json(doc: dict) -> CompletenessCertificate:
     version, note = doc["toolVersion"], doc.get("note", "")
     if type(version) is not str or type(note) is not str:
         raise ValueError(f"toolVersion and note must be strings: {version!r}, {note!r}")
+    if type(doc.get("complete", True)) is not bool:
+        raise ValueError(f"complete must be a boolean: {doc['complete']!r}")
     for t in aps:
         if any(type(t[i]) is not int or t[i] < 0 for i in "klm"):
             raise ValueError(f"triple indices must be integers >= 0: {t!r}")

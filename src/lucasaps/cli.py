@@ -54,9 +54,9 @@ MAX_B_CAP = 350_000
 
 # |gamma| <= |A| + |B|, so a term of index n has at most about
 # n * bitlen(|A| + |B|) bits; the caps above were sized on (1, 1).  At this
-# bound `families --A 14 --B 1 --kind first --max-exponent 10000` peaked at
-# 43 MB in 0.25 s and `enumerate --A 254 --B 1 --max-index 5000` at 30 MB
-# (process peak RSS), the largest of the pairs measured.
+# bound `enumerate --A 254 --B 1 --max-index 5000` peaked at 30 MB; families
+# builds terms only for |A| <= 1 + |B|, and its largest such call, (3, 2) first
+# kind at --max-exponent 10000, peaked at 29 MB in 0.15 s (process peak RSS).
 MAX_TERM_BITS = 40_000
 
 # A grid check runs find_aps on all (2N + 1)^2 pairs of the box: at this cap

@@ -283,10 +283,6 @@ def roots_of(A: int, B: int) -> tuple[Surd, Surd]:
     return Surd(A, 1, d), Surd(A, -1, d)
 
 
-def alpha_beta(params: SeqParams) -> tuple[Surd, Surd]:
-    return roots_of(params.A, params.B)
-
-
 def dominant_root(params: SeqParams) -> tuple[Surd, Surd]:
     """(gamma, delta) with |gamma| > |delta|; requires D > 0.
 
@@ -295,15 +291,8 @@ def dominant_root(params: SeqParams) -> tuple[Surd, Surd]:
     """
     if params.D <= 0:
         raise ValueError("dominant root requires positive discriminant")
-    a, b = alpha_beta(params)
+    a, b = roots_of(params.A, params.B)
     return (a, b) if params.A > 0 else (b, a)
-
-
-def term(params: SeqParams, kind: Kind, n: int) -> int:
-    """n-th term, exact."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return terms(params, kind, n + 1)[n]
 
 
 def terms(params: SeqParams, kind: Kind, count: int) -> list:
@@ -322,30 +311,3 @@ def linear_terms(A: int, B: int, x0: int, x1: int, count: int) -> list:
         append(x1)
     return out[:count]
 
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    ok: bool
-    checked: int
-
-
-def closed_form_check(params: SeqParams, kind: Kind, n_max: int) -> ClosedFormReport:
-    """Verify the root power formulas against the recurrence up to n_max.
-
-    First kind: alpha^n - beta^n == term(n) * (alpha - beta).
-    Second kind: alpha^n + beta^n == term(n).
-    """
-    a, b = alpha_beta(params)
-    diff = a - b
-    pa = Surd.integer(1, params.D)
-    pb = Surd.integer(1, params.D)
-    for n, t in enumerate(terms(params, kind, n_max + 1)):
-        if kind is Kind.FIRST:
-            ok = (pa - pb) == diff.times_int(t)
-        else:
-            ok = (pa + pb) == Surd.integer(t, params.D)
-        if not ok:
-            return ClosedFormReport(False, n)
-        pa = pa * a
-        pb = pb * b
-    return ClosedFormReport(True, n_max + 1)

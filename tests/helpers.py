@@ -3,9 +3,44 @@
 from dataclasses import dataclass
 
 from lucasaps.apsearch import APFamily, APTriple, canonical_indices, is_ap
-from lucasaps.core import Kind, SeqParams, linear_terms, terms
+from lucasaps.core import Kind, SeqParams, Surd, linear_terms, roots_of, terms
 from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
 from lucasaps.tables import load_table_entries
+
+
+def term(params: SeqParams, kind: Kind, n: int) -> int:
+    """n-th term, exact."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    return terms(params, kind, n + 1)[n]
+
+
+@dataclass(frozen=True)
+class ClosedFormReport:
+    ok: bool
+    checked: int
+
+
+def closed_form_check(params: SeqParams, kind: Kind, n_max: int) -> ClosedFormReport:
+    """Verify the root power formulas against the recurrence up to n_max.
+
+    First kind: alpha^n - beta^n == term(n) * (alpha - beta).
+    Second kind: alpha^n + beta^n == term(n).
+    """
+    a, b = roots_of(params.A, params.B)
+    diff = a - b
+    pa = Surd.integer(1, params.D)
+    pb = Surd.integer(1, params.D)
+    for n, t in enumerate(terms(params, kind, n_max + 1)):
+        if kind is Kind.FIRST:
+            ok = (pa - pb) == diff.times_int(t)
+        else:
+            ok = (pa + pb) == Surd.integer(t, params.D)
+        if not ok:
+            return ClosedFormReport(False, n)
+        pa = pa * a
+        pb = pb * b
+    return ClosedFormReport(True, n_max + 1)
 
 
 def family_instances(

@@ -18,10 +18,12 @@ import time
 import pytest
 
 from helpers import (
+    closed_form_check,
     family_instances,
     from_subtraction_convention,
     multiplicity,
     multiplicity_with_initials,
+    term,
 )
 from lucasaps.apsearch import (
     APFamily,
@@ -35,11 +37,9 @@ from lucasaps.certify import certified_enumerate, growth_exception
 from lucasaps.core import (
     Kind,
     Surd,
-    closed_form_check,
     degeneracy_order,
     new_params,
     roots_of,
-    term,
     terms,
 )
 from lucasaps.smallcase import CaseEquation, solve_all, solve_case

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import family_instances
+from helpers import family_instances, term
 from lucasaps import apsearch
 from lucasaps.apsearch import (
     APFamily,
@@ -21,7 +21,7 @@ from lucasaps.apsearch import (
     is_ap,
     verify_family,
 )
-from lucasaps.core import Kind, degeneracy_order, new_params, term, terms
+from lucasaps.core import Kind, degeneracy_order, new_params, terms
 from lucasaps.smallcase import CaseEquation
 
 
@@ -282,6 +282,16 @@ class TestDetectFamilies:
         with pytest.raises(CertificateFailureError, match="refused"):
             detect_families(new_params(1, 1), Kind.FIRST, 10)
         assert detect_families(new_params(5, 1), Kind.FIRST, 10) == []
+
+    @pytest.mark.parametrize("pair", [(3, 1), (-3, 1), (4, 2), (-4, -2)])
+    def test_no_terms_past_the_a_bound(self, monkeypatch, pair):
+        # |A| > 1 + |B|: X^2 - AX - B divides no trinomial of a family
+        def refuse(*args):
+            raise AssertionError(f"terms built for {pair}")
+
+        monkeypatch.setattr(apsearch, "linear_terms", refuse)
+        for kind in Kind:
+            assert detect_families(new_params(*pair), kind, 50) == []
 
     def test_divisibility_iff_identity(self):
         # remainder test against two consecutive identity instances,

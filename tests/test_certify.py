@@ -22,7 +22,7 @@ from lucasaps.certify import (
     pattern_bound,
 )
 from lucasaps.cli import main
-from lucasaps.core import Kind, Surd, degeneracy_order, new_params, term, terms
+from lucasaps.core import Kind, Surd, degeneracy_order, new_params, terms
 
 
 def dominant_pairs(box):
@@ -499,6 +499,17 @@ class TestCertificateJson:
         doc = certified_enumerate(new_params(5, 1), Kind.FIRST).certificate.to_json_dict()
         with pytest.raises(ValueError, match=key):
             certificate_from_json({**doc, key: value})
+
+    @pytest.mark.parametrize("complete", ["x", None, [], 0, 1],
+                             ids=["string", "null", "array", "zero", "one"])
+    def test_non_boolean_complete_raises(self, complete):
+        # cli_schema.json types the optional key as boolean, and
+        # check_certificate never reads it, so no later step would notice
+        doc = certified_enumerate(new_params(2, 1), Kind.FIRST).certificate.to_json_dict()
+        assert "complete" not in doc
+        assert certificate_from_json({**doc, "complete": True}).to_json_dict() == doc
+        with pytest.raises(ValueError, match="complete"):
+            certificate_from_json({**doc, "complete": complete})
 
     @pytest.mark.parametrize("values", ["123", {"1": 0, "2": 0, "3": 0}],
                              ids=["string", "object"])

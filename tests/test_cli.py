@@ -847,8 +847,12 @@ class TestImportBoundary:
         exec("from lucasaps import *", star)
         assert set(lucasaps.__all__) <= set(star)
         assert all(star[name] is getattr(lucasaps, name) for name in lucasaps.__all__)
-        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-            lucasaps.no_such_name
+        # term and closed_form_check are test helpers; alpha_beta is gone
+        for module in (lucasaps, lucasaps.core):
+            for name in ("no_such_name", "term", "alpha_beta", "closed_form_check",
+                         "ClosedFormReport"):
+                with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+                    getattr(module, name)
         with pytest.raises(ImportError):
             exec("from lucasaps import no_such_name", {})
         # the errors cli.main catches live in core; their old homes re-export them

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import closed_form_check, term
 import lucasaps
 from lucasaps import certify
 from lucasaps.apsearch import APFamily, APTriple, detect_families, find_aps, verify_family
@@ -23,16 +24,13 @@ from lucasaps.core import (
     Kind,
     Surd,
     ZeroCoefficientError,
-    alpha_beta,
     classify,
-    closed_form_check,
     degeneracy_order,
     dominant_root,
     linear_terms,
     new_params,
     roots_of,
     surd_cmp_abs,
-    term,
     terms,
 )
 from lucasaps.poly import divisors
@@ -192,22 +190,22 @@ class TestSurd:
     def test_alpha_beta_basic_identities(self):
         for a, b in valid_pairs(8):
             p = new_params(a, b)
-            al, be = alpha_beta(p)
+            al, be = roots_of(p.A, p.B)
             assert al + be == Surd.integer(a, p.D)
             assert al * be == Surd.integer(-b, p.D)
 
     def test_alpha_beta_examples(self):
         p = new_params(2, 1)
-        al, be = alpha_beta(p)
+        al, be = roots_of(p.A, p.B)
         assert (al.p, al.q, al.d) == (2, 1, 8)  # 1 + sqrt(2)
         assert (be.p, be.q) == (2, -1)
         p2 = new_params(-1, -2)
-        al2, _ = alpha_beta(p2)
+        al2, _ = roots_of(p2.A, p2.B)
         assert (al2.p, al2.q, al2.d) == (-1, 1, -7)
 
     def test_square_discriminant_normalizes(self):
         p = new_params(1, 2)  # D = 9
-        al, be = alpha_beta(p)
+        al, be = roots_of(p.A, p.B)
         assert al.as_integer() == 2
         assert be.as_integer() == -1
 
@@ -229,7 +227,7 @@ class TestSurd:
         one_minus = Surd(2, -1, 8)
         assert surd_cmp_abs(one_plus, one_minus) == 1
         p = new_params(-1, -2)
-        al, be = alpha_beta(p)
+        al, be = roots_of(p.A, p.B)
         assert surd_cmp_abs(al, be) == 0
         margin = Surd(8, 3, 8)  # 4 + 3*sqrt(2)
         four = Surd.integer(4, 8)
@@ -268,7 +266,7 @@ class TestSurd:
                 assert surd_cmp_abs(s1, s2) == (n1 > n2) - (n1 < n2), (s1, s2)
 
     def test_pow_and_conjugate(self):
-        al, be = alpha_beta(new_params(1, 1))
+        al, be = roots_of(1, 1)
         assert conjugate(al) == be
         assert al ** 3 == al * al * al
         assert al ** 0 == Surd.integer(1, 5)

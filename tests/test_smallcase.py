@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import term
 import lucasaps.poly
 from lucasaps.cli import main
-from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params, term
+from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params
 from lucasaps.apsearch import find_aps
 from lucasaps.poly import (
     b_add,

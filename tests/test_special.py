@@ -14,9 +14,9 @@ from lucasaps import special
 from lucasaps.core import (
     EngineMismatchError,
     Kind,
-    alpha_beta,
     degeneracy_order,
     new_params,
+    roots_of,
 )
 from lucasaps.special import (
     TrinomialShape,
@@ -34,7 +34,7 @@ def mult_independence_check(params, bound=12):
     Valid parameters always pass: such a relation would force the root
     ratio to be a root of unity, which the constructor rejects.
     """
-    a, b = alpha_beta(params)
+    a, b = roots_of(params.A, params.B)
     pow_a = a
     for _ in range(bound):
         pow_b = b

@@ -6,10 +6,10 @@ from importlib import resources as importlib_resources
 
 import pytest
 
-from helpers import pair_in_tables
+from helpers import pair_in_tables, term
 from lucasaps.apsearch import APFamily, detect_families, is_ap, verify_family
 from lucasaps.certify import EnumerationResult, certified_enumerate, growth_exception
-from lucasaps.core import Kind, degeneracy_order, new_params, term
+from lucasaps.core import Kind, degeneracy_order, new_params
 from lucasaps.smallcase import DomainFilter
 from lucasaps import tables
 from lucasaps.tables import (

@@ -15,11 +15,11 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 10.0 s for all 79 named tests (9.1 s for 76,
-10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56,
-13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs), and the slowest
-mutant's is 7.4 s (3.9, 6.7-6.8, 7.3 and 8.4 s in earlier runs); TIMEOUT_S is
-over three times the slowest baseline.
+is that unchanged copy's, 10.0 s for all 82 named tests (10.0 s for 79,
+9.1 s for 76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65,
+12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs),
+and the slowest mutant's is 4.8 s (3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in
+earlier runs); TIMEOUT_S is over three times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -36,7 +36,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 80 entries, 123 s on a 2-vCPU VM
+    python scripts/mutants.py    # 83 entries, 115 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -348,6 +348,20 @@ MUTANTS = [
      '"outcome": "infinite curve family"})\n',
      '"outcome": "infinite curve family"})\n        return set()\n',
      [T_SMALLCASE + "TestWorkedEquations::test_curve_members_without_a_window"]),
+    # smallcase: root location solves only at the A where P(1 + x) may vanish
+    # for some x >= 0 (Descartes' rule of signs)
+    ("root-location-non-strict-signs", SMALLCASE,
+     "all(v > 0 for v in values) or all(v < 0 for v in values)",
+     "all(v >= 0 for v in values) or all(v <= 0 for v in values)",
+     [T_SMALLCASE + "TestWorkedEquations::test_root_location_keeps_a_root_at_c_one"]),
+    ("root-location-drops-zero-a", SMALLCASE,
+     "    return not (all(v > 0",
+     "    return any(values) and not (all(v > 0",
+     [T_SMALLCASE + "TestWorkedEquations::test_root_location_keeps_an_identically_zero_a"]),
+    ("root-location-full-window", SMALLCASE,
+     "if _may_vanish([p_eval(qr, a) for qr in q])}",
+     "}",
+     [T_SMALLCASE + "TestSolveAll::test_root_location_windows_at_cap_seven"]),
     # smallcase: each closure step writes what it decides into the report
     ("curve-members-not-appended", SMALLCASE,
      "    report.curves.append(CurveFamilySolution(",

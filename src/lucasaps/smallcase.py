@@ -28,7 +28,10 @@ closure, under the dominant filter only:
   root location     the one substitution B = (x + 1 - A^2)/4, i.e.
                     C = A^2 + 4B = 1 + x, gives a polynomial in x with no
                     root x >= 0 for |A| beyond an explicit cutoff on either
-                    side, so C >= 1 only happens in a finite window.
+                    side, so C >= 1 only happens in a finite window.  Below
+                    the cutoff the window keeps only the A at which the
+                    x-coefficients are not all nonzero and of one sign:
+                    elsewhere Descartes' rule of signs leaves no root x >= 0.
 
 With the dominant filter the solver is complete for every equation
 case_equations can produce.  Without it, an equation past the square-root
@@ -393,6 +396,14 @@ def _squeeze_side(R, G, t, side, report):
     return cut
 
 
+def _may_vanish(values) -> bool:
+    """False when sum(values[r] * x^r) has no root x >= 0 because every
+    value is nonzero and all share one sign (Descartes' rule of signs).
+    True otherwise: all values zero is the zero polynomial, and a zero
+    constant is the root x = 0."""
+    return not (all(v > 0 for v in values) or all(v < 0 for v in values))
+
+
 def _root_location(bcs, report) -> set:
     """Dominant-filter window of A from the C = A^2 + 4B substitution.
 
@@ -400,12 +411,15 @@ def _root_location(bcs, report) -> set:
     4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain.
     It suffices that on a side of A every x-coefficient of s * P(1 + x) (s
     the eventual sign of e_d there) is eventually positive; the root bound of
-    each coefficient (root_bound) makes "eventually" an explicit cutoff, and
-    the window is every A up to it.  root_bound reads only |coefficients|,
-    so one cut serves both sides.  A coefficient that is zero (C = 1 solves
-    the equation for every A when it is the constant one) or eventually
-    negative leaves the proof open.  No case equation does that under the
-    dominant filter, so it raises EngineMismatchError.
+    each coefficient (root_bound) makes "eventually" an explicit cutoff.
+    root_bound reads only |coefficients|, so one cut serves both sides.  A
+    coefficient that is zero (C = 1 solves the equation for every A when it
+    is the constant one) or eventually negative leaves the proof open.  No
+    case equation does that under the dominant filter, so it raises
+    EngineMismatchError.  The window is the A with |A| <= cut at which
+    P(1 + x) may vanish for some x >= 0 (_may_vanish): at any other A the
+    x-coefficients are nonzero and of one sign, so E(A, B) = 0 has no
+    admitted B there.
     """
     d = len(bcs) - 1
     q = [[] for _ in bcs]
@@ -427,7 +441,7 @@ def _root_location(bcs, report) -> set:
         report.squeeze.append(
             {"side": side, "cut": cut, "why": "discriminant-variable roots below 1"}
         )
-    return set(range(-cut, cut + 1))
+    return {a for a in range(-cut, cut + 1) if _may_vanish([p_eval(qr, a) for qr in q])}
 
 
 def _closure(eq: CaseEquation, filt: DomainFilter, report) -> set:
@@ -493,14 +507,17 @@ def solve_case(eq: CaseEquation, filt: DomainFilter | None = None) -> EquationRe
     returned in its report with the closure evidence.
 
     The closure for the equation's B-degree bounds A: it records any curve
-    families in the report and returns a finite window of A values, and
-    E(a, B) = 0 is then solved exactly in B at each a of the window.  A root that lies on a
-    returned curve is left to the curve.  integer_roots stops at degree 3,
-    which is all the solver needs: every polynomial in A it factors has
-    degree at most 2 and every fixed-A solve for B has degree at most 3 for
-    the equations case_equations produces.  Every sporadic solution and three
-    witnesses per family re-substitute to zero before the report is
-    returned; one that does not raises EngineMismatchError.
+    families in the report and returns a finite window, the A values at
+    which it has not proved E(A, B) = 0 free of admitted solutions (root
+    location keeps only those below its cutoff where Descartes' rule leaves
+    a root).  E(a, B) = 0 is then solved exactly in B at each a of the
+    window.  A root that lies on a returned curve is left to the curve.
+    integer_roots stops at degree 3, which is all the solver needs: every
+    polynomial in A it factors has degree at most 2 and every fixed-A solve
+    for B has degree at most 3 for the equations case_equations produces.
+    Every sporadic solution and three witnesses per family re-substitute to
+    zero before the report is returned; one that does not raises
+    EngineMismatchError.
 
     Raises SqueezeUnresolvedError when no closure applies.  Under the
     dominant filter that never happens for an equation case_equations

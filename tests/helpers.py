@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 from lucasaps.apsearch import APFamily, APTriple, canonical_indices, is_ap
 from lucasaps.core import Kind, SeqParams, Surd, linear_terms, roots_of, terms
+from lucasaps.poly import integer_roots, p_eval, trim
+from lucasaps.smallcase import BFamilySolution, DomainFilter, SporadicSolution
 from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
 from lucasaps.tables import load_table_entries
 
@@ -78,6 +80,26 @@ def pair_in_tables(A: int, B: int, kind: Kind) -> bool:
         if not entry.is_b_row and entry.b == B:
             return True
     return False
+
+
+def full_window_solutions(eq, cut: int) -> tuple:
+    """(sporadics, B-families) of a case equation under the dominant filter,
+    solved in B at every A with |A| <= cut: the whole root-location window,
+    with no value of A skipped by its coefficient signs.  An oracle for
+    solve_case on an equation with no curve family."""
+    filt = DomainFilter()
+    triple = eq.ap_roles()
+    sporadics, b_families = [], []
+    for a in range(-cut, cut + 1):
+        coeffs = trim([p_eval(bc, a) for bc in eq.poly])
+        if not coeffs:
+            if a:
+                b_families.append(BFamilySolution(a, triple))
+            continue
+        sporadics += [
+            SporadicSolution(a, B, triple) for B in integer_roots(coeffs) if filt.admits(a, B)
+        ]
+    return sporadics, b_families
 
 
 def trinomial_coefficients(spec: TrinomialSpec) -> list:

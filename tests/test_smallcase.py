@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import term
+from helpers import full_window_solutions, term
 import lucasaps.poly
 from lucasaps.cli import main
 from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params
@@ -219,6 +219,29 @@ class TestWorkedEquations:
         assert report.squeeze == [
             {"side": 1, "cut": 2, "why": "discriminant-variable roots below 1"}
         ]
+
+    def test_root_location_keeps_an_identically_zero_a(self):
+        # E = (A^2 - 1)(A^2 + 4B + 1) gives P(1 + x) = 4(A^2 - 1)(x + 2):
+        # both coefficients vanish at A = +-1, where B is free
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
+        assert _root_location(((-1, 0, 0, 0, 1), (-4, 0, 4)), report) == {-1, 1}
+        assert report.squeeze[0]["cut"] >= 2
+
+    def test_root_location_keeps_a_root_at_c_one(self):
+        # E = A^2 + 4B - 1 + (A - 2)^2 gives P(1 + x) = 4x + 4(A - 2)^2:
+        # at A = 2 the constant is 0 (C = 1 solves) and the rest positive
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
+        assert _root_location(((3, -4, 2), (4,)), report) == {2}
+        assert report.squeeze[0]["cut"] >= 3
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_root_location_drops_a_of_one_strict_sign(self, sign):
+        # E = +-(A^2 + 1)(A^2 + 4B + 1) gives P(1 + x) = +-4(A^2 + 1)(x + 2):
+        # every coefficient is nonzero and of one sign at every A
+        report = EquationReport(CaseEquation(Kind.FIRST, (0, 1, 2), 1), "")
+        bcs = ((sign, 0, 2 * sign, 0, sign), (4 * sign, 0, 4 * sign))
+        assert _root_location(bcs, report) == set()
+        assert report.squeeze[0]["cut"] >= 1
 
     def test_divisor_sweep_completeness(self):
         # every |a| <= 10^4 satisfying the divisibility is in the candidate set
@@ -490,6 +513,21 @@ class TestSolveAll:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "ecc9458a396c0cc8b883b997b8e9619f8add164bab37a6359ebc6c347f091bc1"
         )
+
+    def test_root_location_windows_at_cap_seven(self):
+        # the values of A root location leaves for the exact solve; solving
+        # at every |A| <= cut instead finds the same sporadics and B-families
+        sizes = Counter()
+        for kind in Kind:
+            for eq in case_equations(kind, 7):
+                report = solve_case(eq)
+                if not report.strategy.endswith("_root_location"):
+                    continue
+                sizes[kind] += len(_root_location(eq.poly, EquationReport(eq, "")))
+                assert not report.curves
+                oracle = full_window_solutions(eq, report.squeeze[0]["cut"])
+                assert oracle == (report.sporadics, report.b_families), (eq.triple, eq.variant)
+        assert sizes == {Kind.FIRST: 170, Kind.SECOND: 347}
 
     def test_squeeze_shifts_at_cap_seven(self):
         # the shift follows from the sign of t^2 * Delta - G^2 on each side;

@@ -15,10 +15,10 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 10.0 s for all 82 named tests (10.0 s for 79,
-9.1 s for 76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65,
+is that unchanged copy's, 10.7 s for all 84 named tests (10.0 s for 82,
+10.0 s for 79, 9.1 s for 76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65,
 12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs),
-and the slowest mutant's is 4.8 s (3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in
+and the slowest mutant's is 4.0 s (4.8, 3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in
 earlier runs); TIMEOUT_S is over three times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
@@ -36,7 +36,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 83 entries, 115 s on a 2-vCPU VM
+    python scripts/mutants.py    # 86 entries, 117 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -140,6 +140,11 @@ MUTANTS = [
      '        return PatternAnalysis(pattern, "inconclusive", note="monotone search cap hit")',
      "        pass",
      [T_CERTIFY + "TestCertifiedEnumerate::test_monotone_search_cap_is_inconclusive"]),
+    # certify: gamma^k carries (sgn A)^k, so an odd power of a negative-A root is negated
+    ("gap-root-power-drops-sgn-a", CERTIFY,
+     "    if sgn_a < 0 and k & 1:",
+     "    if False:",
+     [T_CERTIFY + "TestPatternBound::test_matches_surd_oracle[first]"]),
     ("growth-exception-second-kind-b-13", CERTIFY,
      "(A == 1 and 0 < B <= 14)",
      "(A == 1 and 0 < B <= 13)",
@@ -279,9 +284,14 @@ MUTANTS = [
      [T_CORE + "TestSurd::test_cmp_abs_matches_norm_comparison[-7]"]),
     # core: exact powers keep every product of square-and-multiply and its checks
     ("surd-pow-skip-odd-bit", CORE,
-     "                p, q = _product(p, q, bp, bq, d)",
-     "                pass",
+     "            rp, rq = _product(rp, rq, p, q, d)",
+     "            pass",
      [T_CORE + "TestSurd::test_pow_matches_repeated_product"]),
+    # core: the sign of a pair whose two parts differ in sign is the larger part's
+    ("pair-sign-mixed-flipped", CORE,
+     "        return sp * _sign(p * p - q * q * d)",
+     "        return -sp * _sign(p * p - q * q * d)",
+     [T_CERTIFY + "TestPatternBound::test_matches_surd_oracle[first]"]),
     ("surd-product-parity", CORE,
      '        raise ValueError(f"parity invariant violated: ({p}, {q}, {d})")',
      "        pass",
@@ -291,6 +301,10 @@ MUTANTS = [
      "        if not _remainder_vanishes(p, q, a, b, ca, cb, c0):",
      "        if False:",
      [T_SPECIAL + "test_matches_division_oracle"]),
+    ("quad-factors-root-check", SPECIAL,
+     '                raise EngineMismatchError("remainder and root evaluation disagree")',
+     "                pass",
+     [T_SPECIAL + "test_root_evaluation_checks_the_remainder"]),
     ("quad-factors-double-root-derivative", SPECIAL,
      '                raise EngineMismatchError("remainder and double-root derivative disagree")',
      "                pass",

@@ -25,7 +25,15 @@ explicit bound on n1, since the dominant side grows strictly faster than
 4 * max(1, |delta|)^n1.  When the margin cannot be certified the engine
 fixes the smallest free gap to successive values and recurses, which
 terminates because the margin becomes positive once the gap lower bound is
-large enough.  Every comparison is exact surd arithmetic.
+large enough.
+
+Every comparison is exact arithmetic on integer pairs (p, q), the value
+(p + q*sqrt(D))/2.  The root powers are the Lucas sequences V, U of
+(|A|, B): gamma^n = (sgn A)^n * (V_n + U_n*sqrt(D))/2 and
+delta^n = (sgn A)^n * (V_n - U_n*sqrt(D))/2, and since delta is gamma's
+conjugate, delta^n3 * Q(delta) is the conjugate (p, -q) of gamma^n3 * Q(gamma).
+Every other product is core's checked pair product; a node builds a Surd
+only for the margin it stores.
 """
 
 from __future__ import annotations
@@ -41,9 +49,11 @@ from .core import (
     Kind,
     SeqParams,
     Surd,
+    _pair_sign,
+    _product,
     classify,
     dominant_root,
-    surd_cmp_abs,
+    linear_terms,
     terms,
 )
 
@@ -166,37 +176,45 @@ def _shift_family(minus_two_at: int, g1: int, g2: int) -> APFamily:
     return APFamily((k, 1), (l, 1), (m, 1), 0)
 
 
-def _fixed_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:
+def _gamma_power(v: list, u: list, sgn_a: int, k: int) -> tuple[int, int]:
+    """gamma^k = (sgn A)^k * |gamma|^k as a pair, from |gamma|^k = (v_k + u_k*sqrt(D))/2."""
+    if sgn_a < 0 and k & 1:
+        return -v[k], -u[k]
+    return v[k], u[k]
+
+
+def _fixed_cell(pattern: GapPattern, v: list, u: list, sgn_a: int, d: int,
+                eps: int) -> PatternAnalysis:
     c1, c2, c3 = pattern.coefficients()
     g1, g2 = pattern.g1.value, pattern.g2.value
-    one = Surd.integer(1, gamma.d)
-
-    def q_at(x: Surd) -> Surd:
-        return (x ** (g1 + g2)).times_int(c1) + (x ** g2).times_int(c2) + one.times_int(c3)
-
-    qg, qd = q_at(gamma), q_at(delta)
-    if qg.is_zero() and qd.is_zero():
+    # Q(gamma) as the pair (p, q); Q(delta) is its conjugate (p, -q)
+    p1, q1 = _gamma_power(v, u, sgn_a, g1 + g2)
+    p2, q2 = _gamma_power(v, u, sgn_a, g2)
+    p, q = c1 * p1 + c2 * p2 + 2 * c3, c1 * q1 + c2 * q2
+    zero_g, zero_d = _pair_sign(p, q, d) == 0, _pair_sign(p, -q, d) == 0
+    if zero_g and zero_d:
         fam = _shift_family(pattern.minus_two_at, g1, g2)
         return PatternAnalysis(pattern, "family", families=(fam,),
                                note="companion divides the gap trinomial")
-    if qg.is_zero() or qd.is_zero():
+    if zero_g or zero_d:
         return PatternAnalysis(pattern, "resolved",
                                note="exactly one root kills Q; no solution")
 
-    # |gamma/delta| > 1, so |gamma^n3 Q(gamma)| / |delta^n3 Q(delta)| is
-    # strictly increasing in n3: at most one candidate where the moduli agree.
-    lhs, rhs = qg, qd
+    # lhs = gamma^n3 Q(gamma) = (p + q*sqrt(D))/2 and rhs = delta^n3 Q(delta) is
+    # its conjugate, so lhs^2 - rhs^2 = p*q*sqrt(D): |lhs| > |rhs| iff p*q > 0,
+    # and lhs = eps*rhs iff q = 0 (eps = 1) or p = 0 (eps = -1).  |gamma/delta| > 1,
+    # so |lhs| / |rhs| is strictly increasing in n3: at most one candidate where
+    # the moduli agree.
+    gp, gq = _gamma_power(v, u, sgn_a, 1)
     sols = []
     for n3 in range(SEARCH_CAP):
-        cmp = surd_cmp_abs(lhs, rhs)
-        if cmp == 0:
-            if (lhs - rhs.times_int(eps)).is_zero():
+        if p == 0 or q == 0:
+            if (q if eps == 1 else p) == 0:
                 sols.append(doubled_at((n3 + g1 + g2, n3 + g2, n3), pattern.minus_two_at))
             break
-        if cmp > 0:
+        if (p > 0) == (q > 0):
             break
-        lhs = lhs * gamma
-        rhs = rhs * delta
+        p, q = _product(p, q, gp, gq, d)
     else:
         return PatternAnalysis(pattern, "inconclusive", note="monotone search cap hit")
     return PatternAnalysis(pattern, "resolved", solutions=tuple(sols))
@@ -252,41 +270,48 @@ def pattern_bound(
     top exponent and the cell is exhausted up to it, or requests a split.
     """
     eps = 1 if kind is Kind.FIRST else -1
-    gamma, delta = dominant_root(params)
+    d, sgn_a = params.D, (1 if params.A > 0 else -1)
+    a, b = pattern.g1.value, pattern.g2.value
+    # the Lucas pair of (|A|, B): |gamma|^k = (v_k + u_k*sqrt(D))/2
+    absa = abs(params.A)
+    v = linear_terms(absa, params.B, 2, absa, a + b + 1)
+    u = linear_terms(absa, params.B, 0, 1, a + b + 1)
     if pattern.g1.fixed and pattern.g2.fixed:
-        return _fixed_cell(pattern, gamma, delta, eps)
+        return _fixed_cell(pattern, v, u, sgn_a, d, eps)
 
     c1, c2, c3 = pattern.coefficients()
-    ag, ad = abs(gamma), abs(delta)
-    one = Surd.integer(1, params.D)
-    a, b = pattern.g1.value, pattern.g2.value
-    grown = ag ** (a + b)
-
+    # W = |c1*gamma^a + c2| * |gamma|^b - |c3| with g1 fixed, else
+    # W = |c1| * |gamma|^(a+b) - |c2| * |gamma|^b - |c3|
     if pattern.g1.fixed:
-        t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
-        if t_gamma.is_zero():
-            return _decoupled_cell(pattern, gamma, delta, eps)
-        margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
+        gp, gq = _gamma_power(v, u, sgn_a, a)
+        tp, tq = c1 * gp + 2 * c2, c1 * gq
+        t_sign = _pair_sign(tp, tq, d)
+        if t_sign == 0:
+            return _decoupled_cell(pattern, *dominant_root(params), eps)
+        mp, mq = _product(t_sign * tp, t_sign * tq, v[b], u[b], d)
+        mp -= 2 * abs(c3)
     else:
-        margin = (
-            grown.times_int(abs(c1))
-            - (ag ** b).times_int(abs(c2))
-            - one.times_int(abs(c3))
-        )
-
+        mp = abs(c1) * v[a + b] - abs(c2) * v[b] - 2 * abs(c3)
+        mq = abs(c1) * u[a + b] - abs(c2) * u[b]
+    margin = Surd(mp, mq, d)
     if margin.sign() <= 0:
         return PatternAnalysis(pattern, "fix_next_gap", margin=margin)
 
-    eta = ad if surd_cmp_abs(ad, one) > 0 else one
-    lhs = margin
-    rhs = grown.times_int(4)
+    # eta = max(1, |delta|), with |delta| = +-(v_1 - u_1*sqrt(D))/2
+    ep, eq = v[1], -u[1]
+    if _pair_sign(ep, eq, d) < 0:
+        ep, eq = -ep, -eq
+    if _pair_sign(ep - 2, eq, d) <= 0:
+        ep, eq = 2, 0
+    lp, lq = mp, mq
+    rp, rq = 4 * v[a + b], 4 * u[a + b]
     top = -1
     for n1 in range(SEARCH_CAP):
-        if (rhs - lhs).sign() < 0:
+        if _pair_sign(rp - lp, rq - lq, d) < 0:
             break
         top = n1
-        lhs = lhs * ag
-        rhs = rhs * eta
+        lp, lq = _product(lp, lq, v[1], u[1], d)
+        rp, rq = _product(rp, rq, ep, eq, d)
     else:
         return PatternAnalysis(pattern, "inconclusive", margin=margin,
                                note="top bound search cap hit")

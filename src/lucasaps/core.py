@@ -15,7 +15,10 @@ Exact arithmetic uses :class:`Surd`, the ring of values (p + q*sqrt(D))/2
 with p = q*D (mod 2).  This is the smallest ring containing alpha and beta
 that is closed under addition, multiplication and conjugation, and it keeps
 every comparison needed by the certification engine in integer arithmetic.
-No floating point appears in any correctness-critical path.
+Its rules for products, powers and signs act on the bare integer pair (p, q)
+(_product, _pair_pow, _pair_sign), so hot loops can run on pairs and build a
+Surd only for a value they keep.  No floating point appears in any
+correctness-critical path.
 """
 
 from __future__ import annotations
@@ -166,20 +169,11 @@ class Surd:
         return Surd(self.p * n, self.q * n, self.d)
 
     def __pow__(self, n: int) -> Surd:
-        """Square-and-multiply on the integer pair (p, q); every step makes
-        the checks of __mul__, and one Surd is built at the end."""
+        """Square-and-multiply on the integer pair (p, q) (_pair_pow); one
+        Surd is built at the end."""
         if n < 0:
             raise ValueError("negative powers are not representable in this ring")
-        d = self.d
-        p, q = 2, 0
-        bp, bq = self.p, self.q
-        while n > 0:
-            if n & 1:
-                p, q = _product(p, q, bp, bq, d)
-            n >>= 1
-            if n:
-                bp, bq = _product(bp, bq, bp, bq, d)
-        return Surd(p, q, d)
+        return Surd(*_pair_pow(self.p, self.q, self.d, n), self.d)
 
     def norm(self):
         """Field norm (p^2 - q^2 d)/4 as a Fraction; equals |x|^2 when d < 0."""
@@ -202,13 +196,7 @@ class Surd:
         """Exact sign; requires d >= 0 (real value)."""
         if self.d < 0:
             raise ValueError("sign of a complex surd is undefined")
-        if self.q == 0:
-            return _sign(self.p)
-        if self.q > 0:
-            if self.p >= 0:
-                return 1
-            return _sign(self.q * self.q * self.d - self.p * self.p)
-        return -(-self).sign()
+        return _pair_sign(self.p, self.q, self.d)
 
     def __abs__(self) -> Surd:
         if self.d < 0:
@@ -245,6 +233,31 @@ def _product(p1: int, q1: int, p2: int, q2: int, d: int) -> tuple[int, int]:
     if (p - q * d) % 2:
         raise ValueError(f"parity invariant violated: ({p}, {q}, {d})")
     return p, q
+
+
+def _pair_pow(p: int, q: int, d: int, n: int) -> tuple[int, int]:
+    """(p, q) of ((p + q*sqrt(d))/2)^n for n >= 0 by square-and-multiply;
+    every step is a _product, with its checks."""
+    rp, rq = 2, 0
+    while n > 0:
+        if n & 1:
+            rp, rq = _product(rp, rq, p, q, d)
+        n >>= 1
+        if n:
+            p, q = _product(p, q, p, q, d)
+    return rp, rq
+
+
+def _pair_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of (p + q*sqrt(d))/2 for d > 0, or for q = 0.
+
+    The pair need not be normalized: a perfect square d with q != 0 is fine.
+    """
+    sp, sq = _sign(p), _sign(q)
+    if sp == -sq != 0:
+        # p and q*sqrt(d) have opposite signs: the larger of p^2 and q^2*d decides
+        return sp * _sign(p * p - q * q * d)
+    return sp or sq
 
 
 def _square_split(d: int) -> tuple[int, int]:

@@ -35,9 +35,9 @@ from .core import (
     EngineMismatchError,
     Surd,
     ZeroCoefficientError,
+    _pair_pow,
     linear_terms,
     new_params,
-    roots_of,
 )
 
 
@@ -107,8 +107,9 @@ def quad_factors(spec: TrinomialSpec) -> list:
     m in {2, 3, -2, -3} with g(m) != 0 are skipped before any recurrence.
     A survivor is decided by its remainders (_remainder_vanishes).  Every
     hit is cross-checked independently: the trinomial must vanish at both
-    roots of the candidate in exact surd arithmetic, and at a double root
-    r = -p/2 (zero discriminant) so must its derivative, in integers.
+    roots of the candidate, raised by square-and-multiply in exact surd
+    arithmetic, and at a double root r = -p/2 (zero discriminant) so must
+    its derivative, in integers.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
@@ -123,9 +124,12 @@ def quad_factors(spec: TrinomialSpec) -> list:
             continue
         if not _remainder_vanishes(p, q, a, b, ca, cb, c0):
             continue
-        for x in roots_of(-p, -q):
-            value = (x**a).times_int(ca) + (x**b).times_int(cb) + Surd.integer(c0, x.d)
-            if not value.is_zero():
+        # the roots (-p +- sqrt(d))/2, raised by square-and-multiply on pairs
+        d = p * p - 4 * q
+        for r in (1, -1):
+            pa, qa = _pair_pow(-p, r, d, a)
+            pb, qb = _pair_pow(-p, r, d, b)
+            if not Surd(ca * pa + cb * pb + 2 * c0, ca * qa + cb * qb, d).is_zero():
                 raise EngineMismatchError("remainder and root evaluation disagree")
         if p * p == 4 * q:
             r = -p // 2

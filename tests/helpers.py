@@ -2,8 +2,28 @@
 
 from dataclasses import dataclass
 
-from lucasaps.apsearch import APFamily, APTriple, canonical_indices, is_ap
-from lucasaps.core import Kind, SeqParams, Surd, linear_terms, roots_of, terms
+from lucasaps.apsearch import APFamily, APTriple, canonical_indices, doubled_at, is_ap
+from lucasaps.certify import (
+    SEARCH_CAP,
+    Gap,
+    GapPattern,
+    PatternAnalysis,
+    _cell_solutions,
+    _decoupled_cell,
+    _shift_family,
+)
+from lucasaps.core import (
+    Kind,
+    SeqParams,
+    Surd,
+    degeneracy_order,
+    dominant_root,
+    linear_terms,
+    new_params,
+    roots_of,
+    surd_cmp_abs,
+    terms,
+)
 from lucasaps.poly import integer_roots, p_eval, trim
 from lucasaps.smallcase import BFamilySolution, DomainFilter, SporadicSolution
 from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
@@ -100,6 +120,123 @@ def full_window_solutions(eq, cut: int) -> tuple:
             SporadicSolution(a, B, triple) for B in integer_roots(coeffs) if filt.admits(a, B)
         ]
     return sporadics, b_families
+
+
+def _surd_fixed_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:
+    c1, c2, c3 = pattern.coefficients()
+    g1, g2 = pattern.g1.value, pattern.g2.value
+    one = Surd.integer(1, gamma.d)
+
+    def q_at(x: Surd) -> Surd:
+        return (x ** (g1 + g2)).times_int(c1) + (x ** g2).times_int(c2) + one.times_int(c3)
+
+    qg, qd = q_at(gamma), q_at(delta)
+    if qg.is_zero() and qd.is_zero():
+        fam = _shift_family(pattern.minus_two_at, g1, g2)
+        return PatternAnalysis(pattern, "family", families=(fam,),
+                               note="companion divides the gap trinomial")
+    if qg.is_zero() or qd.is_zero():
+        return PatternAnalysis(pattern, "resolved",
+                               note="exactly one root kills Q; no solution")
+
+    # |gamma/delta| > 1, so |gamma^n3 Q(gamma)| / |delta^n3 Q(delta)| is
+    # strictly increasing in n3: at most one candidate where the moduli agree.
+    lhs, rhs = qg, qd
+    sols = []
+    for n3 in range(SEARCH_CAP):
+        cmp = surd_cmp_abs(lhs, rhs)
+        if cmp == 0:
+            if (lhs - rhs.times_int(eps)).is_zero():
+                sols.append(doubled_at((n3 + g1 + g2, n3 + g2, n3), pattern.minus_two_at))
+            break
+        if cmp > 0:
+            break
+        lhs = lhs * gamma
+        rhs = rhs * delta
+    else:
+        return PatternAnalysis(pattern, "inconclusive", note="monotone search cap hit")
+    return PatternAnalysis(pattern, "resolved", solutions=tuple(sols))
+
+
+def surd_pattern_bound(
+    pattern: GapPattern,
+    params: SeqParams,
+    kind: Kind,
+) -> PatternAnalysis:
+    """Analyze one gap pattern exactly, in boxed Surd arithmetic: the gap
+    engine's node before it computed on integer pairs, kept as an oracle for
+    certify.pattern_bound.
+
+    Fixed gaps resolve outright (family / no solution / single verified
+    candidate).  A free gap either certifies a positive margin W, in which
+    case W * |gamma|^n1 <= 4 * |gamma|^(a+b) * max(1,|delta|)^n1 bounds the
+    top exponent and the cell is exhausted up to it, or requests a split.
+    """
+    eps = 1 if kind is Kind.FIRST else -1
+    gamma, delta = dominant_root(params)
+    if pattern.g1.fixed and pattern.g2.fixed:
+        return _surd_fixed_cell(pattern, gamma, delta, eps)
+
+    c1, c2, c3 = pattern.coefficients()
+    ag, ad = abs(gamma), abs(delta)
+    one = Surd.integer(1, params.D)
+    a, b = pattern.g1.value, pattern.g2.value
+    grown = ag ** (a + b)
+
+    if pattern.g1.fixed:
+        t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
+        if t_gamma.is_zero():
+            return _decoupled_cell(pattern, gamma, delta, eps)
+        margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
+    else:
+        margin = (
+            grown.times_int(abs(c1))
+            - (ag ** b).times_int(abs(c2))
+            - one.times_int(abs(c3))
+        )
+
+    if margin.sign() <= 0:
+        return PatternAnalysis(pattern, "fix_next_gap", margin=margin)
+
+    eta = ad if surd_cmp_abs(ad, one) > 0 else one
+    lhs = margin
+    rhs = grown.times_int(4)
+    top = -1
+    for n1 in range(SEARCH_CAP):
+        if (rhs - lhs).sign() < 0:
+            break
+        top = n1
+        lhs = lhs * ag
+        rhs = rhs * eta
+    else:
+        return PatternAnalysis(pattern, "inconclusive", margin=margin,
+                               note="top bound search cap hit")
+    return PatternAnalysis(pattern, "bounded", _cell_solutions(pattern, params, kind, top),
+                           margin=margin, top_bound=top)
+
+
+def gap_oracle_box(a_max: int, b_max: int, gap_max: int):
+    """(pattern, params, kind) for every dominant non-degenerate pair with
+    |A| <= a_max and |B| <= b_max, both kinds, each -2 placement and each
+    pair of gaps, fixed or free, with values 1 to gap_max."""
+    gaps = [Gap(fixed, v) for fixed in (True, False) for v in range(1, gap_max + 1)]
+    for A in range(-a_max, a_max + 1):
+        for B in range(-b_max, b_max + 1):
+            if not A or not B or A * A + 4 * B <= 0 or degeneracy_order(A, B) is not None:
+                continue
+            params = new_params(A, B)
+            for kind in Kind:
+                for placement in (0, 1, 2):
+                    for g1 in gaps:
+                        for g2 in gaps:
+                            yield GapPattern(placement, g1, g2), params, kind
+
+
+def node_key(res: PatternAnalysis) -> tuple:
+    """What the gap-engine oracle comparison reads of a node: its document,
+    solutions, families and the margin's (p, q, d)."""
+    m = res.margin
+    return res.to_json_dict(), res.solutions, res.families, m and (m.p, m.q, m.d)
 
 
 def trinomial_coefficients(spec: TrinomialSpec) -> list:

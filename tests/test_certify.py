@@ -3,10 +3,11 @@
 import hashlib
 import json
 from importlib import resources as importlib_resources
+from math import isqrt
 
 import pytest
 
-from helpers import family_instances
+from helpers import family_instances, gap_oracle_box, node_key, surd_pattern_bound
 from lucasaps import certify
 from lucasaps.apsearch import find_aps, is_ap
 from lucasaps.certify import (
@@ -158,6 +159,26 @@ class TestPatternBound:
         res = pattern_bound(pat, new_params(2, 1), Kind.FIRST)
         assert res.status == "bounded"
         assert res.margin == Surd(8, 3, 8)
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_matches_surd_oracle(self, kind):
+        # every node of the box, on pairs, equals the boxed-Surd computation
+        # node by node, the margin's (p, q, d) included: every dominant pair
+        # with |A| <= 7 and |B| <= 14, each placement, gaps 1-3 fixed or free;
+        # the box holds perfect-square D and the decoupled cells of (3, -2)
+        # (roots 2, 1) and (1, 2) (roots 2, -1)
+        square, decoupled = set(), set()
+        for pat, params, k in gap_oracle_box(7, 14, 3):
+            if k is not kind:
+                continue
+            res = pattern_bound(pat, params, kind)
+            assert node_key(res) == node_key(surd_pattern_bound(pat, params, kind)), (pat, params)
+            if "decoupled" in res.note:
+                decoupled.add((params.A, params.B))
+            if isqrt(params.D) ** 2 == params.D:
+                square.add((params.A, params.B))
+        assert {(3, -2), (1, 2), (2, 3)} <= square
+        assert decoupled == {(3, -2), (1, 2)}
 
 
 class TestCertifiedEnumerate:

@@ -92,6 +92,14 @@ class TestQuadFactors:
         with pytest.raises(EngineMismatchError, match="double-root derivative"):
             quad_factors(TrinomialSpec(TrinomialShape.UNIT_CONSTANT, 14, 1))
 
+    def test_root_evaluation_checks_the_remainder(self, monkeypatch):
+        # X^2 - 2X - 2 passes g(m) | f(m) at m = 2, 3, -2, -3 for X^4 + X^3 - 2
+        # but does not divide it: with the remainder test forced to accept,
+        # evaluating f at the roots 1 +- sqrt(3) refuses it
+        monkeypatch.setattr(special, "_remainder_vanishes", lambda *args: True)
+        with pytest.raises(EngineMismatchError, match="root evaluation"):
+            quad_factors(TrinomialSpec(TrinomialShape.MINUS_TWO_CONSTANT, 4, 3))
+
     def test_box_oracle_factors_divide_constant_term(self):
         # the full |p|, |q| <= 4 box never finds a factor outside the pruned
         # box (q | c_0, |p| <= 1 + |q|) or one failing the divisibility test

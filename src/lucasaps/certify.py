@@ -187,16 +187,16 @@ def _fixed_cell(pattern: GapPattern, v: list, u: list, sgn_a: int, d: int,
                 eps: int) -> PatternAnalysis:
     c1, c2, c3 = pattern.coefficients()
     g1, g2 = pattern.g1.value, pattern.g2.value
-    # Q(gamma) as the pair (p, q); Q(delta) is its conjugate (p, -q)
+    # Q(gamma) as the pair (p, q), Q(delta) its conjugate (p, -q): both vanish
+    # iff p = q = 0, one iff the norm Q(gamma)*Q(delta) = (p^2 - q^2*D)/4 does
     p1, q1 = _gamma_power(v, u, sgn_a, g1 + g2)
     p2, q2 = _gamma_power(v, u, sgn_a, g2)
     p, q = c1 * p1 + c2 * p2 + 2 * c3, c1 * q1 + c2 * q2
-    zero_g, zero_d = _pair_sign(p, q, d) == 0, _pair_sign(p, -q, d) == 0
-    if zero_g and zero_d:
+    if not (p or q):
         fam = _shift_family(pattern.minus_two_at, g1, g2)
         return PatternAnalysis(pattern, "family", families=(fam,),
                                note="companion divides the gap trinomial")
-    if zero_g or zero_d:
+    if p * p == q * q * d:
         return PatternAnalysis(pattern, "resolved",
                                note="exactly one root kills Q; no solution")
 
@@ -322,8 +322,6 @@ def pattern_bound(
 def _cell_solutions(pattern: GapPattern, params: SeqParams, kind: Kind, top: int):
     """Exhaust a bounded cell: the canonical triples of exponents meeting the
     gap constraints with n1 <= top, checked against the recurrence terms."""
-    if top < 2:
-        return ()
     c1, c2, c3 = pattern.coefficients()
     ts = terms(params, kind, top + 1)
     g1s = (pattern.g1.value,) if pattern.g1.fixed else range(pattern.g1.value, top + 1)
@@ -509,8 +507,9 @@ def certified_enumerate(params: SeqParams, kind: Kind) -> EnumerationResult:
 def check_certificate(cert: CompletenessCertificate, params: SeqParams, kind: Kind) -> bool:
     """Independently re-validate a certificate by brute enumeration.
 
-    Listed triples must lie within n0 and equal, indices and values, the brute
-    window up to W = max(4*n0, 100); an unreachable n0 is refused unsearched.
+    Listed triples must be distinct, lie within n0 and equal, indices and
+    values, the brute window up to W = max(4*n0, 100); a repeated triple or
+    an unreachable n0 is refused unsearched.
     A unit-step family, offsets <= max(12, n0 + 3), fails: its instances ending
     at W - 1 and W don't both repeat a value (else x is periodic: degenerate).
     """
@@ -519,5 +518,7 @@ def check_certificate(cert: CompletenessCertificate, params: SeqParams, kind: Ki
     if cert.n0 >= SEARCH_CAP + 2 * GAP_CAP:
         return False
     listed = {t.indices: t.values for t in cert.aps}
+    if len(listed) != len(cert.aps):
+        return False
     brute = {t.indices: t.values for t in find_aps(params, kind, max(4 * cert.n0, 100))}
     return all(max(i) <= cert.n0 for i in listed) and listed == brute

@@ -16,9 +16,9 @@ are complex, so |p| <= 2 at q = +-1 and |p| <= 3 at q = +-2, that is
 g divides f in Z[X], so g(m) divides f(m) for every integer m; a candidate
 failing that at some m in {2, 3, -2, -3} with g(m) != 0 is dropped.  Each
 survivor is decided by the remainders of X^n modulo it, and every factor
-found is cross-checked by evaluating the trinomial at its roots exactly.
-A double root r = -p/2, of (X - 1)^2 or (X + 1)^2, is one root counted
-twice, so there the derivative c_a*a*r^(a-1) + c_b*b*r^(b-1) must vanish too.
+found is cross-checked by one exact evaluation at the root (-p + w)/2 in
+Z[w]/(w^2 - d), d = p^2 - 4q: f's pair (P, Q) there must be (0, 0).  By
+w -> -w that is both roots, and at d = 0 (w^2 = 0) Q is f' at the double root.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations in the roots' quadratic field: with A(k, s) <= 2^(35*b^3) * 2^(6*b^2)
@@ -33,7 +33,6 @@ from enum import Enum
 from .core import (
     DegenerateError,
     EngineMismatchError,
-    Surd,
     ZeroCoefficientError,
     _pair_pow,
     linear_terms,
@@ -106,10 +105,9 @@ def quad_factors(spec: TrinomialSpec) -> list:
     g(m) | f(m) at every integer m; candidates failing that at some
     m in {2, 3, -2, -3} with g(m) != 0 are skipped before any recurrence.
     A survivor is decided by its remainders (_remainder_vanishes).  Every
-    hit is cross-checked independently: the trinomial must vanish at both
-    roots of the candidate, raised by square-and-multiply in exact surd
-    arithmetic, and at a double root r = -p/2 (zero discriminant) so must
-    its derivative, in integers.
+    hit is cross-checked independently, by square-and-multiply at the root
+    (-p + w)/2 in Z[w]/(w^2 - d): the trinomial's pair there must be (0, 0),
+    which says both roots vanish and, at d = 0, the double root's derivative.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
@@ -124,17 +122,14 @@ def quad_factors(spec: TrinomialSpec) -> list:
             continue
         if not _remainder_vanishes(p, q, a, b, ca, cb, c0):
             continue
-        # the roots (-p +- sqrt(d))/2, raised by square-and-multiply on pairs
+        # f at (-p + w)/2, w^2 = d; w -> -w is the other root, at d = 0 the w-part is f'(-p/2)
         d = p * p - 4 * q
-        for r in (1, -1):
-            pa, qa = _pair_pow(-p, r, d, a)
-            pb, qb = _pair_pow(-p, r, d, b)
-            if not Surd(ca * pa + cb * pb + 2 * c0, ca * qa + cb * qb, d).is_zero():
-                raise EngineMismatchError("remainder and root evaluation disagree")
-        if p * p == 4 * q:
-            r = -p // 2
-            if ca * a * r ** (a - 1) + cb * b * r ** (b - 1):
-                raise EngineMismatchError("remainder and double-root derivative disagree")
+        pa, qa = _pair_pow(-p, 1, d, a)
+        pb, qb = _pair_pow(-p, 1, d, b)
+        if ca * pa + cb * pb + 2 * c0 or ca * qa + cb * qb:
+            raise EngineMismatchError(
+                "remainder and root evaluation disagree (at d = 0, the double-root derivative)"
+            )
         found.append((p, q))
     return found
 

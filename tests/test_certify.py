@@ -448,6 +448,15 @@ class TestCheckCertificate:
         forged = certificate_from_json({**doc, "n0": 2})
         assert not check_certificate(forged, params, Kind.SECOND)
 
+    def test_repeated_triple_is_rejected(self):
+        # listing a brute-window triple twice leaves the set of triples
+        # unchanged, but a certificate names each progression once
+        params = new_params(2, 1)
+        doc = certified_enumerate(params, Kind.FIRST).certificate.to_json_dict()
+        assert doc["aps"]
+        forged = certificate_from_json({**doc, "aps": doc["aps"] + [doc["aps"][0]]})
+        assert not check_certificate(forged, params, Kind.FIRST)
+
     def test_wrong_values_are_rejected(self):
         params = new_params(1, 3)
         doc = certified_enumerate(params, Kind.SECOND).certificate.to_json_dict()

@@ -100,6 +100,33 @@ class TestQuadFactors:
         with pytest.raises(EngineMismatchError, match="root evaluation"):
             quad_factors(TrinomialSpec(TrinomialShape.MINUS_TWO_CONSTANT, 4, 3))
 
+    def test_square_discriminant_needs_both_roots(self, monkeypatch):
+        # X^2 + X - 2 = (X - 1)(X + 2) passes g(m) | f(m) at m = 2, 3, -2, -3
+        # for X^6 + X - 2, which vanishes at 1 but not at -2: with the
+        # remainder test forced to accept only it, evaluating f at the root
+        # (-1 + w)/2, w^2 = 9, refuses it although f(1) = 0
+        monkeypatch.setattr(special, "_remainder_vanishes", lambda p, q, *rest: (p, q) == (1, -2))
+        with pytest.raises(EngineMismatchError, match="root evaluation"):
+            quad_factors(TrinomialSpec(TrinomialShape.MINUS_TWO_CONSTANT, 6, 1))
+
+    def test_one_root_evaluation_per_factor(self, monkeypatch):
+        # the conjugate root is the same pair with w -> -w, so each factor
+        # found costs one _pair_pow for X^a and one for X^b
+        calls = []
+        pair_pow = special._pair_pow
+
+        def counted(*args):
+            calls.append(args)
+            return pair_pow(*args)
+
+        monkeypatch.setattr(special, "_pair_pow", counted)
+        for shape in TrinomialShape:
+            for a in range(2, 17):
+                for b in range(1, a):
+                    calls.clear()
+                    found = quad_factors(TrinomialSpec(shape, a, b))
+                    assert len(calls) == 2 * len(found), (shape, a, b)
+
     def test_box_oracle_factors_divide_constant_term(self):
         # the full |p|, |q| <= 4 box never finds a factor outside the pruned
         # box (q | c_0, |p| <= 1 + |q|) or one failing the divisibility test

@@ -15,11 +15,11 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 10.3-10.5 s for all 85 named tests (10.7 s for
-84, 10.0 s for 82, 10.0 s for 79, 9.1 s for 76, 10.6-15.5 s for 73,
+is that unchanged copy's, 13.0 s for all 88 named tests (10.3-10.5 s for
+85, 10.7 s for 84, 10.0 s for 82, 10.0 s for 79, 9.1 s for 76, 10.6-15.5 s for 73,
 13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and
-10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is 4.8-5.7 s
-(4.0, 4.8, 3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in earlier runs); TIMEOUT_S is
+10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is 5.1 s
+(4.8-5.7, 4.0, 4.8, 3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in earlier runs); TIMEOUT_S is
 over three times the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
@@ -37,7 +37,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 89 entries, 80 s on a 2-vCPU VM
+    python scripts/mutants.py    # 92 entries, 150 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ CLI = "src/lucasaps/cli.py"
 CORE = "src/lucasaps/core.py"
 INIT = "src/lucasaps/__init__.py"
 SPECIAL = "src/lucasaps/special.py"
+HELPERS = "tests/helpers.py"
 
 T_SMALLCASE = "tests/test_smallcase.py::"
 T_APSEARCH = "tests/test_apsearch.py::TestFindAPs::"
@@ -156,6 +157,12 @@ MUTANTS = [
      "    if sgn_a < 0 and k & 1:",
      "    if False:",
      [T_CERTIFY + "TestPatternBound::test_matches_surd_oracle[first]"]),
+    # certify: a decoupled cell's roots are integers only when D is a square;
+    # (1, 3), D = 13, would pass the root test with isqrt's roots 2 and -1
+    ("surd-as-integer", CERTIFY,
+     "    if r * r != params.D:",
+     "    if False:",
+     [T_CERTIFY + "TestPatternBound::test_decoupled_cell_needs_a_square_discriminant"]),
     ("growth-exception-second-kind-b-13", CERTIFY,
      "(A == 1 and 0 < B <= 14)",
      "(A == 1 and 0 < B <= 13)",
@@ -215,6 +222,14 @@ MUTANTS = [
      " or type(note) is not str",
      "",
      [T_CERTIFY + "TestCertificateJson::test_malformed_array_or_string_raises[note-null]"]),
+    ("certificate-json-object", CERTIFY,
+     "    if type(doc) is not dict:",
+     "    if False:",
+     [T_CERTIFY + "TestCertificateJson::test_non_object_document_raises[array]"]),
+    ("certificate-json-triple-values-three", CERTIFY,
+     "        if len(values) != 3:",
+     "        if False:",
+     [T_CERTIFY + "TestCertificateJson::test_triple_values_not_three_raises[2]"]),
     ("certificate-json-triple-values-array", CERTIFY,
      "type(values) is not list or not all(",
      "not all(",
@@ -272,33 +287,32 @@ MUTANTS = [
     _drop_raise("surd-parity", CORE,
                 "        if (self.p - self.q * self.d) % 2 != 0:\n"
                 '            raise ValueError(f"parity invariant violated: ({self.p}, {self.q}, {self.d})")'),
-    _drop_raise("surd-mixed-discriminants", CORE,
+    # the ring of the test oracles, in tests/helpers.py, on core's pair rules
+    _drop_raise("surd-mixed-discriminants", HELPERS,
                 "        if self.d != other.d:\n"
                 '            raise ValueError("mixed discriminants")'),
-    _drop_raise("surd-negative-power", CORE,
+    _drop_raise("surd-negative-power", HELPERS,
                 "        if n < 0:\n"
                 '            raise ValueError("negative powers are not representable in this ring")'),
-    _drop_raise("surd-as-integer", CORE,
-                "        if not self.is_integer():\n"
-                '            raise ValueError(f"{self!r} is not a rational integer")'),
-    _drop_raise("surd-complex-sign", CORE,
+    _drop_raise("surd-complex-sign", HELPERS,
                 "        if self.d < 0:\n"
                 '            raise ValueError("sign of a complex surd is undefined")'),
-    _drop_raise("surd-complex-abs", CORE,
+    _drop_raise("surd-complex-abs", HELPERS,
                 "        if self.d < 0:\n"
                 '            raise ValueError("use norm() for complex absolute values")'),
-    _drop_raise("cmp-abs-mixed-discriminants", CORE,
+    _drop_raise("cmp-abs-mixed-discriminants", HELPERS,
                 "    if x.d != y.d:\n"
                 '        raise ValueError("mixed discriminants")'),
     _drop_raise("divisors-of-zero", POLY,
                 "    if n == 0:\n"
                 '        raise ValueError("zero has no divisor list")'),
-    # core: for d < 0, |x| compares by the integer p^2 - q^2 d, four times the norm
-    ("cmp-abs-complex-drops-q-square", CORE,
+    # the oracle ring: for d < 0, |x| compares by the integer p^2 - q^2 d, four times the norm
+    ("cmp-abs-complex-drops-q-square", HELPERS,
      "x.q * x.q * x.d - (",
      "x.q * x.d - (",
      [T_CORE + "TestSurd::test_cmp_abs_matches_norm_comparison[-7]"]),
-    # core: exact powers keep every product of square-and-multiply and its checks
+    # core: exact powers keep every product of square-and-multiply and its checks;
+    # the oracle ring's ** and * call _pair_pow and _product
     ("surd-pow-skip-odd-bit", CORE,
      "            rp, rq = _product(rp, rq, p, q, d)",
      "            pass",
@@ -477,6 +491,11 @@ MUTANTS = [
      '__version__ = "0.1.0"\n',
      '__version__ = "0.1.0"\nfrom . import certify  # noqa: E402,F401\n',
      [T_CLI + "TestImportBoundary::test_import_loads_no_submodule"]),
+    # the dead-code guard flags a function no line of src/ calls
+    ("dead-code-unused-function", CORE,
+     "def _sign(n) -> int:",
+     "def _unused(n) -> int:\n    return n\n\n\ndef _sign(n) -> int:",
+     [T_CORE + "TestEngineChecks::test_every_definition_in_src_is_referenced"]),
     # changes a docstring line only, so it must survive
     ("inert-comment", POLY,
      "A polynomial in A is a dense list of coefficients, index = degree, with no",

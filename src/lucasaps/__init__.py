@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "CertificateFailureError", "Classification", "DegenerateError", "Kind", "SeqParams",
-        "Surd", "ZeroCoefficientError", "classify", "new_params", "surd_cmp_abs", "terms",
+        "Surd", "ZeroCoefficientError", "classify", "new_params", "terms",
     ),
     "apsearch": ("APFamily", "APTriple", "detect_families", "find_aps", "is_ap", "verify_family"),
     "certify": (

@@ -32,14 +32,16 @@ Every comparison is exact arithmetic on integer pairs (p, q), the value
 (|A|, B): gamma^n = (sgn A)^n * (V_n + U_n*sqrt(D))/2 and
 delta^n = (sgn A)^n * (V_n - U_n*sqrt(D))/2, and since delta is gamma's
 conjugate, delta^n3 * Q(delta) is the conjugate (p, -q) of gamma^n3 * Q(gamma).
-Every other product is core's checked pair product; a node builds a Surd
-only for the margin it stores.
+Every other product is core's checked pair product and every sign core's
+pair sign; a node builds a Surd only for the margin it stores, and a
+decoupled cell, whose roots are integers, takes them from isqrt(D).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from math import isqrt
 
 from . import __version__
 from .apsearch import APFamily, APTriple, doubled_at, find_aps, is_ap, verify_family
@@ -52,7 +54,6 @@ from .core import (
     _pair_sign,
     _product,
     classify,
-    dominant_root,
     linear_terms,
     terms,
 )
@@ -220,19 +221,24 @@ def _fixed_cell(pattern: GapPattern, v: list, u: list, sgn_a: int, d: int,
     return PatternAnalysis(pattern, "resolved", solutions=tuple(sols))
 
 
-def _decoupled_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:
+def _decoupled_cell(pattern: GapPattern, params: SeqParams, eps: int) -> PatternAnalysis:
     """g1 fixed with c1*gamma^g1 + c2 = 0.
 
     Only gamma = 2 with g1 = 1 and the -2 coefficient in the middle can
     reach this branch (gamma^g1 = 2 has no other solution of degree <= 2
-    with nonzero trace), and then the other root is +-1.  The equation
+    with nonzero trace), and then the other root is +-1.  The roots are
+    the integers gamma, delta = sgn(A)*(|A| +- r)/2 with r^2 = D.  The equation
     collapses to 2^n3 * c3 = eps * delta^n3 * (delta^g2 * T(delta) + c3),
     so n3 is bounded outright and each residue class of g2 either fails or
     yields a whole family.
     """
     c1, c2, c3 = pattern.coefficients()
     a, b = pattern.g1.value, pattern.g2.value
-    gi, di = gamma.as_integer(), delta.as_integer()
+    r, absa = isqrt(params.D), abs(params.A)
+    if r * r != params.D:
+        raise EngineMismatchError(f"decoupled cell reached with D = {params.D} not a square")
+    sgn_a = 1 if params.A > 0 else -1
+    gi, di = sgn_a * (absa + r) // 2, sgn_a * (absa - r) // 2
     if gi != 2 or abs(di) != 1 or pattern.minus_two_at != 1:
         raise EngineMismatchError(f"decoupled cell reached with roots {gi}, {di}")
 
@@ -287,14 +293,14 @@ def pattern_bound(
         tp, tq = c1 * gp + 2 * c2, c1 * gq
         t_sign = _pair_sign(tp, tq, d)
         if t_sign == 0:
-            return _decoupled_cell(pattern, *dominant_root(params), eps)
+            return _decoupled_cell(pattern, params, eps)
         mp, mq = _product(t_sign * tp, t_sign * tq, v[b], u[b], d)
         mp -= 2 * abs(c3)
     else:
         mp = abs(c1) * v[a + b] - abs(c2) * v[b] - 2 * abs(c3)
         mq = abs(c1) * u[a + b] - abs(c2) * u[b]
     margin = Surd(mp, mq, d)
-    if margin.sign() <= 0:
+    if _pair_sign(mp, mq, d) <= 0:
         return PatternAnalysis(pattern, "fix_next_gap", margin=margin)
 
     # eta = max(1, |delta|), with |delta| = +-(v_1 - u_1*sqrt(D))/2
@@ -365,6 +371,8 @@ def certificate_from_json(doc: dict) -> CompletenessCertificate:
     CompletenessCertificate.to_json_dict.  A missing required key raises
     KeyError and a value that cli_schema.json forbids raises ValueError; a
     pattern node is kept as its JSON document, its inside unchecked."""
+    if type(doc) is not dict:
+        raise ValueError(f"a certificate must be a JSON object: {doc!r}")
     if type(doc["n0"]) is not int or doc["n0"] < 2:
         raise ValueError(f"n0 must be an integer >= 2: {doc['n0']!r}")
     if doc["method"] not in ("growth_lemma", "gap_pattern"):
@@ -386,6 +394,8 @@ def certificate_from_json(doc: dict) -> CompletenessCertificate:
             type(v) is str and re.fullmatch("-?[0-9]+", v) for v in values
         ):
             raise ValueError(f"triple values must be an array of decimal strings: {t!r}")
+        if len(values) != 3:
+            raise ValueError(f"triple values must hold exactly 3 strings: {t!r}")
     return CompletenessCertificate(
         doc["method"], doc["n0"], tuple(patterns),
         tuple(APTriple(t["k"], t["l"], t["m"], tuple(map(int, t["values"]))) for t in aps),

@@ -11,14 +11,13 @@ orders are 1, 2, 3, 4, 6, and the degenerate pairs are exactly those with
 A^2 in {-B, -2B, -3B, -4B} (order 2 would force A = 0).  Everything built on
 top of :func:`new_params` may therefore assume non-degeneracy.
 
-Exact arithmetic uses :class:`Surd`, the ring of values (p + q*sqrt(D))/2
-with p = q*D (mod 2).  This is the smallest ring containing alpha and beta
-that is closed under addition, multiplication and conjugation, and it keeps
-every comparison needed by the certification engine in integer arithmetic.
-Its rules for products, powers and signs act on the bare integer pair (p, q)
-(_product, _pair_pow, _pair_sign), so hot loops can run on pairs and build a
-Surd only for a value they keep.  No floating point appears in any
-correctness-critical path.
+Exact arithmetic acts on integer pairs (p, q), the value (p + q*sqrt(D))/2
+with p = q*D (mod 2): the smallest ring containing alpha and beta that is
+closed under addition, multiplication and conjugation.  Products, powers and
+signs of pairs (_product, _pair_pow, _pair_sign) keep every comparison of
+the certification engine in integer arithmetic; :class:`Surd` is such a
+value kept as a gap node's margin, with its text.  No floating point appears
+in any correctness-critical path.
 """
 
 from __future__ import annotations
@@ -142,67 +141,6 @@ class Surd:
         if (self.p - self.q * self.d) % 2 != 0:
             raise ValueError(f"parity invariant violated: ({self.p}, {self.q}, {self.d})")
 
-    @classmethod
-    def integer(cls, n: int, d: int) -> Surd:
-        return cls(2 * n, 0, d)
-
-    def _check(self, other: Surd):
-        if self.d != other.d:
-            raise ValueError("mixed discriminants")
-
-    def __add__(self, other: Surd) -> Surd:
-        self._check(other)
-        return Surd(self.p + other.p, self.q + other.q, self.d)
-
-    def __sub__(self, other: Surd) -> Surd:
-        self._check(other)
-        return Surd(self.p - other.p, self.q - other.q, self.d)
-
-    def __neg__(self) -> Surd:
-        return Surd(-self.p, -self.q, self.d)
-
-    def __mul__(self, other: Surd) -> Surd:
-        self._check(other)
-        return Surd(*_product(self.p, self.q, other.p, other.q, self.d), self.d)
-
-    def times_int(self, n: int) -> Surd:
-        return Surd(self.p * n, self.q * n, self.d)
-
-    def __pow__(self, n: int) -> Surd:
-        """Square-and-multiply on the integer pair (p, q) (_pair_pow); one
-        Surd is built at the end."""
-        if n < 0:
-            raise ValueError("negative powers are not representable in this ring")
-        return Surd(*_pair_pow(self.p, self.q, self.d, n), self.d)
-
-    def norm(self):
-        """Field norm (p^2 - q^2 d)/4 as a Fraction; equals |x|^2 when d < 0."""
-        from fractions import Fraction
-
-        return Fraction(self.p * self.p - self.q * self.q * self.d, 4)
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def is_integer(self) -> bool:
-        return self.q == 0 and self.p % 2 == 0
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.p // 2
-
-    def sign(self) -> int:
-        """Exact sign; requires d >= 0 (real value)."""
-        if self.d < 0:
-            raise ValueError("sign of a complex surd is undefined")
-        return _pair_sign(self.p, self.q, self.d)
-
-    def __abs__(self) -> Surd:
-        if self.d < 0:
-            raise ValueError("use norm() for complex absolute values")
-        return self if self.sign() >= 0 else -self
-
     def __str__(self) -> str:
         if self.q == 0:
             return str(self.p // 2) if self.p % 2 == 0 else f"{self.p}/2"
@@ -271,41 +209,6 @@ def _square_split(d: int) -> tuple[int, int]:
             f *= k
         k += 1
     return f, sign * n
-
-
-def surd_cmp_abs(x: Surd, y: Surd) -> int:
-    """Exact comparison of |x| and |y|: -1, 0 or +1.
-
-    For real discriminants the sign of x^2 - y^2 decides; for negative
-    discriminants |x|^2 equals the field norm (p^2 - q^2 d)/4, and the
-    integers p^2 - q^2 d compare the same way.
-    """
-    if x.d != y.d:
-        raise ValueError("mixed discriminants")
-    if x.d >= 0:
-        return (x * x - y * y).sign()
-    return _sign(x.p * x.p - x.q * x.q * x.d - (y.p * y.p - y.q * y.q * y.d))
-
-
-def roots_of(A: int, B: int) -> tuple[Surd, Surd]:
-    """Companion polynomial roots (A +- sqrt(A^2+4B))/2 without validation.
-
-    Useful for degeneracy oracles that must inspect rejected pairs.
-    """
-    d = A * A + 4 * B
-    return Surd(A, 1, d), Surd(A, -1, d)
-
-
-def dominant_root(params: SeqParams) -> tuple[Surd, Surd]:
-    """(gamma, delta) with |gamma| > |delta|; requires D > 0.
-
-    Since alpha - beta = sqrt(D) > 0, the dominant root is alpha exactly
-    when A > 0.
-    """
-    if params.D <= 0:
-        raise ValueError("dominant root requires positive discriminant")
-    a, b = roots_of(params.A, params.B)
-    return (a, b) if params.A > 0 else (b, a)
 
 
 def terms(params: SeqParams, kind: Kind, count: int) -> list:

@@ -1,7 +1,11 @@
 """Test-only helpers shared by several test modules."""
 
-from dataclasses import dataclass
+from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
+from lucasaps import core
 from lucasaps.apsearch import APFamily, APTriple, canonical_indices, doubled_at, is_ap
 from lucasaps.certify import (
     SEARCH_CAP,
@@ -15,19 +19,117 @@ from lucasaps.certify import (
 from lucasaps.core import (
     Kind,
     SeqParams,
-    Surd,
+    _pair_pow,
+    _pair_sign,
+    _product,
+    _sign,
     degeneracy_order,
-    dominant_root,
     linear_terms,
     new_params,
-    roots_of,
-    surd_cmp_abs,
     terms,
 )
 from lucasaps.poly import integer_roots, p_eval, trim
 from lucasaps.smallcase import BFamilySolution, DomainFilter, SporadicSolution
 from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
 from lucasaps.tables import load_table_entries
+
+
+class Surd(core.Surd):
+    """core.Surd with the ring operations of Q(sqrt(d)), the test oracles'
+    arithmetic.  Products, powers and signs are core's pair rules, so each
+    rule has one copy.  Dataclass equality compares classes, so a value of
+    this ring never equals a core.Surd: an engine margin is compared with
+    core.Surd."""
+
+    @classmethod
+    def integer(cls, n: int, d: int) -> Surd:
+        return cls(2 * n, 0, d)
+
+    def _check(self, other: Surd):
+        if self.d != other.d:
+            raise ValueError("mixed discriminants")
+
+    def __add__(self, other: Surd) -> Surd:
+        self._check(other)
+        return Surd(self.p + other.p, self.q + other.q, self.d)
+
+    def __sub__(self, other: Surd) -> Surd:
+        self._check(other)
+        return Surd(self.p - other.p, self.q - other.q, self.d)
+
+    def __neg__(self) -> Surd:
+        return Surd(-self.p, -self.q, self.d)
+
+    def __mul__(self, other: Surd) -> Surd:
+        self._check(other)
+        return Surd(*_product(self.p, self.q, other.p, other.q, self.d), self.d)
+
+    def times_int(self, n: int) -> Surd:
+        return Surd(self.p * n, self.q * n, self.d)
+
+    def __pow__(self, n: int) -> Surd:
+        if n < 0:
+            raise ValueError("negative powers are not representable in this ring")
+        return Surd(*_pair_pow(self.p, self.q, self.d, n), self.d)
+
+    def norm(self):
+        """Field norm (p^2 - q^2 d)/4 as a Fraction; equals |x|^2 when d < 0."""
+        return Fraction(self.p * self.p - self.q * self.q * self.d, 4)
+
+    def is_zero(self) -> bool:
+        return self.p == 0 and self.q == 0
+
+    def is_integer(self) -> bool:
+        return self.q == 0 and self.p % 2 == 0
+
+    def as_integer(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{self!r} is not a rational integer")
+        return self.p // 2
+
+    def sign(self) -> int:
+        """Exact sign; requires d >= 0 (real value)."""
+        if self.d < 0:
+            raise ValueError("sign of a complex surd is undefined")
+        return _pair_sign(self.p, self.q, self.d)
+
+    def __abs__(self) -> Surd:
+        if self.d < 0:
+            raise ValueError("use norm() for complex absolute values")
+        return self if self.sign() >= 0 else -self
+
+
+def surd_cmp_abs(x: Surd, y: Surd) -> int:
+    """Exact comparison of |x| and |y|: -1, 0 or +1.
+
+    For real discriminants the sign of x^2 - y^2 decides; for negative
+    discriminants |x|^2 equals the field norm (p^2 - q^2 d)/4, and the
+    integers p^2 - q^2 d compare the same way.
+    """
+    if x.d != y.d:
+        raise ValueError("mixed discriminants")
+    if x.d >= 0:
+        return (x * x - y * y).sign()
+    return _sign(x.p * x.p - x.q * x.q * x.d - (y.p * y.p - y.q * y.q * y.d))
+
+
+def roots_of(A: int, B: int) -> tuple:
+    """Companion polynomial roots (A +- sqrt(A^2+4B))/2 without validation,
+    so degeneracy oracles can inspect rejected pairs."""
+    d = A * A + 4 * B
+    return Surd(A, 1, d), Surd(A, -1, d)
+
+
+def dominant_root(params: SeqParams) -> tuple:
+    """(gamma, delta) with |gamma| > |delta|; requires D > 0.
+
+    Since alpha - beta = sqrt(D) > 0, the dominant root is alpha exactly
+    when A > 0.
+    """
+    if params.D <= 0:
+        raise ValueError("dominant root requires positive discriminant")
+    a, b = roots_of(params.A, params.B)
+    return (a, b) if params.A > 0 else (b, a)
 
 
 def term(params: SeqParams, kind: Kind, n: int) -> int:
@@ -186,7 +288,7 @@ def surd_pattern_bound(
     if pattern.g1.fixed:
         t_gamma = (gamma ** a).times_int(c1) + one.times_int(c2)
         if t_gamma.is_zero():
-            return _decoupled_cell(pattern, gamma, delta, eps)
+            return _decoupled_cell(pattern, params, eps)
         margin = abs(t_gamma) * ag ** b - one.times_int(abs(c3))
     else:
         margin = (

@@ -23,6 +23,7 @@ from helpers import (
     from_subtraction_convention,
     multiplicity,
     multiplicity_with_initials,
+    roots_of,
     term,
 )
 from lucasaps.apsearch import (
@@ -39,7 +40,6 @@ from lucasaps.core import (
     Surd,
     degeneracy_order,
     new_params,
-    roots_of,
     terms,
 )
 from lucasaps.smallcase import CaseEquation, solve_all, solve_case

@@ -16,6 +16,7 @@ from lucasaps.certify import (
     GapPattern,
     GROWTH_WINDOW,
     _cell_solutions,
+    _decoupled_cell,
     certificate_from_json,
     certified_enumerate,
     check_certificate,
@@ -23,7 +24,7 @@ from lucasaps.certify import (
     pattern_bound,
 )
 from lucasaps.cli import main
-from lucasaps.core import Kind, Surd, degeneracy_order, new_params, terms
+from lucasaps.core import EngineMismatchError, Kind, Surd, degeneracy_order, new_params, terms
 
 
 def dominant_pairs(box):
@@ -179,6 +180,14 @@ class TestPatternBound:
                 square.add((params.A, params.B))
         assert {(3, -2), (1, 2), (2, 3)} <= square
         assert decoupled == {(3, -2), (1, 2)}
+
+    def test_decoupled_cell_needs_a_square_discriminant(self):
+        # D = 13: isqrt gives 3 and the roots 2 and -1 would pass the root
+        # test, but (1, 3) has no integer roots
+        pat = GapPattern(1, Gap(True, 1), Gap(False, 1))
+        with pytest.raises(EngineMismatchError, match="not a square"):
+            _decoupled_cell(pat, new_params(1, 3), 1)
+        assert _decoupled_cell(pat, new_params(1, 2), 1).status == "family"
 
 
 class TestCertifiedEnumerate:
@@ -549,6 +558,20 @@ class TestCertificateJson:
         triple = {**doc["aps"][0], "values": values}
         with pytest.raises(ValueError, match="values"):
             certificate_from_json({**doc, "aps": [triple]})
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_triple_values_not_three_raises(self, count):
+        # cli_schema.json holds values to exactly 3 items (minItems, maxItems)
+        doc = certified_enumerate(new_params(1, 3), Kind.SECOND).certificate.to_json_dict()
+        triple = {**doc["aps"][0], "values": (doc["aps"][0]["values"] * 2)[:count]}
+        with pytest.raises(ValueError, match="exactly 3"):
+            certificate_from_json({**doc, "aps": [triple]})
+
+    @pytest.mark.parametrize("doc", [[], "x", None, 7], ids=["array", "string", "null", "int"])
+    def test_non_object_document_raises(self, doc):
+        # cli_schema.json types a certificate as an object
+        with pytest.raises(ValueError, match="JSON object"):
+            certificate_from_json(doc)
 
     @pytest.mark.parametrize("index", [True, 1.0, "1", -1, None],
                              ids=["bool", "float", "string", "negative", "null"])

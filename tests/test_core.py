@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import closed_form_check, term
+from helpers import Surd, closed_form_check, dominant_root, roots_of, surd_cmp_abs, term
 import lucasaps
 from lucasaps import certify
 from lucasaps.apsearch import APFamily, APTriple, detect_families, find_aps, verify_family
@@ -22,15 +23,11 @@ from lucasaps.core import (
     DegenerateError,
     EngineMismatchError,
     Kind,
-    Surd,
     ZeroCoefficientError,
     classify,
     degeneracy_order,
-    dominant_root,
     linear_terms,
     new_params,
-    roots_of,
-    surd_cmp_abs,
     terms,
 )
 from lucasaps.poly import divisors
@@ -339,6 +336,23 @@ class TestDominantRoot:
             dominant_root(new_params(-1, -2))
 
 
+# Definitions in src/ that no line of src/ calls: argparse calls _Parser.error,
+# perfbench and scripts/reproduce_results.py call certificate_from_json, and
+# perfbench/layertrace.py wraps load_table_entries, which leaves src/ with
+# the next benchmark change (ROADMAP item 16).
+CALLED_FROM_OUTSIDE_SRC = {
+    "cli._Parser.error", "certify.certificate_from_json", "tables.load_table_entries",
+}
+
+
+def _names(node) -> Counter:
+    """How often each Name and each attribute occurs under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
 class TestEngineChecks:
     def test_no_assert_in_src(self):
         # cross-checks raise EngineMismatchError, so they survive python -O
@@ -351,6 +365,34 @@ class TestEngineChecks:
 
     def test_mismatch_error_lives_in_core(self):
         assert certify.EngineMismatchError is EngineMismatchError
+
+    def test_every_definition_in_src_is_referenced(self):
+        # a function or method no line of src/ names, outside its own body, is
+        # dead code; names are matched by spelling, as a Name or an attribute
+        trees = {path.stem: ast.parse(path.read_text(), str(path))
+                 for path in sorted(Path(lucasaps.__file__).parent.glob("*.py"))}
+        total = sum((_names(tree) for tree in trees.values()), Counter())
+        unreferenced = []
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if total[child.name] == _names(child)[child.name]:
+                        unreferenced.append((prefix + child.name, child.name))
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        for module, tree in trees.items():
+            visit(tree, f"{module}.")
+        dead = [
+            where for where, name in unreferenced
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in lucasaps.__all__ and where not in CALLED_FROM_OUTSIDE_SRC
+        ]
+        assert dead == []
 
 
 # Each public-input guard of the library and the exception it documents.

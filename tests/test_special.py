@@ -8,6 +8,7 @@ from helpers import (
     from_subtraction_convention,
     multiplicity,
     multiplicity_with_initials,
+    roots_of,
     trinomial_coefficients,
 )
 from lucasaps import special
@@ -16,7 +17,6 @@ from lucasaps.core import (
     Kind,
     degeneracy_order,
     new_params,
-    roots_of,
 )
 from lucasaps.special import (
     TrinomialShape,

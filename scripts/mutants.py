@@ -15,12 +15,13 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 13.0 s for all 88 named tests (10.3-10.5 s for
-85, 10.7 s for 84, 10.0 s for 82, 10.0 s for 79, 9.1 s for 76, 10.6-15.5 s for 73,
-13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for 56, 13.2-14.0 s for 53 and
-10.0-12.9 s for 52 in earlier runs), and the slowest mutant's is 5.1 s
-(4.8-5.7, 4.0, 4.8, 3.9, 6.7-6.8, 7.3, 7.4 and 8.4 s in earlier runs); TIMEOUT_S is
-over three times the slowest baseline.
+is that unchanged copy's, 11.7 s for all 93 named tests (13.0 s for 88,
+10.3-10.5 s for 85, 10.7 s for 84, 10.0 s for 82, 10.0 s for 79, 9.1 s for
+76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for
+56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs), and the
+slowest mutant's is 4.8 s (5.1, 4.8-5.7, 4.0, 4.8, 3.9, 6.7-6.8, 7.3, 7.4
+and 8.4 s in earlier runs); TIMEOUT_S is over three times the slowest
+baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -37,7 +38,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 92 entries, 150 s on a 2-vCPU VM
+    python scripts/mutants.py    # 96 entries, 154 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -183,6 +184,16 @@ MUTANTS = [
      "return all(max(i) <= cert.n0 for i in listed) and listed == brute",
      "return listed == brute",
      [T_CERTIFY + "TestCheckCertificate::test_listed_triple_beyond_n0_is_rejected"]),
+    # certify: a listed triple may end exactly at n0 ((2, 3) first kind, n0 = 2)
+    ("check-certificate-triple-at-n0", CERTIFY,
+     "max(i) <= cert.n0",
+     "max(i) < cert.n0",
+     [T_CERTIFY + "TestCheckCertificate::test_triple_at_n0_is_accepted"]),
+    # certify: the second-kind growth window ends at index 6
+    ("growth-window-second-kind-seven", CERTIFY,
+     "GROWTH_WINDOW = {Kind.FIRST: 7, Kind.SECOND: 6}",
+     "GROWTH_WINDOW = {Kind.FIRST: 7, Kind.SECOND: 7}",
+     [T_CERTIFY + "TestCertifiedEnumerate::test_second_kind_growth_pair"]),
     ("check-certificate-indices-only", CERTIFY,
      "and listed == brute",
      "and listed.keys() == brute.keys()",
@@ -407,6 +418,17 @@ MUTANTS = [
      "if _may_vanish([p_eval(qr, a) for qr in q])}",
      "}",
      [T_SMALLCASE + "TestSolveAll::test_root_location_windows_at_cap_seven"]),
+    # smallcase: the x-coefficients are the Taylor shift of F by 1 - A^2, and
+    # case_equations takes every polynomial from one term table of its kind
+    ("root-location-shift-drops-a-squared", SMALLCASE,
+     "                step[n + 2] -= gn\n",
+     "",
+     [T_SMALLCASE + "TestWorkedEquations::test_x_coefficients_match_expansion_on_case_equations",
+      T_SMALLCASE + "TestWorkedEquations::test_x_coefficients_match_expansion_on_random_polynomials"]),
+    ("case-equations-table-of-first-kind", SMALLCASE,
+     "    u = poly_terms(kind, m_cap + 1)\n",
+     "    u = poly_terms(Kind.FIRST, m_cap + 1)\n",
+     [T_SMALLCASE + "TestCaseEquations::test_shared_term_table_gives_the_direct_polynomials"]),
     # smallcase: each closure step writes what it decides into the report
     ("curve-members-not-appended", SMALLCASE,
      "    report.curves.append(CurveFamilySolution(",

@@ -37,7 +37,7 @@ class APTriple:
             raise ValueError(f"canonical form requires k < m: {self.indices}")
         if 2 * vl != vk + vm:
             raise ValueError(f"not a progression: {self.values}")
-        if vk == vl or vl == vm or vk == vm:
+        if vk == vl:  # with 2 * vl == vk + vm, any two equal values force the third
             raise ValueError(f"trivial progression: {self.values}")
 
     @property

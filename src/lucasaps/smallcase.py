@@ -28,7 +28,9 @@ closure, under the dominant filter only:
   root location     the one substitution B = (x + 1 - A^2)/4, i.e.
                     C = A^2 + 4B = 1 + x, gives a polynomial in x with no
                     root x >= 0 for |A| beyond an explicit cutoff on either
-                    side, so C >= 1 only happens in a finite window.  Below
+                    side, so C >= 1 only happens in a finite window.  Its
+                    x-coefficients are the Taylor shift of F(y) =
+                    sum(4^(d-j) * e_j(A) * y^j) by y = 1 - A^2.  Below
                     the cutoff the window keeps only the A at which the
                     x-coefficients are not all nonzero and of one sign:
                     elsewhere Descartes' rule of signs leaves no root x >= 0.
@@ -38,15 +40,16 @@ case_equations can produce.  Without it, an equation past the square-root
 analysis raises SqueezeUnresolvedError rather than guessing; the first one
 has largest index 5 (first kind) or 4 (second kind), so its reach is index
 4 resp. 3.  solve_case re-substitutes every sporadic and three points of
-each family it reports; solve_all is its reports for every equation.
+each family it reports; solve_all is its reports for every equation, which
+case_equations builds from one term table made for that call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import isqrt
 
 from .apsearch import doubled_at
 from .core import (
@@ -79,10 +82,13 @@ class CaseEquation:
     triple: tuple
     variant: int
     poly: tuple = field(init=False)  # B-coefficients of E, as poly_terms returns them
+    # poly_terms(kind, n) for some n > max(triple), shared by case_equations;
+    # built here when not given
+    terms: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, terms):
         k, l, m = self.ap_roles()
-        u = poly_terms(self.kind, max(self.triple) + 1)
+        u = terms or poly_terms(self.kind, max(self.triple) + 1)
         object.__setattr__(self, "poly", b_add(b_add(u[k], u[l], -2), u[m]))
 
     def ap_roles(self) -> tuple:
@@ -96,11 +102,13 @@ MAX_CASE_INDEX = 7
 
 
 def case_equations(kind: Kind, m_cap: int) -> list:
-    """All equations for triples k < l < m <= m_cap <= MAX_CASE_INDEX."""
+    """All equations for triples k < l < m <= m_cap <= MAX_CASE_INDEX, built
+    from one term table."""
     if m_cap > MAX_CASE_INDEX:
         raise ValueError(f"index cap is {MAX_CASE_INDEX}")
+    u = poly_terms(kind, m_cap + 1)
     return [
-        CaseEquation(kind, (k, l, m), variant)
+        CaseEquation(kind, (k, l, m), variant, u)
         for k, l, m in combinations(range(m_cap + 1), 3)
         for variant in (1, 2, 3)
     ]
@@ -404,11 +412,34 @@ def _may_vanish(values) -> bool:
     return not (all(v > 0 for v in values) or all(v < 0 for v in values))
 
 
+def _x_coefficients(bcs) -> list:
+    """The x-coefficients q_0..q_d of P(1 + x) = 4^d * E(A, (x + 1 - A^2)/4).
+
+    With F(y) = sum(4^(d-j) * e_j(A) * y^j), P(1 + x) = F(x + 1 - A^2), so
+    the q_r are the Taylor shift of F by 1 - A^2: synthetic division, d(d+1)/2
+    steps c_j += (1 - A^2) * c_(j+1), each one pass adding g = c_(j+1) to
+    c_j and subtracting g shifted up by two powers of A.
+    """
+    d = len(bcs) - 1
+    c = [p_scale(ej, 4 ** (d - j)) for j, ej in enumerate(bcs)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            f, g = c[j], c[j + 1]
+            step = f + [0] * (len(g) + 2 - len(f))
+            for n, gn in enumerate(g):
+                step[n] += gn
+                step[n + 2] -= gn
+            c[j] = trim(step)
+    return c
+
+
 def _root_location(bcs, report) -> set:
     """Dominant-filter window of A from the C = A^2 + 4B substitution.
 
     The dominant domain is C >= 1.  Substituting B = (x + 1 - A^2)/4 turns
-    4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain.
+    4^d * E into P(1 + x), P the polynomial in C, with x >= 0 on the domain;
+    its x-coefficients q_r are the Taylor shift of F by 1 - A^2
+    (_x_coefficients).
     It suffices that on a side of A every x-coefficient of s * P(1 + x) (s
     the eventual sign of e_d there) is eventually positive; the root bound of
     each coefficient (root_bound) makes "eventually" an explicit cutoff.
@@ -422,13 +453,7 @@ def _root_location(bcs, report) -> set:
     admitted B there.
     """
     d = len(bcs) - 1
-    q = [[] for _ in bcs]
-    for j, ej in enumerate(bcs):
-        # (x + 1 - A^2)^j puts comb(j, r) * (1 - A^2)^(j-r) on x^r
-        piece = p_scale(ej, 4 ** (d - j))
-        for r in range(j, -1, -1):
-            q[r] = p_add(q[r], piece, comb(j, r))
-            piece = p_mul(piece, [1, 0, -1])
+    q = _x_coefficients(bcs)
     cut = max(root_bound(qr) for qr in q if qr)  # a zero q_r fails on side 1
     for side in (1, -1):
         s = 1 if _substitute_side(bcs[d], side)[-1] > 0 else -1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from lucasaps import core
 from lucasaps.apsearch import APFamily, APTriple, canonical_indices, doubled_at, is_ap
@@ -28,7 +29,7 @@ from lucasaps.core import (
     new_params,
     terms,
 )
-from lucasaps.poly import integer_roots, p_eval, trim
+from lucasaps.poly import integer_roots, p_add, p_eval, p_mul, p_scale, trim
 from lucasaps.smallcase import BFamilySolution, DomainFilter, SporadicSolution
 from lucasaps.special import _SHAPE_COEFFICIENTS, TrinomialSpec
 from lucasaps.tables import load_table_entries
@@ -222,6 +223,21 @@ def full_window_solutions(eq, cut: int) -> tuple:
             SporadicSolution(a, B, triple) for B in integer_roots(coeffs) if filt.admits(a, B)
         ]
     return sporadics, b_families
+
+
+def x_coefficients_by_expansion(bcs) -> list:
+    """The x-coefficients of P(1 + x) = 4^d * E(A, (x + 1 - A^2)/4), by
+    expanding each (x + 1 - A^2)^j binomially.  An oracle for the Taylor
+    shift of smallcase._x_coefficients."""
+    d = len(bcs) - 1
+    q = [[] for _ in bcs]
+    for j, ej in enumerate(bcs):
+        # (x + 1 - A^2)^j puts comb(j, r) * (1 - A^2)^(j-r) on x^r
+        piece = p_scale(ej, 4 ** (d - j))
+        for r in range(j, -1, -1):
+            q[r] = p_add(q[r], piece, comb(j, r))
+            piece = p_mul(piece, [1, 0, -1])
+    return q
 
 
 def _surd_fixed_cell(pattern: GapPattern, gamma: Surd, delta: Surd, eps: int) -> PatternAnalysis:

@@ -206,6 +206,14 @@ class TestCertifiedEnumerate:
         assert r.certificate.method == "growth_lemma"
         assert r.certificate.n0 == 7
 
+    def test_second_kind_growth_pair(self):
+        # the second-kind growth window is one index shorter than the first kind's
+        r = certified_enumerate(new_params(3, 1), Kind.SECOND)
+        assert r.status == "complete"
+        assert r.aps == ()
+        assert r.certificate.method == "growth_lemma"
+        assert r.certificate.n0 == 6
+
     def test_second_kind_exception(self):
         r = certified_enumerate(new_params(1, 3), Kind.SECOND)
         assert r.status == "complete"
@@ -456,6 +464,14 @@ class TestCheckCertificate:
         assert [(t["k"], t["l"], t["m"]) for t in doc["aps"]] == [(1, 4, 5)]
         forged = certificate_from_json({**doc, "n0": 2})
         assert not check_certificate(forged, params, Kind.SECOND)
+
+    def test_triple_at_n0_is_accepted(self):
+        # the one listed triple ends exactly at n0 = 2, which is within n0
+        params = new_params(2, 3)
+        cert = certified_enumerate(params, Kind.FIRST).certificate
+        assert (cert.method, cert.n0) == ("gap_pattern", 2)
+        assert [t.indices for t in cert.aps] == [(0, 1, 2)]
+        assert check_certificate(cert, params, Kind.FIRST)
 
     def test_repeated_triple_is_rejected(self):
         # listing a brute-window triple twice leaves the set of triples

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import full_window_solutions, term
+from helpers import full_window_solutions, term, x_coefficients_by_expansion
 import lucasaps.poly
 from lucasaps.cli import main
 from lucasaps.core import EngineMismatchError, Kind, degeneracy_order, new_params
@@ -33,6 +33,7 @@ from lucasaps.poly import (
     poly_sqrt,
     positive_cut,
     root_bound,
+    trim,
 )
 from lucasaps.smallcase import (
     CaseEquation,
@@ -42,6 +43,7 @@ from lucasaps.smallcase import (
     _curve_members,
     _linear_branch,
     _root_location,
+    _x_coefficients,
     case_equations,
     divisibility_candidates,
     poly_terms,
@@ -122,6 +124,14 @@ class TestCaseEquations:
     def test_index_cap(self):
         with pytest.raises(ValueError):
             case_equations(Kind.FIRST, 8)
+
+    def test_shared_term_table_gives_the_direct_polynomials(self):
+        # case_equations builds one term table per call; each equation must
+        # equal the one built from its own table
+        for kind in Kind:
+            for eq in case_equations(kind, 7):
+                direct = CaseEquation(kind, eq.triple, eq.variant)
+                assert eq.poly == direct.poly, (kind, eq.triple, eq.variant)
 
 
 class TestWorkedEquations:
@@ -242,6 +252,31 @@ class TestWorkedEquations:
         bcs = ((sign, 0, 2 * sign, 0, sign), (4 * sign, 0, 4 * sign))
         assert _root_location(bcs, report) == set()
         assert report.squeeze[0]["cut"] >= 1
+
+    def test_x_coefficients_match_expansion_on_case_equations(self):
+        # the Taylor shift against the binomial expansion on every equation
+        # root location closes
+        checked = 0
+        for kind in Kind:
+            for eq in case_equations(kind, 7):
+                if solve_case(eq).strategy.endswith("_root_location"):
+                    assert _x_coefficients(eq.poly) == x_coefficients_by_expansion(eq.poly), (
+                        kind, eq.triple, eq.variant
+                    )
+                    checked += 1
+        assert checked == 249
+
+    def test_x_coefficients_match_expansion_on_random_polynomials(self, rng):
+        # B-degree <= 3 and A-degree <= 8, zero B-coefficients below the top included
+        for _ in range(300):
+            bcs = [
+                trim([rng.randint(-30, 30) for _ in range(rng.randint(0, 9))])
+                for _ in range(rng.randint(1, 4))
+            ]
+            while not bcs[-1]:
+                bcs[-1] = trim([rng.randint(-30, 30) for _ in range(9)])
+            bcs = tuple(tuple(e) for e in bcs)
+            assert _x_coefficients(bcs) == x_coefficients_by_expansion(bcs), bcs
 
     def test_divisor_sweep_completeness(self):
         # every |a| <= 10^4 satisfying the divisibility is in the candidate set

@@ -38,7 +38,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 96 entries, 154 s on a 2-vCPU VM
+    python scripts/mutants.py    # 99 entries, 151 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -325,9 +325,15 @@ MUTANTS = [
     # core: exact powers keep every product of square-and-multiply and its checks;
     # the oracle ring's ** and * call _pair_pow and _product
     ("surd-pow-skip-odd-bit", CORE,
-     "            rp, rq = _product(rp, rq, p, q, d)",
+     "            ap, aq = _product(ap, aq, p, q, d)",
      "            pass",
      [T_CORE + "TestSurd::test_pow_matches_repeated_product"]),
+    # core: in one pass for x^a and x^b, b's accumulator multiplies in at b's own bits
+    ("pair-pow-b-follows-a-bits", CORE,
+     "        if b & bit:",
+     "        if a & bit:",
+     [T_CORE + "TestSurd::test_pair_pow_two_exponents_match_one",
+      T_SPECIAL + "test_matches_division_oracle"]),
     # core: the sign of a pair whose two parts differ in sign is the larger part's
     ("pair-sign-mixed-flipped", CORE,
      "        return sp * _sign(p * p - q * q * d)",
@@ -337,6 +343,16 @@ MUTANTS = [
      '        raise ValueError(f"parity invariant violated: ({p}, {q}, {d})")',
      "        pass",
      [T_CORE + "TestSurd::test_pow_raises_as_the_first_bad_product"]),
+    # special: each shape's candidate table keeps only the q that divide c_0
+    ("quad-factors-table-any-q", SPECIAL,
+     "        if abs(p) <= 1 + abs(q) and c0 % q == 0",
+     "        if abs(p) <= 1 + abs(q)",
+     [T_SPECIAL + "test_candidate_table_is_the_proven_box"]),
+    # special: f(-m) takes the sign (-1)^b for its X^b term from b, not from a
+    ("quad-factors-f-minus-m-b-sign", SPECIAL,
+     "    sb = -cb if b & 1 else cb",
+     "    sb = -cb if a & 1 else cb",
+     [T_SPECIAL + "test_matches_division_oracle"]),
     # special: a quad_factors hit passes the remainder test and the root checks
     ("quad-factors-remainder-accepts", SPECIAL,
      "        if not _remainder_vanishes(p, q, a, b, ca, cb, c0):",

@@ -173,17 +173,25 @@ def _product(p1: int, q1: int, p2: int, q2: int, d: int) -> tuple[int, int]:
     return p, q
 
 
-def _pair_pow(p: int, q: int, d: int, n: int) -> tuple[int, int]:
-    """(p, q) of ((p + q*sqrt(d))/2)^n for n >= 0 by square-and-multiply;
-    every step is a _product, with its checks."""
-    rp, rq = 2, 0
-    while n > 0:
-        if n & 1:
-            rp, rq = _product(rp, rq, p, q, d)
-        n >>= 1
-        if n:
-            p, q = _product(p, q, p, q, d)
-    return rp, rq
+def _pair_pow(
+    p: int, q: int, d: int, a: int, b: int = 0
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(p, q) of x^a and of x^b for x = (p + q*sqrt(d))/2 and a, b >= 0, by
+    one square-and-multiply pass: the squarings of x are shared, and a and b
+    each keep an accumulator that their own bits multiply into.  Every step
+    is a _product, with its checks."""
+    ap, aq, bp, bq = 2, 0, 2, 0
+    top = max(a, b)
+    bit = 1
+    while True:
+        if a & bit:
+            ap, aq = _product(ap, aq, p, q, d)
+        if b & bit:
+            bp, bq = _product(bp, bq, p, q, d)
+        bit <<= 1
+        if bit > top:
+            return (ap, aq), (bp, bq)
+        p, q = _product(p, q, p, q, d)
 
 
 def _pair_sign(p: int, q: int, d: int) -> int:

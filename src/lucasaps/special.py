@@ -12,13 +12,16 @@ integer coefficients and q divides the constant term c_0 in {1, -2, -1}:
 q is +-1, or +-2 for X^a + X^b - 2.  With R the root bound of the shape,
 |p| <= R + |q|/R when the roots are real and |p| <= 2*sqrt(|q|) when they
 are complex, so |p| <= 2 at q = +-1 and |p| <= 3 at q = +-2, that is
-|p| <= 1 + |q|: a box of 10 candidates, or 24 for X^a + X^b - 2.  A factor
-g divides f in Z[X], so g(m) divides f(m) for every integer m; a candidate
-failing that at some m in {2, 3, -2, -3} with g(m) != 0 is dropped.  Each
-survivor is decided by the remainders of X^n modulo it, and every factor
-found is cross-checked by one exact evaluation at the root (-p + w)/2 in
-Z[w]/(w^2 - d), d = p^2 - 4q: f's pair (P, Q) there must be (0, 0).  By
-w -> -w that is both roots, and at d = 0 (w^2 = 0) Q is f' at the double root.
+|p| <= 1 + |q|: a box of 10 candidates, or 24 for X^a + X^b - 2, built
+once per shape at import.  A factor g divides f in Z[X], so g(m) divides
+f(m) for every integer m; a candidate failing that at some m in
+{2, 3, -2, -3} with g(m) != 0 is dropped (f(-m) is f(m)'s powers of m with
+the signs (-1)^a and (-1)^b).  Each survivor is decided by the remainders
+of X^n modulo it, and every factor found is cross-checked by one exact
+evaluation at the root (-p + w)/2 in Z[w]/(w^2 - d), d = p^2 - 4q, in one
+square-and-multiply pass for X^a and X^b: f's pair (P, Q) there must be
+(0, 0).  By w -> -w that is both roots, and at d = 0 (w^2 = 0) Q is f' at
+the double root.
 
 The headline constant counts progressions via solution bounds for weighted
 unit equations in the roots' quadratic field: with A(k, s) <= 2^(35*b^3) * 2^(6*b^2)
@@ -75,14 +78,18 @@ class TrinomialSpec:
 # Largest trinomial exponent quad_factors accepts.
 EXPONENT_CAP = 64
 
-# (p, q, g(2), g(3), g(-2), g(-3)) for each candidate g = X^2 + p*X + q with
-# q | 2 and |p| <= 1 + |q|, p outer and q inner: the order of quad_factors' list
-_CANDIDATES = tuple(
-    (p, q, *(m * m + p * m + q for m in (2, 3, -2, -3)))
-    for p in range(-3, 4)
-    for q in (-2, -1, 1, 2)
-    if abs(p) <= 1 + abs(q)
-)
+# For each shape, (p, q, g(2), g(3), g(-2), g(-3)) for each candidate
+# g = X^2 + p*X + q with q | c_0 and |p| <= 1 + |q|, p outer and q inner:
+# the order of quad_factors' list
+_CANDIDATES = {
+    shape: tuple(
+        (p, q, *(m * m + p * m + q for m in (2, 3, -2, -3)))
+        for p in range(-3, 4)
+        for q in (-2, -1, 1, 2)
+        if abs(p) <= 1 + abs(q) and c0 % q == 0
+    )
+    for shape, (_, _, c0) in _SHAPE_COEFFICIENTS.items()
+}
 
 
 def _remainder_vanishes(p: int, q: int, a: int, b: int, ca: int, cb: int, c0: int) -> bool:
@@ -99,33 +106,37 @@ def _remainder_vanishes(p: int, q: int, a: int, b: int, ca: int, cb: int, c0: in
 def quad_factors(spec: TrinomialSpec) -> list:
     """All monic quadratic integer factors X^2 + p*X + q of the trinomial.
 
-    The candidates have q | c_0 and |p| <= 1 + |q|, from the proven root
-    moduli in the module docstring (1 + sqrt(2), 2 and 1 for the three
-    shapes).  A monic factor leaves an integer cofactor (Gauss's lemma), so
-    g(m) | f(m) at every integer m; candidates failing that at some
-    m in {2, 3, -2, -3} with g(m) != 0 are skipped before any recurrence.
-    A survivor is decided by its remainders (_remainder_vanishes).  Every
-    hit is cross-checked independently, by square-and-multiply at the root
-    (-p + w)/2 in Z[w]/(w^2 - d): the trinomial's pair there must be (0, 0),
-    which says both roots vanish and, at d = 0, the double root's derivative.
+    The candidates are the shape's table: q | c_0 and |p| <= 1 + |q|, from
+    the proven root moduli in the module docstring (1 + sqrt(2), 2 and 1 for
+    the three shapes).  A monic factor leaves an integer cofactor (Gauss's
+    lemma), so g(m) | f(m) at every integer m; candidates failing that at
+    some m in {2, 3, -2, -3} with g(m) != 0 are skipped before any
+    recurrence, and f(+-m) come from one power m^a and one m^b.  A survivor
+    is decided by its remainders (_remainder_vanishes).  Every hit is
+    cross-checked independently at the root (-p + w)/2 in Z[w]/(w^2 - d),
+    with one square-and-multiply pass for X^a and X^b: the trinomial's pair
+    there must be (0, 0), which says both roots vanish and, at d = 0, the
+    double root's derivative.
     """
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
     a, b = spec.a, spec.b
     ca, cb, c0 = _SHAPE_COEFFICIENTS[spec.shape]
-    f2, f3, fm2, fm3 = (ca * m**a + cb * m**b + c0 for m in (2, 3, -2, -3))
+    # f(m) and f(-m) from one power of m each: (-m)^n is m^n with n's sign
+    sa = -ca if a & 1 else ca
+    sb = -cb if b & 1 else cb
+    two_a, two_b, three_a, three_b = 1 << a, 1 << b, 3**a, 3**b
+    f2, fm2 = ca * two_a + cb * two_b + c0, sa * two_a + sb * two_b + c0
+    f3, fm3 = ca * three_a + cb * three_b + c0, sa * three_a + sb * three_b + c0
     found = []
-    for p, q, g2, g3, gm2, gm3 in _CANDIDATES:
-        if c0 % q:
-            continue
+    for p, q, g2, g3, gm2, gm3 in _CANDIDATES[spec.shape]:
         if (g2 and f2 % g2) or (g3 and f3 % g3) or (gm2 and fm2 % gm2) or (gm3 and fm3 % gm3):
             continue
         if not _remainder_vanishes(p, q, a, b, ca, cb, c0):
             continue
         # f at (-p + w)/2, w^2 = d; w -> -w is the other root, at d = 0 the w-part is f'(-p/2)
         d = p * p - 4 * q
-        pa, qa = _pair_pow(-p, 1, d, a)
-        pb, qb = _pair_pow(-p, 1, d, b)
+        (pa, qa), (pb, qb) = _pair_pow(-p, 1, d, a, b)
         if ca * pa + cb * pb + 2 * c0 or ca * qa + cb * qb:
             raise EngineMismatchError(
                 "remainder and root evaluation disagree (at d = 0, the double-root derivative)"

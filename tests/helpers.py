@@ -71,7 +71,8 @@ class Surd(core.Surd):
     def __pow__(self, n: int) -> Surd:
         if n < 0:
             raise ValueError("negative powers are not representable in this ring")
-        return Surd(*_pair_pow(self.p, self.q, self.d, n), self.d)
+        (p, q), _ = _pair_pow(self.p, self.q, self.d, n)
+        return Surd(p, q, self.d)
 
     def norm(self):
         """Field norm (p^2 - q^2 d)/4 as a Fraction; equals |x|^2 when d < 0."""

@@ -24,6 +24,8 @@ from lucasaps.core import (
     EngineMismatchError,
     Kind,
     ZeroCoefficientError,
+    _pair_pow,
+    _product,
     classify,
     degeneracy_order,
     linear_terms,
@@ -31,6 +33,7 @@ from lucasaps.core import (
     terms,
 )
 from lucasaps.poly import divisors
+from lucasaps.special import _CANDIDATES
 
 
 def valid_pairs(max_abs=12):
@@ -289,6 +292,43 @@ class TestSurd:
             for n in range(2, 9):
                 with pytest.raises(ValueError, match=re.escape(str(square.value))):
                     s ** n
+
+    def test_pair_pow_two_exponents_match_one(self):
+        # one pass for x^a and x^b gives each exponent's one-exponent power,
+        # which is the repeated product, at the root (-p + w)/2 of every
+        # quad_factors candidate (d = p^2 - 4q: 0, squares and negative d
+        # among them) and every 0 <= b < a <= 64, in either order; at d = 0
+        # the raw pair keeps the w-part that the normalized Surd drops
+        roots = {(-p, 1, p * p - 4 * q) for table in _CANDIDATES.values() for p, q, *_ in table}
+        for x in sorted(roots):
+            d = x[2]
+            single = []
+            product = Surd.integer(1, d)
+            for n in range(65):
+                power, rest = _pair_pow(*x, n)
+                assert rest == (2, 0), (x, n)
+                assert Surd(*power, d) == product, (x, n)
+                single.append(power)
+                product = product * Surd(*x)
+            for a in range(65):
+                for b in range(a):
+                    assert _pair_pow(*x, a, b) == (single[a], single[b]), (x, a, b)
+                    assert _pair_pow(*x, b, a) == (single[b], single[a]), (x, b, a)
+
+    def test_pair_pow_two_exponents_raise_as_the_first_bad_product(self):
+        # the pairs of test_pow_raises_as_the_first_bad_product: a pass for two
+        # exponents, either one at least 2, raises the error of x*x, and one
+        # with no squaring returns x for each exponent 1
+        for p, q, d in ((1, 1, 3), (-1, 3, 7), (3, -1, -5)):
+            with pytest.raises(ValueError) as square:
+                _product(p, q, p, q, d)
+            assert _pair_pow(p, q, d, 1, 0) == ((p, q), (2, 0))
+            assert _pair_pow(p, q, d, 1, 1) == ((p, q), (p, q))
+            for a in range(2, 9):
+                for b in range(a):
+                    for exponents in ((a, b), (b, a)):
+                        with pytest.raises(ValueError, match=re.escape(str(square.value))):
+                            _pair_pow(p, q, d, *exponents)
 
     @given(st.sampled_from([5, 8, -7, 9, 12]), st.integers(-8, 8),
            st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),

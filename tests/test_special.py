@@ -110,8 +110,9 @@ class TestQuadFactors:
             quad_factors(TrinomialSpec(TrinomialShape.MINUS_TWO_CONSTANT, 6, 1))
 
     def test_one_root_evaluation_per_factor(self, monkeypatch):
-        # the conjugate root is the same pair with w -> -w, so each factor
-        # found costs one _pair_pow for X^a and one for X^b
+        # the conjugate root is the same pair with w -> -w, and X^a and X^b
+        # share one square-and-multiply pass, so each factor found costs one
+        # _pair_pow call, asking for the exponents (a, b)
         calls = []
         pair_pow = special._pair_pow
 
@@ -125,7 +126,25 @@ class TestQuadFactors:
                 for b in range(1, a):
                     calls.clear()
                     found = quad_factors(TrinomialSpec(shape, a, b))
-                    assert len(calls) == 2 * len(found), (shape, a, b)
+                    assert len(calls) == len(found), (shape, a, b)
+                    assert all(args[3:] == (a, b) for args in calls), (shape, a, b)
+
+    def test_candidate_table_is_the_proven_box(self):
+        # each shape's table is the full |p|, |q| <= 4 box cut to q | c_0 and
+        # |p| <= 1 + |q| (module docstring), p outer and q inner, with g(m)
+        # at m = 2, 3, -2, -3: 10 candidates, or 24 for X^a + X^b - 2
+        for shape, (_, _, c0) in special._SHAPE_COEFFICIENTS.items():
+            box = [
+                (p, q)
+                for p in range(-4, 5)
+                for q in range(-4, 5)
+                if q and c0 % q == 0 and abs(p) <= 1 + abs(q)
+            ]
+            table = special._CANDIDATES[shape]
+            assert [(p, q) for p, q, *_ in table] == box, shape
+            assert len(box) == (24 if shape is TrinomialShape.MINUS_TWO_CONSTANT else 10)
+            for p, q, *g in table:
+                assert g == [m * m + p * m + q for m in (2, 3, -2, -3)], (shape, p, q)
 
     def test_box_oracle_factors_divide_constant_term(self):
         # the full |p|, |q| <= 4 box never finds a factor outside the pruned

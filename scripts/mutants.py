@@ -15,13 +15,13 @@ Each pytest run is killed after TIMEOUT_S seconds, with every process it
 started, so a mutant that makes a loop endless ends too.  Its verdict is
 "timed out": a kill for a normal entry, a failure for an inert entry and for
 the run on the unchanged copy.  On a 2-vCPU VM (Python 3.11) the slowest run
-is that unchanged copy's, 11.7 s for all 93 named tests (13.0 s for 88,
-10.3-10.5 s for 85, 10.7 s for 84, 10.0 s for 82, 10.0 s for 79, 9.1 s for
-76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65, 12.3 s for
-56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs), and the
-slowest mutant's is 4.8 s (5.1, 4.8-5.7, 4.0, 4.8, 3.9, 6.7-6.8, 7.3, 7.4
-and 8.4 s in earlier runs); TIMEOUT_S is over three times the slowest
-baseline.
+is that unchanged copy's, 13.8-16.6 s for all 97 named tests (11.7 s for 93,
+13.0 s for 88, 10.3-10.5 s for 85, 10.7 s for 84, 10.0 s for 82, 10.0 s for
+79, 9.1 s for 76, 10.6-15.5 s for 73, 13.1-14.9 s for 69, 9.4-13.0 s for 65,
+12.3 s for 56, 13.2-14.0 s for 53 and 10.0-12.9 s for 52 in earlier runs),
+and the slowest mutant's is 4.5 s (4.8, 5.1, 4.8-5.7, 4.0, 4.8, 3.9,
+6.7-6.8, 7.3, 7.4 and 8.4 s in earlier runs); TIMEOUT_S is over three times
+the slowest baseline.
 
 Each pytest run also gets an address-space limit (RLIMIT_AS, set in the
 child before exec), so a loop that allocates as it runs stops at the limit
@@ -38,7 +38,7 @@ The script fails when an old text does not occur exactly once in its file
 survives, when an inert entry is killed, times out or runs out of memory,
 and on any other pytest exit.
 
-    python scripts/mutants.py    # 99 entries, 151 s on a 2-vCPU VM
+    python scripts/mutants.py    # 100 entries, 150 s on a 2-vCPU VM
 """
 
 from __future__ import annotations
@@ -471,10 +471,15 @@ MUTANTS = [
     # cli: a zero or degenerate scan pair is classified by new_params' errors
     ("scan-pair-degenerate-branch", CLI,
      "    except DegenerateError as exc:\n"
-     '        row["classification"] = f"degenerate_order_{exc.order}"\n'
-     "        return row\n",
+     '        return A, B, kind.value, f"degenerate_order_{exc.order}", "", "", "", ""\n',
      "",
      [T_CLI + "TestScan::test_csv_schema_and_determinism"]),
+    # cli: a json scan row names each cell by its _SCAN_COLUMNS position
+    ("scan-json-row-column-order", CLI,
+     "dict(zip(_SCAN_COLUMNS, r))",
+     "dict(zip(sorted(_SCAN_COLUMNS), r))",
+     [T_CLI + "TestScan::test_csv_and_json_are_pinned[json-5]",
+      T_CLI + "TestScan::test_csv_and_json_are_pinned[json-30]"]),
     # cli: enumerate's row loop renders an empty JSON array, each term and a text row
     # as json.dumps and the text tuples do
     ("enumerate-json-empty-array", CLI,

@@ -39,13 +39,13 @@ MAX_EXPONENT = 10_000
 # process, import included, stdout to a pipe, best of 9 on a 2-vCPU Xeon VM).
 MAX_INDEX = 5000
 
-# A scan row costs about 0.05 ms at --max-index 30 and 400 bytes of peak
-# memory (job, row and output text), so a box at this cap took 9.5 seconds
-# and 107 MB on one worker.  A certified row counts from its certificate at
-# any --max-index, but a D < 0, family or inconclusive row searches the
-# window (41 ms at 5000 with |A| + |B| of 8 bits), so rows times
-# max(--max-index, 30) is capped at MAX_SCAN_ROWS * 30: 1500 such rows take
-# about a minute on a 2-vCPU Xeon VM.
+# A scan row costs about 0.012 ms at --max-index 30 and 210 bytes of peak
+# memory above the interpreter's 17 MB: a csv box of 249 218 rows took
+# 3.0-3.5 s and 68 MB peak RSS on one worker, json (its whole text held)
+# 524 MB.  A certified row counts from its certificate at any --max-index,
+# but a D < 0, family or inconclusive row searches the window (41 ms at 5000
+# with |A| + |B| of 8 bits), so rows times max(--max-index, 30) is capped at
+# MAX_SCAN_ROWS * 30: 1500 such rows take about a minute on a 2-vCPU Xeon VM.
 MAX_SCAN_ROWS = 250_000
 
 # verify-tables checks O(b_cap) pairs in constant memory: a run at this cap
@@ -364,32 +364,23 @@ SCAN_FAMILY_EXPONENT = 12
 
 def _scan_pair(certified_enumerate, find_aps, detect_families, job):
     # the engine functions come bound by _cmd_scan, once per call: an import
-    # statement here would run once per row
-    A, B, kind_name, max_index = job
-    row = dict.fromkeys(_SCAN_COLUMNS, "")
-    row.update(A=A, B=B, kind=kind_name)
+    # statement here would run once per row.  A row is a tuple in _SCAN_COLUMNS order
+    A, B, kind, max_index = job
     try:
         params = new_params(A, B)
     except ZeroCoefficientError:
-        row["classification"] = "zero_coefficient"
-        return row
+        return A, B, kind.value, "zero_coefficient", "", "", "", ""
     except DegenerateError as exc:
-        row["classification"] = f"degenerate_order_{exc.order}"
-        return row
-    kind = Kind(kind_name)
-    row["classification"] = classify(params).value
+        return A, B, kind.value, f"degenerate_order_{exc.order}", "", "", "", ""
+    classification = classify(params).value
     result = certified_enumerate(params, kind)
     if result.status == "complete":
         # the certificate lists every progression, so no family and no search
-        row["ap_count_window"] = sum(t.max_index <= max_index for t in result.aps)
-        row["family_count"] = 0
-        row["certified"] = "true"
-        row["n0"] = result.certificate.n0
-    else:
-        row["ap_count_window"] = len(find_aps(params, kind, max_index))
-        row["family_count"] = len(detect_families(params, kind, SCAN_FAMILY_EXPONENT))
-        row["certified"] = "false"
-    return row
+        count = sum(t.max_index <= max_index for t in result.aps)
+        return A, B, kind.value, classification, count, 0, "true", result.certificate.n0
+    count = len(find_aps(params, kind, max_index))
+    families = len(detect_families(params, kind, SCAN_FAMILY_EXPONENT))
+    return A, B, kind.value, classification, count, families, "false", ""
 
 
 def _cmd_scan(args) -> int:
@@ -399,7 +390,7 @@ def _cmd_scan(args) -> int:
     from .certify import certified_enumerate
 
     _check_bounds("--max-index", args.max_index, 2, MAX_INDEX)
-    kinds = ("first", "second") if args.kind == "both" else (args.kind,)
+    kinds = tuple(Kind) if args.kind == "both" else (Kind(args.kind),)
     (a_lo, a_hi), (b_lo, b_hi) = args.a_range, args.b_range
     count = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(kinds)
     limit = MAX_SCAN_ROWS * 30 // max(args.max_index, 30)
@@ -437,16 +428,17 @@ def _cmd_scan(args) -> int:
         # error line, and the partial file stays
         try:
             if args.format == "csv":
-                writer = csv.DictWriter(fh, fieldnames=_SCAN_COLUMNS, lineterminator="\n")
-                writer.writeheader()
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(_SCAN_COLUMNS)
                 writer.writerows(rows)
             elif args.format == "json":
+                # the row tuples are freed before json.dumps builds its text
+                rows = [dict(zip(_SCAN_COLUMNS, r)) for r in rows]
                 fh.write(json.dumps({"rows": rows}, indent=2) + "\n")
             else:
-                widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _SCAN_COLUMNS}
-                fh.write("  ".join(c.ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
-                for r in rows:
-                    fh.write("  ".join(str(r[c]).ljust(widths[c]) for c in _SCAN_COLUMNS) + "\n")
+                widths = [max(map(len, map(str, column))) for column in zip(_SCAN_COLUMNS, *rows)]
+                for r in [_SCAN_COLUMNS, *rows]:
+                    fh.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)) + "\n")
             fh.close()
         except OSError as exc:
             raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None

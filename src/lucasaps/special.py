@@ -78,17 +78,18 @@ class TrinomialSpec:
 # Largest trinomial exponent quad_factors accepts.
 EXPONENT_CAP = 64
 
-# For each shape, (p, q, g(2), g(3), g(-2), g(-3)) for each candidate
+# For each shape, (c_a, c_b, c_0, candidates): one lookup per quad_factors
+# call.  A candidate is (p, q, g(2), g(3), g(-2), g(-3)) for
 # g = X^2 + p*X + q with q | c_0 and |p| <= 1 + |q|, p outer and q inner:
 # the order of quad_factors' list
-_CANDIDATES = {
-    shape: tuple(
+_SHAPE_TABLES = {
+    shape: (ca, cb, c0, tuple(
         (p, q, *(m * m + p * m + q for m in (2, 3, -2, -3)))
         for p in range(-3, 4)
         for q in (-2, -1, 1, 2)
         if abs(p) <= 1 + abs(q) and c0 % q == 0
-    )
-    for shape, (_, _, c0) in _SHAPE_COEFFICIENTS.items()
+    ))
+    for shape, (ca, cb, c0) in _SHAPE_COEFFICIENTS.items()
 }
 
 
@@ -121,7 +122,7 @@ def quad_factors(spec: TrinomialSpec) -> list:
     if spec.a > EXPONENT_CAP:
         raise ValueError(f"exponent {spec.a} exceeds cap {EXPONENT_CAP}")
     a, b = spec.a, spec.b
-    ca, cb, c0 = _SHAPE_COEFFICIENTS[spec.shape]
+    ca, cb, c0, candidates = _SHAPE_TABLES[spec.shape]
     # f(m) and f(-m) from one power of m each: (-m)^n is m^n with n's sign
     sa = -ca if a & 1 else ca
     sb = -cb if b & 1 else cb
@@ -129,7 +130,7 @@ def quad_factors(spec: TrinomialSpec) -> list:
     f2, fm2 = ca * two_a + cb * two_b + c0, sa * two_a + sb * two_b + c0
     f3, fm3 = ca * three_a + cb * three_b + c0, sa * three_a + sb * three_b + c0
     found = []
-    for p, q, g2, g3, gm2, gm3 in _CANDIDATES[spec.shape]:
+    for p, q, g2, g3, gm2, gm3 in candidates:
         if (g2 and f2 % g2) or (g3 and f3 % g3) or (gm2 and fm2 % gm2) or (gm3 and fm3 % gm3):
             continue
         if not _remainder_vanishes(p, q, a, b, ca, cb, c0):

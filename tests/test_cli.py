@@ -507,6 +507,28 @@ class TestScan:
             "f07d270a28652eb3581994b34917fbbd662a35e240aa880858d2d927d6d4dd15"
         )
 
+    @pytest.mark.parametrize("max_index, fmt, digest", [
+        pytest.param(5, "csv", "d101286c612b806f9b085137366bf13865843f217977f9aab6ff9112f3c8de67",
+                     id="csv-5"),
+        pytest.param(5, "json", "916a87c48d15fe7fef0727865cf4c760abefaeac52952c5641e5c3b6e801099e",
+                     id="json-5"),
+        pytest.param(30, "csv", "994b9ecbfbf3f6677b2fe60e8cfc15dcab99f92d3c0f3f585d71a799639fcf77",
+                     id="csv-30"),
+        pytest.param(30, "json", "19a7fb86f34f16c0ac8e01205393c6a55a488da952ee6f076c15411ff6876d58",
+                     id="json-30"),
+    ])
+    def test_csv_and_json_are_pinned(self, capsys, tmp_path, max_index, fmt, digest):
+        # the box holds every row kind: zero coefficient, degenerate orders 1,
+        # 3, 4 and 6, D < 0, growth-lemma and gap-pattern certificates, and
+        # has_families pairs such as (1, 1)
+        out = tmp_path / f"scan.{fmt}"
+        code, stdout, _ = run(
+            capsys, "scan", "--a-range=-7..7", "--b-range=-14..14", "--kind", "both",
+            "--max-index", str(max_index), "--format", fmt, "--out", str(out),
+        )
+        assert (code, stdout) == (0, f"wrote 870 rows to {out}\n")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_unusable_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
         # --out is opened before the first row is computed
         missing = tmp_path / "missing" / "scan.csv"
@@ -580,6 +602,9 @@ class TestScan:
         def scan_pair(job):
             return cli._scan_pair(certified_enumerate, find_aps, detect_families, job)
 
+        window = cli._SCAN_COLUMNS.index("ap_count_window")
+        family = cli._SCAN_COLUMNS.index("family_count")
+
         def check(box, windows):
             for A in range(-box, box + 1):
                 for B in range(-box, box + 1):
@@ -589,14 +614,14 @@ class TestScan:
                     for kind in Kind:
                         families = len(detect_families(params, kind, 12))
                         for n in windows:
-                            row = scan_pair((A, B, kind.value, n))
-                            assert row["ap_count_window"] == len(find_aps(params, kind, n)), (A, B, kind, n)
-                            assert row["family_count"] == families, (A, B, kind)
+                            row = scan_pair((A, B, kind, n))
+                            assert row[window] == len(find_aps(params, kind, n)), (A, B, kind, n)
+                            assert row[family] == families, (A, B, kind)
 
         check(10, (2, 3, 4, 5, 6, 7, 8, 13, 30))
         check(4, (200,))
         # step-2 families are not unit-step: the (1, 2) first-kind cell stays 0
-        assert scan_pair((1, 2, "first", 30))["family_count"] == 0
+        assert scan_pair((1, 2, Kind.FIRST, 30))[family] == 0
 
     def test_certified_rows_run_no_search(self, capsys, tmp_path, monkeypatch):
         # growth-lemma pairs: a deep window costs no find_aps or detect_families

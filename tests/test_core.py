@@ -33,7 +33,7 @@ from lucasaps.core import (
     terms,
 )
 from lucasaps.poly import divisors
-from lucasaps.special import _CANDIDATES
+from lucasaps.special import _SHAPE_TABLES
 
 
 def valid_pairs(max_abs=12):
@@ -299,7 +299,10 @@ class TestSurd:
         # quad_factors candidate (d = p^2 - 4q: 0, squares and negative d
         # among them) and every 0 <= b < a <= 64, in either order; at d = 0
         # the raw pair keeps the w-part that the normalized Surd drops
-        roots = {(-p, 1, p * p - 4 * q) for table in _CANDIDATES.values() for p, q, *_ in table}
+        roots = {
+            (-p, 1, p * p - 4 * q)
+            for *_, table in _SHAPE_TABLES.values() for p, q, *_ in table
+        }
         for x in sorted(roots):
             d = x[2]
             single = []

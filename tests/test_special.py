@@ -140,7 +140,7 @@ class TestQuadFactors:
                 for q in range(-4, 5)
                 if q and c0 % q == 0 and abs(p) <= 1 + abs(q)
             ]
-            table = special._CANDIDATES[shape]
+            *_, table = special._SHAPE_TABLES[shape]
             assert [(p, q) for p, q, *_ in table] == box, shape
             assert len(box) == (24 if shape is TrinomialShape.MINUS_TWO_CONSTANT else 10)
             for p, q, *g in table:
